@@ -10,10 +10,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import groups
 from .cyclotomic import Cyclotomic, cyc
 from .errors import InertialError, UserError, CheckFailure, TheoremViolation
-from .groups import FiniteGroup, catalog_group, group_from_permutations
+from .groups import (
+    MAX_TABLE_ORDER,
+    FiniteGroup,
+    catalog_group,
+    group_from_permutations,
+)
 from .characters import (
     ClassFunction,
     character_table,
@@ -30,7 +34,6 @@ from .rings import (
     chow_ring,
     k_ring,
     lusztig_ring,
-    otherassoc_ring,
     eta_pairing,
     verify,
     algebra_from_json,
@@ -54,21 +57,21 @@ def _read_json_spec(spec, what):
         raise UserError("malformed %s JSON: %s" % (what, exc))
 
 
-def load_group(spec, max_order=None):
-    if max_order is not None:
-        groups.MAX_TABLE_ORDER = max_order
+def load_group(spec, max_order=MAX_TABLE_ORDER):
+    """The group a --group spec names, refused above max_order elements."""
     spec = spec.strip()
     if spec.startswith("catalog:"):
-        return catalog_group(spec[len("catalog:"):])
+        return catalog_group(spec[len("catalog:"):], max_order)
     data = _read_json_spec(spec, "group")
     kind = data.get("kind")
     if kind == "catalog":
-        return catalog_group(data["name"])
+        return catalog_group(data["name"], max_order)
     if kind == "table":
         if "table" not in data:
             raise UserError('group kind "table" needs a "table" field')
         return FiniteGroup(
-            data["table"], names=data.get("names"), label=data.get("label")
+            data["table"], names=data.get("names"), label=data.get("label"),
+            max_order=max_order,
         )
     if kind == "perm":
         gens = data.get("generators")
@@ -76,7 +79,7 @@ def load_group(spec, max_order=None):
             raise UserError('group kind "perm" needs a "generators" list')
         return group_from_permutations(
             [tuple(p) for p in gens], names=data.get("names"),
-            label=data.get("label"),
+            label=data.get("label"), max_order=max_order,
         )
     raise UserError(
         'group spec must be "catalog:NAME" or JSON with kind table/perm/catalog'
@@ -509,7 +512,7 @@ def build_parser():
         p.add_argument("--group", required=(name != "verify"))
         if rep:
             p.add_argument("--rep", required=not rep_optional)
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=int, default=MAX_TABLE_ORDER,
                        help="override the group size cap (default 512)")
         p.add_argument("--max-double", type=int, default=DOUBLE_SECTOR_CAP,
                        help="override the double-sector cap (default 200)")

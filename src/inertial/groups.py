@@ -44,13 +44,13 @@ def _greedy_generators(table):
     return gens
 
 
-def _validate_table(table):
+def _validate_table(table, max_order):
     n = len(table)
     if n == 0:
         raise UserError("empty multiplication table")
-    if n > MAX_TABLE_ORDER:
+    if n > max_order:
         raise UserError(
-            "group order %d exceeds the supported maximum %d" % (n, MAX_TABLE_ORDER)
+            "group order %d exceeds the supported maximum %d" % (n, max_order)
         )
     full = frozenset(range(n))
     for i, row in enumerate(table):
@@ -78,13 +78,17 @@ def _validate_table(table):
 
 
 class FiniteGroup:
-    """Immutable finite group given by its multiplication table."""
+    """Immutable finite group given by its multiplication table.
 
-    def __init__(self, table, names=None, label=None, check=True):
+    With check, the table is validated and its order capped at max_order.
+    """
+
+    def __init__(self, table, names=None, label=None, check=True,
+                 max_order=MAX_TABLE_ORDER):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
         if check:
-            _validate_table(self.table)
+            _validate_table(self.table, max_order)
         self.label = label if label is not None else "order-%d group" % self.n
         self.names = dict(names) if names else {}
         inv = [0] * self.n
@@ -334,14 +338,8 @@ class Subgroup:
     def order(self):
         return len(self.elements)
 
-    def index_in_parent(self):
-        return self.parent.n // self.order
-
     def to_parent(self, i):
         return self.elements[i]
-
-    def contains(self, parent_idx):
-        return parent_idx in self.from_parent
 
     def __repr__(self):
         return "Subgroup(order %d of %s)" % (self.order, self.parent.label)
@@ -350,11 +348,13 @@ class Subgroup:
 # -- permutation input ------------------------------------------------------
 
 
-def group_from_permutations(gens, names=None, label=None):
+def group_from_permutations(gens, names=None, label=None,
+                            max_order=MAX_TABLE_ORDER):
     """Close a set of permutations (tuples over 0..m-1) into a FiniteGroup.
 
     Composition is (p*q)(x) = p(q(x)).  Elements are sorted lexicographically,
-    which puts the identity permutation at index 0.
+    which puts the identity permutation at index 0.  A closure larger than
+    max_order is refused.
     """
     if not gens:
         raise UserError("need at least one permutation")
@@ -375,10 +375,10 @@ def group_from_permutations(gens, names=None, label=None):
                     nxt.append(r)
         frontier = nxt
     elems = sorted(seen)
-    if len(elems) > MAX_TABLE_ORDER:
+    if len(elems) > max_order:
         raise UserError(
             "permutation group has order %d, exceeding the maximum %d"
-            % (len(elems), MAX_TABLE_ORDER)
+            % (len(elems), max_order)
         )
     index = {p: i for i, p in enumerate(elems)}
     table = [
@@ -389,7 +389,8 @@ def group_from_permutations(gens, names=None, label=None):
         for name, p in names.items():
             name_map[name] = index[tuple(p)]
     name_map.setdefault("e", 0)
-    g = FiniteGroup(table, names=name_map, label=label or "permutation group")
+    g = FiniteGroup(table, names=name_map, label=label or "permutation group",
+                    max_order=max_order)
     g.permutations = tuple(elems)
     return g
 
@@ -546,18 +547,20 @@ def _catalog_cached(kind, n):
     )
 
 
-def catalog_group(spec):
-    """Build a named group: "cyclic(6)", "symmetric(3)", "quaternion8", ..."""
+def catalog_group(spec, max_order=MAX_TABLE_ORDER):
+    """Build a named group: "cyclic(6)", "symmetric(3)", "quaternion8", ...
+
+    A group larger than max_order is refused.
+    """
     m = _CATALOG_RE.fullmatch(spec.strip().lower())
     if not m:
         raise UserError("cannot parse catalog group name %r" % spec)
     kind, n = m.group(1), m.group(2)
     g = _catalog_cached(kind, int(n) if n is not None else None)
-    # the cap is re-checked outside the cache so that lowering it later is
-    # still honored for already-built groups
-    if g.n > MAX_TABLE_ORDER:
+    # the cap is checked outside the cache, so every call honors its own
+    if g.n > max_order:
         raise UserError(
             "group order %d exceeds the supported maximum %d"
-            % (g.n, MAX_TABLE_ORDER)
+            % (g.n, max_order)
         )
     return g

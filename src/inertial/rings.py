@@ -2,18 +2,17 @@
 
 Two products are built on top of the sector bookkeeping: a rational one on
 the per-sector fundamental classes (graded by age) and an integral one on
-the per-sector representation rings.  Both sum contributions over double
-sector classes; every evaluation map moves class functions through the
+the per-sector representation rings.  Each has one routine that sums
+contributions over diagonal classes of tuples: the ring is built from the
+double classes, and the multiproduct check applies the same routine to the
+triple classes.  Every evaluation map moves class functions through the
 stored alignment conjugators only.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .cyclotomic import ZERO
-from .errors import UserError
+from .errors import TheoremViolation, UserError
 from .characters import (
-    ClassFunction,
     character_table,
     trivial_character,
     zero_character,
@@ -24,6 +23,7 @@ from .characters import (
     induce_between,
     lambda_minus_one_dual,
     inner_product,
+    invariant_dimension,
 )
 from .logtrace import age, invariants_char, twisted_pullback
 from .inertia import build_sectors, build_double_sectors, triple_sectors
@@ -48,16 +48,23 @@ class GradedAlgebra:
     def __init__(self, labels, grading, table, scalar, identity_index,
                  context=None):
         self.labels = list(labels)
+        n = len(self.labels)
         self.grading = [Fraction(g) for g in grading]
-        assert len(self.grading) == len(self.labels)
+        if len(self.grading) != n:
+            raise UserError("%d grades for %d basis elements"
+                            % (len(self.grading), n))
         self.table = {}
         for (i, j), terms in table.items():
-            assert 0 <= i < len(self.labels) and 0 <= j < len(self.labels)
             kept = {k: Fraction(c) for k, c in terms.items() if c != 0}
-            for k in kept:
-                assert 0 <= k < len(self.labels)
+            for k in (i, j, *kept):
+                if not 0 <= k < n:
+                    raise UserError("basis index %r out of range 0..%d"
+                                    % (k, n - 1))
             if kept:
                 self.table[(i, j)] = kept
+        if not 0 <= identity_index < n:
+            raise UserError("identity index %r out of range 0..%d"
+                            % (identity_index, n - 1))
         self.scalar = scalar
         self.identity_index = identity_index
         self.context = context
@@ -104,81 +111,77 @@ class GradedAlgebra:
         }
 
 
+def _json_index(x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("index %r is not an integer" % (x,))
+    return x
+
+
 def algebra_from_json(data):
     """Rebuild a GradedAlgebra from its JSON form (no build context)."""
     try:
-        labels = list(data["basis"])
+        labels = data["basis"]
+        if not isinstance(labels, list) or not all(
+                isinstance(label, str) for label in labels):
+            raise ValueError("basis must be a list of labels")
+        if not labels:
+            raise ValueError("the basis is empty")
+        if not isinstance(data["grading"], list):
+            raise ValueError("grading must be a list")
         grading = [Fraction(g) for g in data["grading"]]
         table = {}
         for entry in data["table"]:
-            terms = {int(t["k"]): Fraction(t["c"]) for t in entry["terms"]}
-            table[(int(entry["i"]), int(entry["j"]))] = terms
+            terms = {_json_index(t["k"]): Fraction(t["c"])
+                     for t in entry["terms"]}
+            table[(_json_index(entry["i"]), _json_index(entry["j"]))] = terms
         alg = GradedAlgebra(
             labels, grading, table,
             data.get("scalar", "rational"),
-            int(data.get("identity", 0)),
+            _json_index(data.get("identity", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        alg.verified = dict(data.get("verified", {}))
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise UserError("malformed algebra JSON: %s" % exc)
-    alg.verified = dict(data.get("verified", {}))
     return alg
 
 
 # -- the rational product on fundamental classes --------------------------------
 
 
-def _fixed_dim(v, elems):
-    """dim of the common fixed space of the subgroup generated by elems."""
-    G = v.group
-    H = G.generated(tuple(elems))
-    total = ZERO
-    for h in H.elements:
-        total = total + v.value(h)
-    q = (total * Fraction(1, H.order)).to_rational()
-    assert q is not None and q.denominator == 1
-    return int(q)
+def _chow_products(G, v, classes, inputs, output):
+    """Structure constants of the rational product summed over diagonal classes.
 
-
-def _chow_contribution(v, G, cls):
-    """Coefficient a double class contributes to the rational product.
-
-    Nonzero exactly when the obstruction class of the pair has rank 0 and
-    the fixed space of the pair fills the fixed space of the product; then
-    the coefficient is the index of the pair centralizer in the product
-    centralizer.
+    A class of tuples m contributes exactly when the obstruction class has
+    rank 0 (the ages of the m_i add up to the age of their product) and the
+    fixed space of <m> fills the fixed space of the product; it then adds
+    the index of its centralizer in the product's centralizer.  Returns
+    {(input sectors): {output sector: Fraction}}; inputs names the maps of the
+    input sectors ("e1", "e2", ...) and output the map of the product's.
     """
-    m1, m2 = cls.rep
-    m12 = G.op(m1, m2)
-    if age(v, m1) + age(v, m2) != age(v, m12):
-        return Fraction(0)
-    if _fixed_dim(v, (m1, m2)) != _fixed_dim(v, (m12,)):
-        return Fraction(0)
-    return Fraction(G.centralizer(m12).order, cls.centralizer.order)
+    out = {}
+    for cls in classes:
+        ms = cls.rep
+        prod = G.prod(ms)
+        if sum(age(v, m) for m in ms) != age(v, prod):
+            continue
+        if (invariant_dimension(v, G.generated(ms))
+                != invariant_dimension(v, G.generated((prod,)))):
+            continue
+        coeff = Fraction(G.centralizer(prod).order, cls.centralizer.order)
+        row = out.setdefault(tuple(cls.maps[name][0] for name in inputs), {})
+        k = cls.maps[output][0]
+        row[k] = row.get(k, Fraction(0)) + coeff
+    return out
 
 
-def chow_ring(G, v, contribution=None):
-    """The rational inertial product: one generator per sector, graded by age.
-
-    contribution may replace the structure-constant rule per double class
-    (same signature as the default); no alternative ships.
-    """
+def chow_ring(G, v):
+    """The rational inertial product: one generator per sector, graded by age."""
     assert_genuine_character(v, "the linearization character")
     sectors = build_sectors(G)
     doubles = build_double_sectors(G)
-    if contribution is None:
-        contribution = _chow_contribution
     labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
     grading = [age(v, s.rep) for s in sectors.sectors]
-    table = {}
-    for cls in doubles.classes:
-        coeff = contribution(v, G, cls)
-        if coeff == 0:
-            continue
-        i = cls.maps["e1"][0]
-        j = cls.maps["e2"][0]
-        k = cls.maps["mu"][0]
-        row = table.setdefault((i, j), {})
-        row[k] = row.get(k, Fraction(0)) + coeff
+    table = _chow_products(G, v, doubles.classes, ("e1", "e2"), "mu")
     assert sectors.sectors[0].rep == 0, "identity sector must come first"
     context = {
         "kind": "chow", "group": G, "rep": v,
@@ -227,80 +230,135 @@ class _KBasis:
         return self.offsets[sector] + t
 
 
-def _aligned_restrictions(G, sectors, elem, sector_idx, Zm):
-    """Every irreducible of the sector's centralizer, moved to the centralizer
-    of elem through the class witness and restricted to Zm."""
-    Zs = sectors.sectors[sector_idx].centralizer
-    w = G.witness(elem)
+def _int_coords(vchar):
+    """Exact integer coordinates of a virtual character over the irreducibles."""
     out = []
-    for chi in character_table(Zs.group):
-        moved, sub = transport(chi, Zs, w)
-        out.append(restrict_between(moved, sub, Zm))
+    for m in decompose(vchar)[0]:
+        q = m.to_rational()
+        if q is None or q.denominator != 1:
+            raise TheoremViolation(
+                "virtual character has non-integral coordinate %r" % m
+            )
+        out.append(int(q))
     return out
 
 
-def _koszul_factor(v, ms, prod_elem, Zm):
-    """lambda_-1 of the dual of V^{prod} / V^{<ms>} as a Zm-class.
+def _fold(u, w, fusion):
+    """Coordinates of the product of two virtual characters, both given in
+    coordinates, pushed through the fusion tensor."""
+    out = [0] * len(u)
+    for p, up in enumerate(u):
+        if not up:
+            continue
+        row = fusion[p]
+        for q, wq in enumerate(w):
+            if wq:
+                for k, n in row[q]:
+                    out[k] += up * wq * n
+    return out
 
-    This is the excess factor of the pushforward along the fixed-space
-    inclusion; it is 1 exactly when the two fixed spaces agree.
+
+def _folded(u, coords, fusion):
+    """(t_1..t_l, coordinates of u * x_1[t_1] * ... * x_l[t_l]) for every
+    choice of one vector from each list in coords, lexicographically."""
+    if not coords:
+        yield (), u
+        return
+    for t, c in enumerate(coords[0]):
+        for ts, w in _folded(_fold(u, c, fusion), coords[1:], fusion):
+            yield (t,) + ts, w
+
+
+def _k_products(G, v, basis, classes, inputs, output):
+    """Structure constants of the integral product summed over diagonal classes.
+
+    For a class of tuples m with centralizer Z_m: move each input sector's
+    irreducibles to Z_m through the class's alignment conjugator and
+    restrict; multiply them with the class factor, lambda_-1 of the dual
+    obstruction class times lambda_-1 of the dual of V^{prod} / V^{<m>} (the
+    excess factor of the fixed-space inclusion, 1 when the two agree);
+    induce to the product's centralizer and move onto the product's sector.
+    Every step is Z-linear, so it all runs in integer coordinates over
+    Irr(Z_m): products fold through the fusion tensor of Z_m, and
+    induce-and-move is decomposed once per irreducible of Z_m.  Returns
+    {(input basis indices): {output basis index: int}}.
     """
-    big = invariants_char(v, (prod_elem,), Zm)
-    small = invariants_char(v, tuple(ms), Zm)
-    return lambda_minus_one_dual(big - small)
-
-
-def _integral_mults(moved):
-    mults, _ = decompose(moved)
-    out = []
-    for m in mults:
-        q = m.to_rational()
-        assert q is not None and q.denominator == 1, (
-            "structure constant %r is not an integer" % m
-        )
-        out.append(Fraction(q))
+    sectors = build_sectors(G)
+    fusions = {}
+    images = {}
+    restricted = {}
+    out = {}
+    for cls in classes:
+        ms = cls.rep
+        prod = G.prod(ms)
+        Zm = cls.centralizer
+        fusion = fusions.get(Zm.group)
+        if fusion is None:
+            irr = character_table(Zm.group)
+            fusion = [
+                [[(k, n) for k, n in enumerate(_int_coords(a * b)) if n]
+                 for b in irr]
+                for a in irr
+            ]
+            fusions[Zm.group] = fusion
+        coords = []
+        for name in inputs:
+            s, h = cls.maps[name]
+            w = G.inv[h]
+            key = (s, w, Zm)
+            if key not in restricted:
+                Zs = sectors.sectors[s].centralizer
+                vecs = []
+                for chi in basis.tables[s]:
+                    moved, sub = transport(chi, Zs, w)
+                    vecs.append(_int_coords(restrict_between(moved, sub, Zm)))
+                restricted[key] = vecs
+            coords.append(restricted[key])
+        sk, h = cls.maps[output]
+        Zprod = G.centralizer(prod)
+        key = (Zm, Zprod, h)
+        if key not in images:
+            vecs = []
+            for chi in character_table(Zm.group):
+                moved, sub = transport(induce_between(chi, Zm, Zprod), Zprod, h)
+                if sub is not sectors.sectors[sk].centralizer:
+                    raise TheoremViolation(
+                        "moving the centralizer of %d by %d misses the "
+                        "centralizer of its sector" % (prod, h)
+                    )
+                vecs.append(_int_coords(moved))
+            images[key] = vecs
+        image = images[key]
+        big = invariants_char(v, (prod,), Zm)
+        small = invariants_char(v, ms, Zm)
+        factor = (lambda_minus_one_dual(twisted_pullback(v, ms).char)
+                  * lambda_minus_one_dual(big - small))
+        for ts, u in _folded(_int_coords(factor), coords, fusion):
+            acc = [0] * len(basis.tables[sk])
+            for p, up in enumerate(u):
+                if up:
+                    for t, n in enumerate(image[p]):
+                        acc[t] += up * n
+            row = out.setdefault(
+                tuple(basis.index(cls.maps[name][0], t)
+                      for name, t in zip(inputs, ts)), {}
+            )
+            for t, n in enumerate(acc):
+                if n:
+                    k = basis.index(sk, t)
+                    row[k] = row.get(k, 0) + n
     return out
 
 
 def k_ring(G, v):
-    """The inertial product on the sum of centralizer representation rings.
-
-    For each double class: restrict both inputs to the pair centralizer
-    (through alignment conjugators), multiply by lambda_-1 of the dual
-    obstruction class and by the fixed-space excess factor, induce up to the
-    product centralizer, and decompose at the product's sector.  The table
-    is integral; this is asserted.
-    """
+    """The inertial product on the sum of centralizer representation rings,
+    built from the double classes by _k_products.  The table is integral;
+    this is checked."""
     assert_genuine_character(v, "the linearization character")
     sectors = build_sectors(G)
     doubles = build_double_sectors(G)
     basis = _KBasis(G, sectors)
-    table = {}
-    for cls in doubles.classes:
-        m1, m2 = cls.rep
-        m12 = G.op(m1, m2)
-        Zm = cls.centralizer
-        s1 = cls.maps["e1"][0]
-        s2 = cls.maps["e2"][0]
-        s12 = cls.maps["mu"][0]
-        tw = twisted_pullback(v, cls.rep)
-        factor = lambda_minus_one_dual(tw.char) * _koszul_factor(v, cls.rep, m12, Zm)
-        res1 = _aligned_restrictions(G, sectors, m1, s1, Zm)
-        res2 = _aligned_restrictions(G, sectors, m2, s2, Zm)
-        Z12 = G.centralizer(m12)
-        h12 = G.inv[G.witness(m12)]
-        for t1, a in enumerate(res1):
-            bi = basis.index(s1, t1)
-            for t2, b in enumerate(res2):
-                bj = basis.index(s2, t2)
-                ind = induce_between(a * b * factor, Zm, Z12)
-                moved, sub = transport(ind, Z12, h12)
-                assert sub is sectors.sectors[s12].centralizer
-                row = table.setdefault((bi, bj), {})
-                for t, m in enumerate(_integral_mults(moved)):
-                    if m:
-                        k = basis.index(s12, t)
-                        row[k] = row.get(k, Fraction(0)) + m
+    table = _k_products(G, v, basis, doubles.classes, ("e1", "e2"), "mu")
     triv = trivial_character(G)
     id_t = next(
         t for t, chi in enumerate(character_table(G)) if chi == triv
@@ -407,23 +465,26 @@ def _check_commutativity(alg):
     return True
 
 
+def _iterated(alg, i, j, k):
+    """(e_i e_j) e_k through the binary table, zero terms dropped."""
+    out = {}
+    for m, c in alg.table.get((i, j), {}).items():
+        for t, d in alg.table.get((m, k), {}).items():
+            out[t] = out.get(t, Fraction(0)) + c * d
+    return {t: c for t, c in out.items() if c != 0}
+
+
 def _check_associativity(alg):
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            left = alg.table.get((i, j), {})
             for k in range(n):
-                lhs = {}
-                for m, c in left.items():
-                    for t, d in alg.table.get((m, k), {}).items():
-                        lhs[t] = lhs.get(t, Fraction(0)) + c * d
                 rhs = {}
                 for m, c in alg.table.get((j, k), {}).items():
                     for t, d in alg.table.get((i, m), {}).items():
                         rhs[t] = rhs.get(t, Fraction(0)) + c * d
-                lhs = {t: c for t, c in lhs.items() if c != 0}
                 rhs = {t: c for t, c in rhs.items() if c != 0}
-                if lhs != rhs:
+                if _iterated(alg, i, j, k) != rhs:
                     return False
     return True
 
@@ -454,147 +515,26 @@ def _check_frobenius(alg):
     return True
 
 
-def _one_shot_chow(alg):
-    """Triple products from length-3 classes directly, bypassing the binary table."""
-    ctx = alg.context
-    G, v = ctx["group"], ctx["rep"]
-    out = {}
-    for cls in triple_sectors(G).classes:
-        a, b, c = cls.rep
-        abc = G.prod([a, b, c])
-        if age(v, a) + age(v, b) + age(v, c) != age(v, abc):
-            continue
-        if _fixed_dim(v, (a, b, c)) != _fixed_dim(v, (abc,)):
-            continue
-        coeff = Fraction(G.centralizer(abc).order, cls.centralizer.order)
-        key = (cls.maps["e1"][0], cls.maps["e2"][0], cls.maps["e3"][0])
-        row = out.setdefault(key, {})
-        k = cls.maps["mu_full"][0]
-        row[k] = row.get(k, Fraction(0)) + coeff
-    return out
-
-
-def _int_coords(vchar):
-    """Exact integer coordinates of a virtual character over the irreducibles."""
-    mults, _ = decompose(vchar)
-    out = []
-    for m in mults:
-        q = m.to_rational()
-        assert q is not None and q.denominator == 1, (
-            "virtual character has non-integral coordinate %r" % m
-        )
-        out.append(int(q))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _fusion_tensor(group):
-    """coords of chi_p * chi_q over the irreducibles, for every (p, q)."""
-    irr = character_table(group)
-    return [[_int_coords(a * b) for b in irr] for a in irr]
-
-
-def _fold(u, w, fusion):
-    """Coordinates of the product of two virtual characters, both given in
-    coordinates, pushed through the fusion tensor."""
-    out = [0] * len(u)
-    for p, up in enumerate(u):
-        if not up:
-            continue
-        row = fusion[p]
-        for q, wq in enumerate(w):
-            if not wq:
-                continue
-            uw = up * wq
-            for k, n in enumerate(row[q]):
-                if n:
-                    out[k] += uw * n
-    return out
-
-
-@lru_cache(maxsize=None)
-def _induced_images(sectors, Zm, Zabc, h, sk):
-    """Per irreducible of Zm: induce up to Zabc, move to the product sector's
-    centralizer, and decompose there.  All three maps are linear, so these
-    vectors determine the map on every virtual character."""
-    images = []
-    for chi in character_table(Zm.group):
-        moved, sub = transport(induce_between(chi, Zm, Zabc), Zabc, h)
-        assert sub is sectors.sectors[sk].centralizer
-        images.append(_integral_mults(moved))
-    return images
-
-
-def _one_shot_k(alg):
-    ctx = alg.context
-    G, v = ctx["group"], ctx["rep"]
-    sectors, basis = ctx["sectors"], ctx["kbasis"]
-    out = {}
-    for cls in triple_sectors(G).classes:
-        a, b, c = cls.rep
-        abc = G.prod([a, b, c])
-        Zm = cls.centralizer
-        s1 = cls.maps["e1"][0]
-        s2 = cls.maps["e2"][0]
-        s3 = cls.maps["e3"][0]
-        sk = cls.maps["mu_full"][0]
-        tw = twisted_pullback(v, cls.rep)
-        factor = lambda_minus_one_dual(tw.char) * _koszul_factor(v, cls.rep, abc, Zm)
-        res1 = _aligned_restrictions(G, sectors, a, s1, Zm)
-        res2 = _aligned_restrictions(G, sectors, b, s2, Zm)
-        res3 = _aligned_restrictions(G, sectors, c, s3, Zm)
-        Zabc = G.centralizer(abc)
-        h = G.inv[G.witness(abc)]
-        # everything applied to the irreducible triples below is linear, so
-        # work in integer coordinates over Irr(Zm): fold through the fusion
-        # tensor, then map through the images of the irreducibles
-        fusion = _fusion_tensor(Zm.group)
-        images = _induced_images(sectors, Zm, Zabc, h, sk)
-        c1 = [_int_coords(x) for x in res1]
-        c2f = [_int_coords(x * factor) for x in res2]
-        c3 = [_int_coords(x) for x in res3]
-        for t1, u1 in enumerate(c1):
-            for t2, u2 in enumerate(c2f):
-                u12 = _fold(u1, u2, fusion)
-                for t3, u3 in enumerate(c3):
-                    w = _fold(u12, u3, fusion)
-                    key = (basis.index(s1, t1), basis.index(s2, t2),
-                           basis.index(s3, t3))
-                    row = out.setdefault(key, {})
-                    for p, wp in enumerate(w):
-                        if not wp:
-                            continue
-                        for t, m in enumerate(images[p]):
-                            if m:
-                                kk = basis.index(sk, t)
-                                row[kk] = row.get(kk, Fraction(0)) + wp * m
-    # signed partial sums can cancel; drop the explicit zeros they leave
-    return {key: {k: c for k, c in row.items() if c != 0}
-            for key, row in out.items()}
-
-
 def _check_multiproduct(alg):
+    """(e_i e_j) e_k from the table against the product rule applied
+    directly to the triple classes."""
     ctx = alg.context
+    G, v = ctx["group"], ctx["rep"]
+    triples = triple_sectors(G).classes
+    inputs = ("e1", "e2", "e3")
     if ctx["kind"] == "chow":
-        oneshot = _one_shot_chow(alg)
+        direct = _chow_products(G, v, triples, inputs, "mu_full")
     elif ctx["kind"] == "k":
-        oneshot = _one_shot_k(alg)
+        direct = _k_products(G, v, ctx["kbasis"], triples, inputs, "mu_full")
     else:
         raise UserError("no triple-product rule for kind %r" % ctx["kind"])
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            tij = alg.table.get((i, j), {})
             for k in range(n):
-                iterated = {}
-                for m, c in tij.items():
-                    for t, d in alg.table.get((m, k), {}).items():
-                        iterated[t] = iterated.get(t, Fraction(0)) + c * d
-                iterated = {t: c for t, c in iterated.items() if c != 0}
-                direct = {
-                    t: c for t, c in oneshot.get((i, j, k), {}).items() if c != 0
-                }
-                if iterated != direct:
+                want = {t: c for t, c in direct.get((i, j, k), {}).items()
+                        if c != 0}
+                if _iterated(alg, i, j, k) != want:
                     return False
     return True
 

@@ -1,11 +1,25 @@
 """Independent oracles the test suite checks library output against.
 
-Everything here works directly on raw multiplication tables by brute force,
-deliberately avoiding the library's class / centralizer machinery, so that an
-agreement between the two is meaningful.
+The group-table oracles work directly on raw multiplication tables by brute
+force, deliberately avoiding the library's class / centralizer machinery, so
+that an agreement between the two is meaningful.  The K-ring reference uses
+the library's character primitives but not its product routine: it forms
+every product of two irreducibles as a class function and decomposes it,
+where the library works in integer coordinates.
 """
 
 from fractions import Fraction
+
+from inertial.characters import (
+    character_table,
+    decompose,
+    induce_between,
+    lambda_minus_one_dual,
+    restrict_between,
+    transport,
+)
+from inertial.inertia import build_double_sectors, build_sectors
+from inertial.logtrace import invariants_char, twisted_pullback
 
 
 def brute_identity(table):
@@ -85,3 +99,58 @@ CLASSICAL_DEGREES = {
     "quaternion8": [1, 1, 1, 1, 2],
     "alternating(4)": [1, 1, 1, 3],
 }
+
+
+def reference_k_table(G, v):
+    """The integral product table of [V/G], one product of irreducibles at a time.
+
+    For each double class (m1, m2) with centralizer Z: move the irreducibles
+    of both input sectors to Z through the class witnesses and restrict;
+    multiply each pair with lambda_-1 of the dual obstruction class and of
+    the dual of V^{m1 m2} / V^{<m1, m2>}; induce to the centralizer of
+    m1 m2, move onto its sector and decompose.  Keys and basis numbering
+    follow the library's KBasis: sectors in order, irreducibles in table
+    order within each.
+    """
+    sectors = build_sectors(G).sectors
+    offsets = []
+    off = 0
+    for s in sectors:
+        offsets.append(off)
+        off += len(character_table(s.centralizer.group))
+
+    def restricted(elem, s, Z):
+        Zs = sectors[s].centralizer
+        out = []
+        for chi in character_table(Zs.group):
+            moved, sub = transport(chi, Zs, G.witness(elem))
+            out.append(restrict_between(moved, sub, Z))
+        return out
+
+    table = {}
+    for cls in build_double_sectors(G).classes:
+        m1, m2 = cls.rep
+        m12 = G.op(m1, m2)
+        Z = cls.centralizer
+        s1, s2, s12 = (G.class_of(m) for m in (m1, m2, m12))
+        excess = invariants_char(v, (m12,), Z) - invariants_char(v, (m1, m2), Z)
+        factor = (lambda_minus_one_dual(twisted_pullback(v, (m1, m2)).char)
+                  * lambda_minus_one_dual(excess))
+        Z12 = G.centralizer(m12)
+        h12 = G.inv[G.witness(m12)]
+        for t1, a in enumerate(restricted(m1, s1, Z)):
+            for t2, b in enumerate(restricted(m2, s2, Z)):
+                ind = induce_between(a * b * factor, Z, Z12)
+                moved, sub = transport(ind, Z12, h12)
+                assert sub is sectors[s12].centralizer
+                row = table.setdefault((offsets[s1] + t1, offsets[s2] + t2), {})
+                for t, m in enumerate(decompose(moved)[0]):
+                    q = m.to_rational()
+                    assert q is not None and q.denominator == 1, (
+                        "structure constant %r is not an integer" % m
+                    )
+                    k = offsets[s12] + t
+                    row[k] = row.get(k, Fraction(0)) + q
+    return {key: {k: c for k, c in row.items() if c != 0}
+            for key, row in table.items()
+            if any(c != 0 for c in row.values())}

@@ -1,25 +1,35 @@
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from inertial.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def run_cli(argv):
-    # A real invocation gets a fresh process, so a --max-order override dies
-    # with it; restore the cap here to keep in-process runs just as isolated.
-    from inertial import groups
-
-    saved = groups.MAX_TABLE_ORDER
     out = io.StringIO()
     err = io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        groups.MAX_TABLE_ORDER = saved
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv, *flags):
+    """Run the CLI in a fresh interpreter started with the given flags."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "inertial", *argv],
+        capture_output=True, env=env, cwd=ROOT,
+    )
 
 
 def test_group_info_success():
@@ -214,6 +224,47 @@ def test_max_order_guard():
     )
     assert code == 1
     assert "exceed" in json.loads(err)["error"]["message"]
+
+
+def test_max_order_does_not_leak_into_later_calls():
+    argv = ["group-info", "--group", "catalog:cyclic(6)"]
+    code, _, _ = run_cli(argv + ["--max-order", "4"])
+    assert code == 1
+    code, out, _ = run_cli(argv)
+    assert code == 0, "a --max-order override leaked into the next call"
+    assert json.loads(out)["order"] == 6
+
+
+def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):
+    # assert statements vanish under -O; the range check must not
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump({"basis": ["a"], "grading": ["0"], "identity": 0,
+                   "table": [{"i": 0, "j": 0,
+                              "terms": [{"k": 5, "c": "1"}]}]}, fh)
+    proc = run_process(["verify", "--algebra", path, "--all"], "-O")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["kind"] == "UserError"
+
+
+PINNED = (
+    "k-ring --group catalog:quaternion8 --rep sl2",
+    "k-ring --group catalog:dihedral(5) --rep regular",
+    "lusztig --group catalog:symmetric(4)",
+    "eta --group catalog:quaternion8 --mode k",
+    "chow-ring --group catalog:symmetric(3) --rep std",
+)
+
+
+def test_artifacts_match_benchmark_references():
+    with open(os.path.join(ROOT, "perfbench", "refs.json")) as fh:
+        refs = json.load(fh)["commands"]
+    for key in PINNED:
+        proc = run_process(key.split(" "))
+        got = {"exit": proc.returncode,
+               "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+        assert got == refs[key], f"{key}: artifact changed"
 
 
 def test_logtrace_command():

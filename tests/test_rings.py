@@ -21,7 +21,7 @@ from inertial.rings import (
     verify,
 )
 
-from oracles import class_sum_constants
+from oracles import class_sum_constants, reference_k_table
 
 ALL_CHECKS = ["identity", "commutativity", "associativity", "grading"]
 
@@ -54,7 +54,16 @@ def test_algebra_json_round_trip():
     assert back.identity_index == alg.identity_index
     assert back.context is None
     assert verify(back, ALL_CHECKS) == {name: True for name in ALL_CHECKS}
-    for bad in ({}, {"basis": ["a"]}, {"basis": ["a"], "grading": ["1"]}):
+    one = {"basis": ["a"], "grading": ["0"], "identity": 0,
+           "table": [{"i": 0, "j": 0, "terms": [{"k": 0, "c": "1"}]}]}
+    assert algebra_from_json(one).dim == 1
+    out_of_range = dict(one, table=[
+        {"i": 0, "j": 0, "terms": [{"k": 3, "c": "1"}]}])
+    for bad in ({}, {"basis": ["a"]}, {"basis": ["a"], "grading": ["1"]},
+                out_of_range,
+                dict(one, identity=7),
+                dict(one, basis="ab", grading=["0", "0"]),
+                {"basis": [], "grading": [], "identity": 0, "table": []}):
         try:
             algebra_from_json(bad)
             raise AssertionError(f"malformed algebra JSON accepted: {bad}")
@@ -135,6 +144,16 @@ def test_k_ring_s3_fusion_corner():
         for c in terms.values():
             assert c.denominator == 1 and c >= 0, "constants must be counts"
     assert verify(alg, ALL_CHECKS) == {name: True for name in ALL_CHECKS}
+
+
+def test_k_ring_matches_per_product_reference():
+    for spec, rep in (("symmetric(3)", "std"), ("symmetric(3)", "zero"),
+                      ("quaternion8", "sl2"), ("cyclic(4)", "sl2")):
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        assert k_ring(G, v).table == reference_k_table(G, v), (
+            f"{spec}/{rep}: K table disagrees with the per-product reference"
+        )
 
 
 def test_lusztig_is_the_zero_rep_k_ring():
