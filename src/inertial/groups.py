@@ -48,7 +48,7 @@ def _validate_table(table, max_order):
     n = len(table)
     if n == 0:
         raise UserError("empty multiplication table")
-    if n > max_order:
+    if max_order is not None and n > max_order:
         raise UserError(
             "group order %d exceeds the supported maximum %d" % (n, max_order)
         )
@@ -80,7 +80,8 @@ def _validate_table(table, max_order):
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
-    With check, the table is validated and its order capped at max_order.
+    With check, the table is validated and its order capped at max_order
+    (None: no cap).
     """
 
     def __init__(self, table, names=None, label=None, check=True,
@@ -354,7 +355,7 @@ def group_from_permutations(gens, names=None, label=None,
 
     Composition is (p*q)(x) = p(q(x)).  Elements are sorted lexicographically,
     which puts the identity permutation at index 0.  A closure larger than
-    max_order is refused.
+    max_order is refused (None: no cap).
     """
     if not gens:
         raise UserError("need at least one permutation")
@@ -375,7 +376,7 @@ def group_from_permutations(gens, names=None, label=None,
                     nxt.append(r)
         frontier = nxt
     elems = sorted(seen)
-    if len(elems) > max_order:
+    if max_order is not None and len(elems) > max_order:
         raise UserError(
             "permutation group has order %d, exceeding the maximum %d"
             % (len(elems), max_order)
@@ -401,7 +402,8 @@ def group_from_permutations(gens, names=None, label=None,
 def _cyclic(n):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = {"e": 0, "g": 1 % n}
-    g = FiniteGroup(table, names=names, label="cyclic(%d)" % n)
+    g = FiniteGroup(table, names=names, label="cyclic(%d)" % n,
+                    max_order=None)
     g.catalog = ("cyclic", n)
     return g
 
@@ -422,7 +424,8 @@ def _dihedral(n):
                     k2, e2 = mul(k, e, l, f)
                     table[k + n * e][l + n * f] = k2 + n * e2
     names = {"e": 0, "r": 1 % n, "s": n}
-    g = FiniteGroup(table, names=names, label="dihedral(%d)" % n)
+    g = FiniteGroup(table, names=names, label="dihedral(%d)" % n,
+                    max_order=None)
     g.catalog = ("dihedral", n)
     return g
 
@@ -447,7 +450,8 @@ def _binary_dihedral(n, label=None):
                     k2, e2 = mul(k, e, l, f)
                     table[k + m * e][l + m * f] = k2 + m * e2
     names = {"e": 0, "a": 1, "b": m}
-    g = FiniteGroup(table, names=names, label=label or "binary_dihedral(%d)" % n)
+    g = FiniteGroup(table, names=names, label=label or "binary_dihedral(%d)" % n,
+                    max_order=None)
     g.catalog = ("binary_dihedral", n)
     return g
 
@@ -501,11 +505,15 @@ def _alternating(n):
         g = FiniteGroup([[0]], names={"e": 0}, label="alternating(%d)" % n)
     else:
         g = group_from_permutations(
-            list(gens.values()), names=gens, label="alternating(%d)" % n
+            list(gens.values()), names=gens, label="alternating(%d)" % n,
+            max_order=None,
         )
     g.catalog = ("alternating", n)
     return g
 
+
+# group order per unit of n for the families whose table grows with n
+_FAMILY_ORDER = {"cyclic": 1, "dihedral": 2, "binary_dihedral": 4}
 
 _CATALOG_RE = re.compile(r"([a-z_0-9]+?)(?:\((\d+)\))?$")
 
@@ -556,11 +564,19 @@ def catalog_group(spec, max_order=MAX_TABLE_ORDER):
     if not m:
         raise UserError("cannot parse catalog group name %r" % spec)
     kind, n = m.group(1), m.group(2)
-    g = _catalog_cached(kind, int(n) if n is not None else None)
+    n = int(n) if n is not None else None
+    # refuse an oversized family member before its table is built
+    if kind in _FAMILY_ORDER and n is not None:
+        _check_order(_FAMILY_ORDER[kind] * n, max_order)
+    g = _catalog_cached(kind, n)
     # the cap is checked outside the cache, so every call honors its own
-    if g.n > max_order:
+    _check_order(g.n, max_order)
+    return g
+
+
+def _check_order(order, max_order):
+    if order > max_order:
         raise UserError(
             "group order %d exceeds the supported maximum %d"
-            % (g.n, max_order)
+            % (order, max_order)
         )
-    return g

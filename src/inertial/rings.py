@@ -51,20 +51,20 @@ class GradedAlgebra:
         n = len(self.labels)
         self.grading = [Fraction(g) for g in grading]
         if len(self.grading) != n:
-            raise UserError("%d grades for %d basis elements"
-                            % (len(self.grading), n))
+            raise TheoremViolation("%d grades for %d basis elements"
+                                   % (len(self.grading), n))
         self.table = {}
         for (i, j), terms in table.items():
             kept = {k: Fraction(c) for k, c in terms.items() if c != 0}
             for k in (i, j, *kept):
                 if not 0 <= k < n:
-                    raise UserError("basis index %r out of range 0..%d"
-                                    % (k, n - 1))
+                    raise TheoremViolation("basis index %r out of range 0..%d"
+                                           % (k, n - 1))
             if kept:
                 self.table[(i, j)] = kept
         if not 0 <= identity_index < n:
-            raise UserError("identity index %r out of range 0..%d"
-                            % (identity_index, n - 1))
+            raise TheoremViolation("identity index %r out of range 0..%d"
+                                   % (identity_index, n - 1))
         self.scalar = scalar
         self.identity_index = identity_index
         self.context = context
@@ -81,11 +81,9 @@ class GradedAlgebra:
         """Product of two sparse coefficient vectors (dicts index -> Fraction)."""
         out = {}
         for i, ca in va.items():
-            if ca == 0:
-                continue
             for j, cb in vb.items():
                 terms = self.table.get((i, j))
-                if not terms or cb == 0:
+                if not terms:
                     continue
                 cab = ca * cb
                 for k, c in terms.items():
@@ -111,9 +109,11 @@ class GradedAlgebra:
         }
 
 
-def _json_index(x):
+def _json_index(x, n):
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError("index %r is not an integer" % (x,))
+    if not 0 <= x < n:
+        raise ValueError("basis index %r out of range 0..%d" % (x, n - 1))
     return x
 
 
@@ -124,20 +124,25 @@ def algebra_from_json(data):
         if not isinstance(labels, list) or not all(
                 isinstance(label, str) for label in labels):
             raise ValueError("basis must be a list of labels")
-        if not labels:
+        n = len(labels)
+        if not n:
             raise ValueError("the basis is empty")
         if not isinstance(data["grading"], list):
             raise ValueError("grading must be a list")
         grading = [Fraction(g) for g in data["grading"]]
+        if len(grading) != n:
+            raise ValueError("%d grades for %d basis elements"
+                             % (len(grading), n))
         table = {}
         for entry in data["table"]:
-            terms = {_json_index(t["k"]): Fraction(t["c"])
+            terms = {_json_index(t["k"], n): Fraction(t["c"])
                      for t in entry["terms"]}
-            table[(_json_index(entry["i"]), _json_index(entry["j"]))] = terms
+            table[(_json_index(entry["i"], n),
+                   _json_index(entry["j"], n))] = terms
         alg = GradedAlgebra(
             labels, grading, table,
             data.get("scalar", "rational"),
-            _json_index(data.get("identity", 0)),
+            _json_index(data.get("identity", 0), n),
         )
         alg.verified = dict(data.get("verified", {}))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -465,26 +470,15 @@ def _check_commutativity(alg):
     return True
 
 
-def _iterated(alg, i, j, k):
-    """(e_i e_j) e_k through the binary table, zero terms dropped."""
-    out = {}
-    for m, c in alg.table.get((i, j), {}).items():
-        for t, d in alg.table.get((m, k), {}).items():
-            out[t] = out.get(t, Fraction(0)) + c * d
-    return {t: c for t, c in out.items() if c != 0}
-
-
 def _check_associativity(alg):
     n = alg.dim
     for i in range(n):
         for j in range(n):
+            left = alg.table.get((i, j), {})
             for k in range(n):
-                rhs = {}
-                for m, c in alg.table.get((j, k), {}).items():
-                    for t, d in alg.table.get((i, m), {}).items():
-                        rhs[t] = rhs.get(t, Fraction(0)) + c * d
-                rhs = {t: c for t, c in rhs.items() if c != 0}
-                if _iterated(alg, i, j, k) != rhs:
+                lhs = alg.mul(left, {k: Fraction(1)})
+                rhs = alg.mul({i: Fraction(1)}, alg.table.get((j, k), {}))
+                if lhs != rhs:
                     return False
     return True
 
@@ -531,10 +525,11 @@ def _check_multiproduct(alg):
     n = alg.dim
     for i in range(n):
         for j in range(n):
+            left = alg.table.get((i, j), {})
             for k in range(n):
                 want = {t: c for t, c in direct.get((i, j, k), {}).items()
                         if c != 0}
-                if _iterated(alg, i, j, k) != want:
+                if alg.mul(left, {k: Fraction(1)}) != want:
                     return False
     return True
 

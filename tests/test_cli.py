@@ -235,6 +235,17 @@ def test_max_order_does_not_leak_into_later_calls():
     assert json.loads(out)["order"] == 6
 
 
+def test_max_order_raises_the_cap_for_catalog_families():
+    for spec in ("cyclic(600)", "dihedral(300)", "binary_dihedral(150)"):
+        argv = ["group-info", "--group", "catalog:" + spec]
+        code, out, err = run_cli(argv + ["--max-order", "600"])
+        assert code == 0, f"{spec} refused under --max-order 600: {err}"
+        assert json.loads(out)["order"] == 600
+        code, _, err = run_cli(argv)
+        assert code == 1, f"{spec} accepted under the default cap"
+        assert "exceed" in json.loads(err)["error"]["message"]
+
+
 def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):
     # assert statements vanish under -O; the range check must not
     path = str(tmp_path / "bad.json")

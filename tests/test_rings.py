@@ -6,7 +6,7 @@ from inertial.characters import (
     trivial_character,
     zero_character,
 )
-from inertial.errors import UserError
+from inertial.errors import TheoremViolation, UserError
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors
 from inertial.logtrace import age, twisted_pullback
@@ -63,11 +63,24 @@ def test_algebra_json_round_trip():
                 out_of_range,
                 dict(one, identity=7),
                 dict(one, basis="ab", grading=["0", "0"]),
+                dict(one, grading=["0", "0"]),
+                dict(one, table=[{"i": 1, "j": 0, "terms": []}]),
                 {"basis": [], "grading": [], "identity": 0, "table": []}):
         try:
             algebra_from_json(bad)
             raise AssertionError(f"malformed algebra JSON accepted: {bad}")
         except UserError:
+            pass
+
+
+def test_bad_index_from_a_ring_builder_is_an_internal_fault():
+    # indices that reach GradedAlgebra from the library, not from JSON,
+    # are the program's fault, not bad input
+    for table, identity in (({(0, 0): {1: Fraction(1)}}, 0), ({}, 2)):
+        try:
+            GradedAlgebra(["one"], [0], table, "rational", identity)
+            raise AssertionError("out-of-range index accepted")
+        except TheoremViolation:
             pass
 
 
