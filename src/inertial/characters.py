@@ -20,9 +20,14 @@ class ClassFunction:
 
     Values are stored in the group's canonical class order (identity class
     first, then by ascending class size and smallest member).
+
+    _memo holds what is derived from this class function and costly to
+    recompute: eigenvalue multiplicities, log traces and obstruction classes
+    (see logtrace).  An entry is stored only after every exact check on its
+    input has passed, and it lives and dies with this object.
     """
 
-    __slots__ = ("group", "values", "_eigen_cache")
+    __slots__ = ("group", "values", "_memo")
 
     def __init__(self, group, values):
         values = tuple(cyc(v) for v in values)
@@ -33,7 +38,7 @@ class ClassFunction:
             )
         self.group = group
         self.values = values
-        self._eigen_cache = {}
+        self._memo = {}
 
     def value(self, x):
         """Value at a group element (by index)."""
@@ -498,7 +503,9 @@ def restrict_between(v, outer, inner):
         vals = [v.value(outer.from_parent[inner.to_parent(rep)])
                 for rep in inner.group.class_reps()]
     except KeyError:
-        raise AssertionError("subgroup is not contained in the claimed overgroup")
+        raise TheoremViolation(
+            "subgroup is not contained in the claimed overgroup"
+        )
     return ClassFunction(inner.group, vals)
 
 
@@ -559,7 +566,8 @@ def eigen_multiplicities(v, x):
     Requires v to take genuinely unitarizable values on the cyclic group
     generated by x; raises TheoremViolation otherwise.
     """
-    cached = v._eigen_cache.get(x)
+    key = ("eigen", x)
+    cached = v._memo.get(key)
     if cached is not None:
         return cached
     g = v.group
@@ -579,7 +587,7 @@ def eigen_multiplicities(v, x):
             )
         mults.append(int(m))
     mults = tuple(mults)
-    v._eigen_cache[x] = mults
+    v._memo[key] = mults
     return mults
 
 
@@ -600,39 +608,6 @@ def lambda_minus_one_dual(v):
                 prod = prod * (ONE - root_of_unity(o, (-k) % o)) ** m
         vals.append(prod)
     return ClassFunction(g, vals)
-
-
-def lambda_minus_one_dual_newton(v):
-    """Same alternating sum, computed through Newton's identities instead.
-
-    Retained as an independent route for cross-checking: exterior-power
-    traces e_k are recovered from the power sums of the dual character.
-    """
-    g = v.group
-    d = v.values[0].to_rational()
-    if d is None or d.denominator != 1 or d < 0:
-        raise TheoremViolation("dimension %r is not a non-negative integer" % d)
-    d = int(d)
-    vals = []
-    for rep in g.class_reps():
-        psums = [dual_power_trace(v, rep, i) for i in range(1, d + 1)]
-        es = [ONE]
-        for k in range(1, d + 1):
-            total = ZERO
-            for i in range(1, k + 1):
-                term = es[k - i] * psums[i - 1]
-                total = total + (term if i % 2 == 1 else -term)
-            es.append(total * Fraction(1, k))
-        total = ZERO
-        for k, ek in enumerate(es):
-            total = total + (ek if k % 2 == 0 else -ek)
-        vals.append(total)
-    return ClassFunction(g, vals)
-
-
-def dual_power_trace(v, x, i):
-    """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
-    return v.value(v.group.power(x, i)).conjugate()
 
 
 # -- invariants -----------------------------------------------------------------

@@ -52,9 +52,31 @@ def _read_json_spec(spec, what):
         except OSError as exc:
             raise UserError("cannot read %s file %r: %s" % (what, spec, exc))
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except ValueError as exc:
         raise UserError("malformed %s JSON: %s" % (what, exc))
+    if not isinstance(data, dict):
+        raise UserError("%s JSON must be an object" % what)
+    return data
+
+
+def _int_list(obj):
+    return isinstance(obj, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in obj)
+
+
+def _int_rows(obj):
+    """Whether obj is a non-empty list of lists of integers."""
+    return isinstance(obj, list) and bool(obj) and all(map(_int_list, obj))
+
+
+def _spec_names(data, valid, what):
+    """The optional "names" object of a JSON group spec, each value checked."""
+    names = data.get("names")
+    if names is not None and not (
+            isinstance(names, dict) and all(map(valid, names.values()))):
+        raise UserError('group "names" must map each name to %s' % what)
+    return names
 
 
 def load_group(spec, max_order=MAX_TABLE_ORDER):
@@ -65,21 +87,28 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
     data = _read_json_spec(spec, "group")
     kind = data.get("kind")
     if kind == "catalog":
+        if not isinstance(data.get("name"), str):
+            raise UserError('group kind "catalog" needs a "name" string')
         return catalog_group(data["name"], max_order)
     if kind == "table":
-        if "table" not in data:
-            raise UserError('group kind "table" needs a "table" field')
-        return FiniteGroup(
-            data["table"], names=data.get("names"), label=data.get("label"),
-            max_order=max_order,
-        )
+        table = data.get("table")
+        if not _int_rows(table):
+            raise UserError('group kind "table" needs a "table" list of '
+                            "integer rows")
+        n = len(table)
+        names = _spec_names(data, lambda x: _int_list([x]) and 0 <= x < n,
+                            "an element index below %d" % n)
+        return FiniteGroup(table, names=names, label=data.get("label"),
+                           max_order=max_order)
     if kind == "perm":
         gens = data.get("generators")
-        if not gens:
-            raise UserError('group kind "perm" needs a "generators" list')
+        if not _int_rows(gens):
+            raise UserError('group kind "perm" needs a "generators" list of '
+                            "integer permutations")
+        names = _spec_names(data, _int_list, "a permutation")
         return group_from_permutations(
-            [tuple(p) for p in gens], names=data.get("names"),
-            label=data.get("label"), max_order=max_order,
+            [tuple(p) for p in gens], names=names, label=data.get("label"),
+            max_order=max_order,
         )
     raise UserError(
         'group spec must be "catalog:NAME" or JSON with kind table/perm/catalog'
@@ -116,6 +145,8 @@ def load_rep(spec, group):
     data = _read_json_spec(spec, "representation")
     kind = data.get("kind")
     if kind == "catalog_rep":
+        if not isinstance(data.get("name"), str):
+            raise UserError('rep kind "catalog_rep" needs a "name" string')
         return catalog_character(group, data["name"])
     if kind == "character":
         values = data.get("values_by_class")

@@ -388,6 +388,9 @@ def group_from_permutations(gens, names=None, label=None,
     name_map = {}
     if names:
         for name, p in names.items():
+            if tuple(p) not in index:
+                raise UserError("named permutation %r is not in the group"
+                                % (p,))
             name_map[name] = index[tuple(p)]
     name_map.setdefault("e", 0)
     g = FiniteGroup(table, names=name_map, label=label or "permutation group",

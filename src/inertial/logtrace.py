@@ -8,6 +8,11 @@ logarithmic restriction V(m_1,...,m_l) over the tuple's centralizer — the
 obstruction class that twists the inertial products.  Its non-negativity
 and integrality, and the identity family used for associativity, are
 verified exactly on every call that constructs one.
+
+Log traces with the default centralizer and obstruction classes are
+memoized on the character (ClassFunction._memo), keyed by element and by
+tuple: each distinct input is computed and checked once per character, and
+only a result that passed every check is stored.
 """
 
 from fractions import Fraction
@@ -99,14 +104,30 @@ class LogTraceClass:
 
 
 def log_trace(v, g, sub=None):
+    """L(g)(V) on sub, which defaults to the centralizer of g.
+
+    With the default centralizer the result is memoized on v by element.
+    """
+    key = ("log_trace", g)
+    if sub is None:
+        cached = v._memo.get(key)
+        if cached is not None:
+            return cached
     eigen = eigen_characters(v, g, sub)
     o = eigen.order
     total = zero_character(eigen.sub.group)
     for k in range(1, o):
         total = total + eigen.parts[k] * Fraction(k, o)
     rank = total.values[0].to_rational()
-    assert rank is not None and rank == age(v, g), "rank disagrees with the age"
-    return LogTraceClass(g, eigen.sub, total, rank)
+    if rank is None or rank != age(v, g):
+        raise TheoremViolation(
+            "rank %r of the log trace of element %d disagrees with its age"
+            % (rank, g)
+        )
+    lt = LogTraceClass(g, eigen.sub, total, rank)
+    if sub is None:
+        v._memo[key] = lt
+    return lt
 
 
 def invariants_char(v, ms, sub):
@@ -173,6 +194,7 @@ def log_restriction(v, ms):
     over the centralizer's irreducibles; non-negativity and integrality of
     the multiplicities is enforced, and the class is re-derived through the
     isotypic decomposition under H = <m> as an independent cross-check.
+    The checked result is memoized on v by tuple.
     """
     G = v.group
     ms = tuple(ms)
@@ -180,6 +202,10 @@ def log_restriction(v, ms):
         raise UserError("the tuple must be non-empty")
     if G.prod(ms) != 0:
         raise UserError("tuple product must be the identity element")
+    key = ("log_restriction", ms)
+    cached = v._memo.get(key)
+    if cached is not None:
+        return cached
     Z = G.centralizer(*ms)
     total = -restrict_to(v, Z)
     for m in ms:
@@ -210,7 +236,9 @@ def log_restriction(v, ms):
             "rank %s of the obstruction class disagrees with the age formula %s"
             % (rank, expected)
         )
-    return TwistedClass(ms, Z, total, tuple(mults), rank)
+    tc = TwistedClass(ms, Z, total, tuple(mults), rank)
+    v._memo[key] = tc
+    return tc
 
 
 def _validate_isotypic_reconstruction(v, ms, Z, total):
@@ -254,7 +282,11 @@ def twisted_pullback(v, ms):
         raise UserError("the tuple must be non-empty")
     padded = ms + (G.inv[G.prod(ms)],)
     tc = log_restriction(v, padded)
-    assert tc.sub is G.centralizer(*ms), "padding changed the centralizer"
+    if tc.sub is not G.centralizer(*ms):
+        raise TheoremViolation(
+            "padding tuple %s with its inverse product changed the centralizer"
+            % (list(ms),)
+        )
     return TwistedClass(ms, tc.sub, tc.char, tc.mults, tc.rank)
 
 

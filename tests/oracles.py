@@ -5,12 +5,15 @@ force, deliberately avoiding the library's class / centralizer machinery, so
 that an agreement between the two is meaningful.  The K-ring reference uses
 the library's character primitives but not its product routine: it forms
 every product of two irreducibles as a class function and decomposes it,
-where the library works in integer coordinates.
+where the library works in integer coordinates.  The Newton-identity route
+to lambda_-1 of the dual is checked against the library's eigenvalue
+product.
 """
 
 from fractions import Fraction
 
 from inertial.characters import (
+    ClassFunction,
     character_table,
     decompose,
     induce_between,
@@ -18,6 +21,8 @@ from inertial.characters import (
     restrict_between,
     transport,
 )
+from inertial.cyclotomic import ONE, ZERO
+from inertial.errors import TheoremViolation
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import invariants_char, twisted_pullback
 
@@ -154,3 +159,36 @@ def reference_k_table(G, v):
     return {key: {k: c for k, c in row.items() if c != 0}
             for key, row in table.items()
             if any(c != 0 for c in row.values())}
+
+
+def lambda_minus_one_dual_newton(v):
+    """Same alternating sum, computed through Newton's identities instead.
+
+    Retained as an independent route for cross-checking: exterior-power
+    traces e_k are recovered from the power sums of the dual character.
+    """
+    g = v.group
+    d = v.values[0].to_rational()
+    if d is None or d.denominator != 1 or d < 0:
+        raise TheoremViolation("dimension %r is not a non-negative integer" % d)
+    d = int(d)
+    vals = []
+    for rep in g.class_reps():
+        psums = [dual_power_trace(v, rep, i) for i in range(1, d + 1)]
+        es = [ONE]
+        for k in range(1, d + 1):
+            total = ZERO
+            for i in range(1, k + 1):
+                term = es[k - i] * psums[i - 1]
+                total = total + (term if i % 2 == 1 else -term)
+            es.append(total * Fraction(1, k))
+        total = ZERO
+        for k, ek in enumerate(es):
+            total = total + (ek if k % 2 == 0 else -ek)
+        vals.append(total)
+    return ClassFunction(g, vals)
+
+
+def dual_power_trace(v, x, i):
+    """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
+    return v.value(v.group.power(x, i)).conjugate()

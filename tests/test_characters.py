@@ -14,7 +14,6 @@ from inertial.characters import (
     invariant_dimension,
     is_genuine_character,
     lambda_minus_one_dual,
-    lambda_minus_one_dual_newton,
     regular_character,
     restrict_between,
     restrict_to,
@@ -25,6 +24,7 @@ from inertial.characters import (
 from inertial.cyclotomic import cyc
 from inertial.errors import UserError
 from inertial.groups import catalog_group
+from oracles import lambda_minus_one_dual_newton
 
 TABLE_GROUPS = [
     "cyclic(2)",

@@ -74,6 +74,13 @@ def test_user_errors_exit_1():
          '{"kind": "character", "values_by_class": ["1", "5", "1"]}'],
         ["group-info"],
         ["no-such-command"],
+        ["group-info", "--group", '{"kind": "table", "table": 5}'],
+        ["group-info", "--group", '{"kind": "catalog"}'],
+        ["group-info", "--group",
+         '{"kind": "table", "table": [[0, 1], [1, 0]], "names": {"g": 9}}'],
+        ["group-info", "--group", '{"kind": "perm", "generators": 5}'],
+        ["age", "--group", "catalog:symmetric(3)", "--rep",
+         '{"kind": "catalog_rep"}', "--element", "s1"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -254,6 +261,15 @@ def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):
                    "table": [{"i": 0, "j": 0,
                               "terms": [{"k": 5, "c": "1"}]}]}, fh)
     proc = run_process(["verify", "--algebra", path, "--all"], "-O")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["kind"] == "UserError"
+
+
+def test_malformed_group_is_a_user_error_under_optimize():
+    proc = run_process(
+        ["group-info", "--group", '{"kind": "table", "table": 5}'], "-O"
+    )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == b""
     assert json.loads(proc.stderr)["error"]["kind"] == "UserError"

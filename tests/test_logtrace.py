@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+from inertial import logtrace
 from inertial.characters import (
+    ClassFunction,
     catalog_character,
     character_table,
     class_function,
@@ -12,12 +17,14 @@ from inertial.characters import (
 )
 from inertial.errors import UserError
 from inertial.groups import catalog_group
+from inertial.inertia import build_double_sectors
 from inertial.logtrace import (
     age,
     dim_int,
     eigen_characters,
     fw_check,
     invariants_char,
+    log_restriction,
     log_trace,
     twisted_pullback,
     v_identity_check,
@@ -209,3 +216,95 @@ def test_v_identity_spot_checks():
         rep = v_identity_check(v, triple)
         assert rep["holds"], f"identity family fails at {triple}: {rep}"
         assert rep["left_pairing"] == rep["right_pairing"]
+
+
+def test_memoized_results_equal_fresh_computations():
+    for spec, rep in (("symmetric(3)", "std"), ("cyclic(4)", "sl2"),
+                      ("quaternion8", "sl2")):
+        G, v = load(spec, rep)
+        for g in range(G.n):
+            first = log_trace(v, g)
+            again = log_trace(v, g)
+            assert again is first, f"{spec}: log trace of {g} was recomputed"
+            fresh = log_trace(ClassFunction(G, v.values), g)
+            assert again.sub is fresh.sub
+            assert (again.char, again.rank) == (fresh.char, fresh.rank), (
+                f"{spec}: memoized log trace of {g} differs from a fresh one"
+            )
+        for cls in build_double_sectors(G).classes:
+            first = twisted_pullback(v, cls.rep)
+            again = twisted_pullback(v, cls.rep)
+            assert again.char is first.char, (
+                f"{spec}: obstruction class of {cls.rep} was recomputed"
+            )
+            fresh = twisted_pullback(ClassFunction(G, v.values), cls.rep)
+            assert again.sub is fresh.sub
+            assert (again.char, again.mults, again.rank) == (
+                fresh.char, fresh.mults, fresh.rank
+            ), f"{spec}: memoized class of {cls.rep} differs from a fresh one"
+
+
+def test_identity_family_splits_each_element_once(monkeypatch):
+    G, v = load("symmetric(3)", "std")
+    calls = []
+    real = logtrace.eigen_characters
+
+    def counted(v, g, sub=None):
+        calls.append(g)
+        return real(v, g, sub)
+
+    monkeypatch.setattr(logtrace, "eigen_characters", counted)
+    for a in range(G.n):
+        for b in range(G.n):
+            for c in range(G.n):
+                assert v_identity_check(v, (a, b, c))["holds"]
+    assert len(calls) <= G.n, f"{len(calls)} eigen splits for {G.n} elements"
+
+
+def test_warm_memo_still_refuses_unseen_bad_input():
+    G, v = load("symmetric(3)", "std")
+    s = G.element_from_string("s1")
+    for g in range(G.n):
+        log_trace(v, g)
+    for a in range(G.n):
+        for b in range(G.n):
+            twisted_pullback(v, (a, b))
+    try:
+        log_trace(v, s, G.whole())
+        raise AssertionError("a non-centralizing subgroup was accepted")
+    except UserError:
+        pass
+    try:
+        log_restriction(v, (s, s, s))
+        raise AssertionError("a tuple with non-trivial product was accepted")
+    except UserError:
+        pass
+
+
+def test_log_trace_rank_check_survives_optimize():
+    # assert statements vanish under -O; the rank-equals-age check must not
+    script = """
+import sys
+from inertial import logtrace
+from inertial.characters import catalog_character
+from inertial.errors import TheoremViolation
+from inertial.groups import catalog_group
+if not sys.flags.optimize:
+    sys.exit(2)
+real_age = logtrace.age
+logtrace.age = lambda v, g: real_age(v, g) + 1
+G = catalog_group("cyclic(2)")
+try:
+    logtrace.log_trace(catalog_character(G, "sl2"), 1)
+except TheoremViolation:
+    sys.exit(0)
+sys.exit(1)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
