@@ -23,8 +23,9 @@ class ClassFunction:
 
     _memo holds what is derived from this class function and costly to
     recompute: eigenvalue multiplicities, log traces and obstruction classes
-    (see logtrace).  An entry is stored only after every exact check on its
-    input has passed, and it lives and dies with this object.
+    (see logtrace), and the K ring that chern.star_T multiplies through.  An
+    entry is stored only after every exact check on its input has passed,
+    and it lives and dies with this object.
     """
 
     __slots__ = ("group", "values", "_memo")

@@ -10,13 +10,11 @@ back onto class functions of G.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .cyclotomic import ZERO, ONE
+from .cyclotomic import ZERO
 from .errors import UserError, TheoremViolation
 from .characters import (
     ClassFunction,
-    character_table,
     trivial_character,
     assert_genuine_character,
     restrict_to,
@@ -136,11 +134,6 @@ def push_twist(components, G, v):
     return total
 
 
-@lru_cache(maxsize=None)
-def _k_ring_cached(G, v):
-    return k_ring(G, v)
-
-
 def _expand_components(K, components):
     """Coefficients over the (sector, irreducible) basis of a stack of
     identity-supported components."""
@@ -160,21 +153,15 @@ def _expand_components(K, components):
 
 def star_T(alpha, beta, G, v):
     """Transplant of the inertial product onto class functions of G:
-    f_*t( f^!(alpha) * f^!(beta) ) through the integral ring's table."""
-    K = _k_ring_cached(G, v)
+    f_*t( f^!(alpha) * f^!(beta) ) through the integral ring's table.  The
+    ring is built once per character and group and kept in v's memo."""
+    K = v._memo.get(("k_ring", G))
+    if K is None:
+        K = v._memo[("k_ring", G)] = k_ring(G, v)
     basis = K.context["kbasis"]
     sectors = K.context["sectors"]
-    a = _expand_components(K, f_shriek(alpha, G, v))
-    b = _expand_components(K, f_shriek(beta, G, v))
-    prod = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            terms = K.table.get((i, j))
-            if not terms:
-                continue
-            cab = ca * cb
-            for k, c in terms.items():
-                prod[k] = prod.get(k, ZERO) + cab * c
+    prod = K.mul(_expand_components(K, f_shriek(alpha, G, v)),
+                 _expand_components(K, f_shriek(beta, G, v)))
     components = []
     for s in sectors.sectors:
         table = basis.tables[s.index]

@@ -428,7 +428,7 @@ def _verify_tuples(G, v, names):
     if "nonnegativity" in names:
         ok = True
         count = 0
-        for cls in build_double_sectors(G).classes:
+        for cls in build_double_sectors(G, None).classes:
             tc = twisted_pullback(v, cls.rep)
             count += 1
             for m in tc.mults:

@@ -134,12 +134,7 @@ def _enumerate_diag_classes(group, length):
 class DoubleSectorIndex:
     """All pair classes with alignment data for e1, e2, mu, swap and cycle."""
 
-    def __init__(self, group, cap=DOUBLE_SECTOR_CAP):
-        if group.n > cap:
-            raise UserError(
-                "eager double-sector enumeration is capped at |G| <= %d "
-                "(got %d); raise the cap explicitly to proceed" % (cap, group.n)
-            )
+    def __init__(self, group):
         self.group = group
         self.sectors = build_sectors(group)
         classes, assigned, witness = _enumerate_diag_classes(group, 2)
@@ -182,25 +177,27 @@ class DoubleSectorIndex:
 
 
 def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
+    """The group's pair classes, enumerated once and kept on the group.
+
+    cap bounds |G| for this call, whether or not the index is built yet;
+    None applies none (the ring builders, after their caller's bound)."""
+    if cap is not None and group.n > cap:
+        raise UserError(
+            "eager double-sector enumeration is capped at |G| <= %d "
+            "(got %d); raise the cap explicitly to proceed" % (cap, group.n)
+        )
     cached = getattr(group, "_double_sectors", None)
-    if cached is None or cached[0] != cap:
-        cached = (cap, DoubleSectorIndex(group, cap))
-        group._double_sectors = cached
-    return cached[1]
+    if cached is None:
+        cached = group._double_sectors = DoubleSectorIndex(group)
+    return cached
 
 
 class TripleSectorIndex:
     """All triple classes with the maps the associativity verifier needs."""
 
-    def __init__(self, group, cap=TRIPLE_TUPLE_CAP):
-        if group.n ** 3 > cap:
-            raise UserError(
-                "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
-                "resolve individual tuples with resolve_diag_class instead"
-                % (cap, group.n ** 3)
-            )
+    def __init__(self, group):
         self.group = group
-        doubles = build_double_sectors(group)
+        doubles = build_double_sectors(group, None)
         classes, assigned, witness = _enumerate_diag_classes(group, 3)
         self.classes = classes
         self._class_of = assigned
@@ -228,11 +225,18 @@ class TripleSectorIndex:
 
 
 def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
+    """The group's triple classes, enumerated once and kept on the group;
+    cap bounds |G|^3 for this call, whether or not the index is built yet."""
+    if group.n ** 3 > cap:
+        raise UserError(
+            "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
+            "resolve individual tuples with resolve_diag_class instead"
+            % (cap, group.n ** 3)
+        )
     cached = getattr(group, "_triple_sectors", None)
-    if cached is None or cached[0] != cap:
-        cached = (cap, TripleSectorIndex(group, cap))
-        group._triple_sectors = cached
-    return cached[1]
+    if cached is None:
+        cached = group._triple_sectors = TripleSectorIndex(group)
+    return cached
 
 
 def resolve_diag_class(group, elements):

@@ -20,7 +20,6 @@ from .characters import (
     decompose,
     transport,
     restrict_between,
-    induce_between,
     lambda_minus_one_dual,
     inner_product,
     invariant_dimension,
@@ -28,19 +27,10 @@ from .characters import (
 from .logtrace import age, invariants_char, twisted_pullback
 from .inertia import build_sectors, build_double_sectors, triple_sectors
 
-RING_CHECKS = (
-    "identity",
-    "commutativity",
-    "associativity",
-    "grading",
-    "frobenius",
-    "multiproduct",
-)
-
-
 class GradedAlgebra:
     """Finite-dimensional algebra with labeled basis, rational grading and
-    sparse structure constants.  context carries the build inputs (group,
+    sparse structure constants, kept as given (int in the integral rings,
+    Fraction in the rational ones).  context carries the build inputs (group,
     character, kind, sector data) and is not serialized; an algebra parsed
     back from JSON has context None and supports only the table-level checks.
     """
@@ -55,7 +45,7 @@ class GradedAlgebra:
                                    % (len(self.grading), n))
         self.table = {}
         for (i, j), terms in table.items():
-            kept = {k: Fraction(c) for k, c in terms.items() if c != 0}
+            kept = {k: c for k, c in terms.items() if c != 0}
             for k in (i, j, *kept):
                 if not 0 <= k < n:
                     raise TheoremViolation("basis index %r out of range 0..%d"
@@ -78,7 +68,7 @@ class GradedAlgebra:
         return dict(self.table.get((i, j), {}))
 
     def mul(self, va, vb):
-        """Product of two sparse coefficient vectors (dicts index -> Fraction)."""
+        """Product of two sparse coefficient vectors (dicts index -> coefficient)."""
         out = {}
         for i, ca in va.items():
             for j, cb in vb.items():
@@ -87,7 +77,7 @@ class GradedAlgebra:
                     continue
                 cab = ca * cb
                 for k, c in terms.items():
-                    out[k] = out.get(k, Fraction(0)) + cab * c
+                    out[k] = out.get(k, 0) + cab * c
         return {k: c for k, c in out.items() if c != 0}
 
     def to_json(self):
@@ -117,6 +107,12 @@ def _json_index(x, n):
     return x
 
 
+def _json_number(s):
+    """A JSON coefficient as an int when its denominator is 1, else a Fraction."""
+    q = Fraction(s)
+    return q.numerator if q.denominator == 1 else q
+
+
 def algebra_from_json(data):
     """Rebuild a GradedAlgebra from its JSON form (no build context)."""
     try:
@@ -135,7 +131,7 @@ def algebra_from_json(data):
                              % (len(grading), n))
         table = {}
         for entry in data["table"]:
-            terms = {_json_index(t["k"], n): Fraction(t["c"])
+            terms = {_json_index(t["k"], n): _json_number(t["c"])
                      for t in entry["terms"]}
             table[(_json_index(entry["i"], n),
                    _json_index(entry["j"], n))] = terms
@@ -183,7 +179,7 @@ def chow_ring(G, v):
     """The rational inertial product: one generator per sector, graded by age."""
     assert_genuine_character(v, "the linearization character")
     sectors = build_sectors(G)
-    doubles = build_double_sectors(G)
+    doubles = build_double_sectors(G, None)
     labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
     grading = [age(v, s.rep) for s in sectors.sectors]
     table = _chow_products(G, v, doubles.classes, ("e1", "e2"), "mu")
@@ -279,19 +275,34 @@ def _k_products(G, v, basis, classes, inputs, output):
 
     For a class of tuples m with centralizer Z_m: move each input sector's
     irreducibles to Z_m through the class's alignment conjugator and
-    restrict; multiply them with the class factor, lambda_-1 of the dual
-    obstruction class times lambda_-1 of the dual of V^{prod} / V^{<m>} (the
-    excess factor of the fixed-space inclusion, 1 when the two agree);
-    induce to the product's centralizer and move onto the product's sector.
-    Every step is Z-linear, so it all runs in integer coordinates over
-    Irr(Z_m): products fold through the fusion tensor of Z_m, and
-    induce-and-move is decomposed once per irreducible of Z_m.  Returns
-    {(input basis indices): {output basis index: int}}.
+    restrict; multiply them with the class factor, lambda_-1 of the dual of
+    the obstruction class plus V^{prod} / V^{<m>} (the excess of the
+    fixed-space inclusion, 0 when the two agree; lambda_-1 turns the sum
+    into the product of the two factors); induce to the product's
+    centralizer and move onto the product's sector.  Every step is
+    Z-linear, so it all runs in integer coordinates over Irr(Z_m): products
+    fold through the fusion tensor of Z_m, and by Frobenius reciprocity
+    induce-and-move is the transpose of move-and-restrict from the product's
+    sector.  One restriction table per (sector, conjugator, Z_m) serves
+    both ends.  Returns {(input basis indices): {output basis index: int}}.
     """
     sectors = build_sectors(G)
     fusions = {}
-    images = {}
     restricted = {}
+
+    def restriction(s, w, Zm):
+        """(w Z_s w^-1, rows): row t holds the coordinates over Irr(Z_m) of
+        irreducible t of sector s, moved by w and restricted to Z_m."""
+        key = (s, w, Zm)
+        if key not in restricted:
+            Zs = sectors.sectors[s].centralizer
+            rows = []
+            for chi in basis.tables[s]:
+                moved, sub = transport(chi, Zs, w)
+                rows.append(_int_coords(restrict_between(moved, sub, Zm)))
+            restricted[key] = sub, rows
+        return restricted[key]
+
     out = {}
     for cls in classes:
         ms = cls.rep
@@ -309,46 +320,26 @@ def _k_products(G, v, basis, classes, inputs, output):
         coords = []
         for name in inputs:
             s, h = cls.maps[name]
-            w = G.inv[h]
-            key = (s, w, Zm)
-            if key not in restricted:
-                Zs = sectors.sectors[s].centralizer
-                vecs = []
-                for chi in basis.tables[s]:
-                    moved, sub = transport(chi, Zs, w)
-                    vecs.append(_int_coords(restrict_between(moved, sub, Zm)))
-                restricted[key] = vecs
-            coords.append(restricted[key])
+            coords.append(restriction(s, G.inv[h], Zm)[1])
         sk, h = cls.maps[output]
-        Zprod = G.centralizer(prod)
-        key = (Zm, Zprod, h)
-        if key not in images:
-            vecs = []
-            for chi in character_table(Zm.group):
-                moved, sub = transport(induce_between(chi, Zm, Zprod), Zprod, h)
-                if sub is not sectors.sectors[sk].centralizer:
-                    raise TheoremViolation(
-                        "moving the centralizer of %d by %d misses the "
-                        "centralizer of its sector" % (prod, h)
-                    )
-                vecs.append(_int_coords(moved))
-            images[key] = vecs
-        image = images[key]
-        big = invariants_char(v, (prod,), Zm)
-        small = invariants_char(v, ms, Zm)
-        factor = (lambda_minus_one_dual(twisted_pullback(v, ms).char)
-                  * lambda_minus_one_dual(big - small))
+        moved, image = restriction(sk, G.inv[h], Zm)
+        if moved is not G.centralizer(prod):
+            raise TheoremViolation(
+                "moving the centralizer of sector %d by %d misses the "
+                "centralizer of %d" % (sk, G.inv[h], prod)
+            )
+        factor = lambda_minus_one_dual(
+            twisted_pullback(v, ms).char
+            + invariants_char(v, (prod,), Zm) - invariants_char(v, ms, Zm)
+        )
         for ts, u in _folded(_int_coords(factor), coords, fusion):
-            acc = [0] * len(basis.tables[sk])
-            for p, up in enumerate(u):
-                if up:
-                    for t, n in enumerate(image[p]):
-                        acc[t] += up * n
+            nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(
                 tuple(basis.index(cls.maps[name][0], t)
                       for name, t in zip(inputs, ts)), {}
             )
-            for t, n in enumerate(acc):
+            for t, r in enumerate(image):
+                n = sum(up * r[p] for p, up in nonzero)
                 if n:
                     k = basis.index(sk, t)
                     row[k] = row.get(k, 0) + n
@@ -361,7 +352,7 @@ def k_ring(G, v):
     this is checked."""
     assert_genuine_character(v, "the linearization character")
     sectors = build_sectors(G)
-    doubles = build_double_sectors(G)
+    doubles = build_double_sectors(G, None)
     basis = _KBasis(G, sectors)
     table = _k_products(G, v, basis, doubles.classes, ("e1", "e2"), "mu")
     triv = trivial_character(G)
@@ -390,10 +381,11 @@ class PairingMatrix:
     def __init__(self, labels, matrix):
         self.labels = list(labels)
         self.matrix = matrix
-        n = len(matrix)
-        for i in range(n):
-            for j in range(n):
-                assert matrix[i][j] == matrix[j][i], "pairing is not symmetric"
+        for i, row in enumerate(matrix):
+            for j in range(i):
+                if row[j] != matrix[j][i]:
+                    raise TheoremViolation(
+                        "pairing is not symmetric at (%d, %d)" % (i, j))
 
     def to_json(self):
         return {
@@ -421,7 +413,7 @@ def eta_pairing(algebra):
     sectors = ctx["sectors"]
     sigma = sectors.sigma
     n = algebra.dim
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    matrix = [[0] * n for _ in range(n)]
     if ctx["kind"] in ("chow", "otherassoc"):
         for i, s in enumerate(sectors.sectors):
             matrix[i][sigma[i]] = Fraction(1, s.centralizer.order)
@@ -439,11 +431,16 @@ def eta_pairing(algebra):
             for t2 in range(len(basis.tables[sj])):
                 bj = basis.index(sj, t2)
                 moved, sub = transport(basis.tables[sj][t2], Zj, w)
-                assert sub is Zi
+                if sub is not Zi:
+                    raise TheoremViolation(
+                        "moving the centralizer of sector %d by %d misses "
+                        "the centralizer of sector %d" % (sj, w, si))
                 val = inner_product(chi * moved, trivial_character(Zi.group))
                 q = val.to_rational()
-                assert q is not None and q.denominator == 1
-                matrix[bi][bj] = Fraction(q)
+                if q is None or q.denominator != 1:
+                    raise TheoremViolation(
+                        "pairing value %r is not an integer" % val)
+                matrix[bi][bj] = int(q)
     else:
         raise UserError("no pairing for algebra kind %r" % ctx["kind"])
     return PairingMatrix(algebra.labels, matrix)
@@ -454,9 +451,9 @@ def eta_pairing(algebra):
 
 def _check_identity(alg):
     e = alg.identity_index
-    one = {e: Fraction(1)}
+    one = {e: 1}
     for j in range(alg.dim):
-        unit = {j: Fraction(1)}
+        unit = {j: 1}
         if alg.mul(one, unit) != unit or alg.mul(unit, one) != unit:
             return False
     return True
@@ -470,19 +467,6 @@ def _check_commutativity(alg):
     return True
 
 
-def _check_associativity(alg):
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            left = alg.table.get((i, j), {})
-            for k in range(n):
-                lhs = alg.mul(left, {k: Fraction(1)})
-                rhs = alg.mul({i: Fraction(1)}, alg.table.get((j, k), {}))
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def _check_grading(alg):
     for (i, j), terms in alg.table.items():
         want = alg.grading[i] + alg.grading[j]
@@ -492,21 +476,34 @@ def _check_grading(alg):
     return True
 
 
-def _check_frobenius(alg):
-    eta = eta_pairing(alg).matrix
+def _triples_agree(alg, left, right):
+    """Whether left(e_i e_j, k) == right(i, j, k) for every triple of basis
+    indices, e_i e_j read off the table as a sparse vector."""
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            tij = alg.table.get((i, j), {})
+            ij = alg.table.get((i, j), {})
             for k in range(n):
-                lhs = sum((c * eta[m][k] for m, c in tij.items()), Fraction(0))
-                rhs = sum(
-                    (c * eta[i][m] for m, c in alg.table.get((j, k), {}).items()),
-                    Fraction(0),
-                )
-                if lhs != rhs:
+                if left(ij, k) != right(i, j, k):
                     return False
     return True
+
+
+def _check_associativity(alg):
+    return _triples_agree(
+        alg, lambda ij, k: alg.mul(ij, {k: 1}),
+        lambda i, j, k: alg.mul({i: 1}, alg.table.get((j, k), {})),
+    )
+
+
+def _check_frobenius(alg):
+    """eta(e_i e_j, e_k) == eta(e_i, e_j e_k)."""
+    eta = eta_pairing(alg).matrix
+    return _triples_agree(
+        alg, lambda ij, k: sum(c * eta[m][k] for m, c in ij.items()),
+        lambda i, j, k: sum(c * eta[i][m]
+                            for m, c in alg.table.get((j, k), {}).items()),
+    )
 
 
 def _check_multiproduct(alg):
@@ -522,16 +519,11 @@ def _check_multiproduct(alg):
         direct = _k_products(G, v, ctx["kbasis"], triples, inputs, "mu_full")
     else:
         raise UserError("no triple-product rule for kind %r" % ctx["kind"])
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            left = alg.table.get((i, j), {})
-            for k in range(n):
-                want = {t: c for t, c in direct.get((i, j, k), {}).items()
-                        if c != 0}
-                if alg.mul(left, {k: Fraction(1)}) != want:
-                    return False
-    return True
+    return _triples_agree(
+        alg, lambda ij, k: alg.mul(ij, {k: 1}),
+        lambda i, j, k: {t: c for t, c in direct.get((i, j, k), {}).items()
+                         if c != 0},
+    )
 
 
 _CHECKS = {

@@ -4,8 +4,10 @@ The group-table oracles work directly on raw multiplication tables by brute
 force, deliberately avoiding the library's class / centralizer machinery, so
 that an agreement between the two is meaningful.  The K-ring reference uses
 the library's character primitives but not its product routine: it forms
-every product of two irreducibles as a class function and decomposes it,
-where the library works in integer coordinates.  The Newton-identity route
+every product of two irreducibles as a class function, induces it to the
+product's centralizer and decomposes it, where the library works in integer
+coordinates and pushes forward by the transpose of a restriction (Frobenius
+reciprocity).  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
 product.
 """

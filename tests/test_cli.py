@@ -6,7 +6,11 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from inertial import inertia
 from inertial.cli import main
+from inertial.errors import UserError
+from inertial.groups import catalog_group
+from inertial.inertia import build_double_sectors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -251,6 +255,50 @@ def test_max_order_raises_the_cap_for_catalog_families():
         code, _, err = run_cli(argv)
         assert code == 1, f"{spec} accepted under the default cap"
         assert "exceed" in json.loads(err)["error"]["message"]
+
+
+def test_max_double_builds_the_index_once(monkeypatch):
+    built = []
+
+    class Counted(inertia.DoubleSectorIndex):
+        def __init__(self, group):
+            built.append(group)
+            super().__init__(group)
+
+    monkeypatch.setattr(inertia, "DoubleSectorIndex", Counted)
+    # a permutation group is built anew by every call, so nothing is cached
+    s4 = '{"kind": "perm", "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}'
+    code, _, err = run_cli(["chow-ring", "--group", s4, "--rep", "trivial",
+                            "--max-double", "100"])
+    assert code == 0, err
+    assert len(built) == 1, "--max-double built the double sectors twice"
+
+
+def test_max_double_applies_to_a_cached_index():
+    G = catalog_group("symmetric(4)")
+    build_double_sectors(G)
+    argv = ["chow-ring", "--group", "catalog:symmetric(4)", "--rep", "std"]
+    code, _, err = run_cli(argv + ["--max-double", "20"])
+    assert code == 1
+    assert "capped" in json.loads(err)["error"]["message"]
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    try:
+        build_double_sectors(G, cap=10)
+        raise AssertionError("cap ignored once the index was cached")
+    except UserError:
+        pass
+
+
+def test_max_double_raises_the_cap():
+    argv = ["chow-ring", "--group", "catalog:alternating(6)", "--rep",
+            "trivial"]
+    code, out, err = run_cli(argv + ["--max-double", "400"])
+    assert code == 0, err
+    assert len(json.loads(out)["basis"]) == 7
+    code, _, err = run_cli(argv)
+    assert code == 1
+    assert "capped" in json.loads(err)["error"]["message"]
 
 
 def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):

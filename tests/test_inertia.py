@@ -264,6 +264,19 @@ def test_double_cap_enforced():
         pass
 
 
+def test_caps_hold_for_cached_indices():
+    # the indices are kept on the group; a later call's cap still applies
+    G = catalog_group("symmetric(3)")
+    assert triple_sectors(G) is triple_sectors(G, cap=216)
+    assert build_double_sectors(G) is build_double_sectors(G, cap=6)
+    for build, cap in ((build_double_sectors, 5), (triple_sectors, 215)):
+        try:
+            build(G, cap=cap)
+            raise AssertionError(f"{build.__name__} ignored cap {cap}")
+        except UserError:
+            pass
+
+
 def test_resolve_matches_eager_enumeration():
     G = catalog_group("symmetric(3)")
     doubles = build_double_sectors(G)

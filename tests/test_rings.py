@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from inertial.characters import (
@@ -161,12 +165,41 @@ def test_k_ring_s3_fusion_corner():
 
 def test_k_ring_matches_per_product_reference():
     for spec, rep in (("symmetric(3)", "std"), ("symmetric(3)", "zero"),
-                      ("quaternion8", "sl2"), ("cyclic(4)", "sl2")):
+                      ("quaternion8", "sl2"), ("cyclic(4)", "sl2"),
+                      ("dihedral(5)", "regular"), ("symmetric(4)", "zero")):
         G = catalog_group(spec)
         v = catalog_character(G, rep)
         assert k_ring(G, v).table == reference_k_table(G, v), (
             f"{spec}/{rep}: K table disagrees with the per-product reference"
         )
+
+
+def test_k_reference_pairs_exercise_moved_centralizers():
+    # on these pairs the output map is a genuine restriction transpose: the
+    # product's centralizer is larger than the pair's, and the conjugator
+    # onto the product's sector is not the identity
+    for spec in ("dihedral(5)", "symmetric(4)"):
+        G = catalog_group(spec)
+        classes = build_double_sectors(G).classes
+        assert any(cls.centralizer is not G.centralizer(G.prod(cls.rep))
+                   for cls in classes), spec
+        assert any(cls.maps["mu"][1] != 0 for cls in classes), spec
+
+
+def test_k_tables_stay_integral_and_chow_tables_rational():
+    G = catalog_group("symmetric(3)")
+    v = catalog_character(G, "std")
+    alg = k_ring(G, v)
+    assert all(type(c) is int
+               for terms in alg.table.values() for c in terms.values())
+    chow = chow_ring(G, v)
+    assert all(isinstance(c, Fraction)
+               for terms in chow.table.values() for c in terms.values())
+    blob = json.dumps(alg.to_json(), sort_keys=True, indent=2)
+    back = algebra_from_json(json.loads(blob))
+    assert all(type(c) is int
+               for terms in back.table.values() for c in terms.values())
+    assert json.dumps(back.to_json(), sort_keys=True, indent=2) == blob
 
 
 def test_lusztig_is_the_zero_rep_k_ring():
@@ -285,6 +318,55 @@ def test_corrupted_table_fails_associativity():
     bad = algebra_from_json(blob)
     report = verify(bad, ["associativity"])
     assert report["associativity"] is False
+
+
+def test_corrupted_table_fails_frobenius_and_multiproduct():
+    # the checks that share the triple loop with associativity must also see
+    # a single wrong structure constant
+    for name in ("frobenius", "multiproduct"):
+        G = catalog_group("symmetric(3)")
+        alg = k_ring(G, zero_character(G))
+        assert verify(alg, [name]) == {name: True}
+        e = alg.identity_index
+        i, j = next(key for key in sorted(alg.table) if e not in key)
+        terms = alg.table[(i, j)]
+        k = min(terms)
+        terms[k] += 1
+        assert verify(alg, [name]) == {name: False}, (
+            f"{name} missed a corrupted entry at {(i, j, k)}"
+        )
+
+
+def test_pairing_invariants_raise_under_optimize():
+    # one patched pairing value must stop the run (exit 3) also when assert
+    # statements are stripped: 1/2 breaks integrality, 1 breaks symmetry
+    script = """
+import sys
+from inertial import rings
+from inertial.cli import main
+if not sys.flags.optimize:
+    sys.exit(2)
+real = rings.inner_product
+calls = []
+def patched(a, b):
+    calls.append(None)
+    value = real(a, b)
+    return value + rings.Fraction(sys.argv[1]) if len(calls) == 2 else value
+rings.inner_product = patched
+sys.exit(main(["eta", "--group", "catalog:cyclic(2)", "--mode", "k"]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    for offset, words in (("1/2", "not an integer"), ("1", "not symmetric")):
+        proc = subprocess.run([sys.executable, "-O", "-c", script, offset],
+                              capture_output=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "TheoremViolation"
+        assert words in error["message"]
 
 
 def test_checks_requiring_context_refuse_parsed_tables():
