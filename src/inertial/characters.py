@@ -23,9 +23,10 @@ class ClassFunction:
 
     _memo holds what is derived from this class function and costly to
     recompute: eigenvalue multiplicities, log traces and obstruction classes
-    (see logtrace), and the K ring that chern.star_T multiplies through.  An
-    entry is stored only after every exact check on its input has passed,
-    and it lives and dies with this object.
+    (see logtrace), the K ring and per-sector normal factors of chern, and
+    a passed genuineness check (check_linearization).  An entry is stored
+    only after every exact check on its input has passed, and it lives and
+    dies with this object.
     """
 
     __slots__ = ("group", "values", "_memo")
@@ -349,12 +350,11 @@ def _split_subspace(M, basis, p):
 
 def character_table(group):
     """All irreducible characters, sorted by (degree, serialized values)."""
-    cached = getattr(group, "_char_table", None)
+    cached = group._memo.get("char_table")
     if cached is not None:
         return cached
     if group.n == 1:
-        table = (trivial_character(group),)
-        group._char_table = table
+        table = group._memo["char_table"] = (trivial_character(group),)
         return table
 
     classes = group.conjugacy_classes()
@@ -409,11 +409,15 @@ def character_table(group):
                     acc = (acc + tvals[group.class_of(group.power(g, j))]
                            * pow(wo, (-j * k) % o, p)) % p
                 m = acc * inv_o % p
-                assert m <= d, "eigenvalue multiplicity exceeds the degree"
+                if m > d:
+                    raise TheoremViolation(
+                        "eigenvalue multiplicity exceeds the degree")
                 total_mult += m
                 if m:
                     val = val + m * root_of_unity(o, k)
-            assert total_mult == d, "eigenvalue multiplicities do not sum to degree"
+            if total_mult != d:
+                raise TheoremViolation(
+                    "eigenvalue multiplicities do not sum to the degree")
             values.append(val)
         chars.append(ClassFunction(group, values))
 
@@ -423,10 +427,11 @@ def character_table(group):
     for s_i, a in enumerate(table):
         for t_i, b in enumerate(table):
             expected = ONE if s_i == t_i else ZERO
-            assert inner_product(a, b) == expected, (
-                "character table failed exact orthogonality for %s" % group.label
-            )
-    group._char_table = table
+            if inner_product(a, b) != expected:
+                raise TheoremViolation(
+                    "character table failed exact orthogonality for %s"
+                    % group.label)
+    group._memo["char_table"] = table
     return table
 
 
@@ -467,6 +472,17 @@ def assert_genuine_character(v, what="class function"):
             % (what, [str(m) for m in mults])
         )
     return mults
+
+
+def check_linearization(G, v):
+    """Refuse v as the linearization of [V/G] unless it is a genuine
+    character of G itself; a passed genuineness check is kept in v's memo."""
+    if v.group is not G:
+        raise UserError("the linearization character lives on %s, not on %s"
+                        % (v.group.label, G.label))
+    if "genuine" not in v._memo:
+        assert_genuine_character(v, "the linearization character")
+        v._memo["genuine"] = True
 
 
 # -- restriction / induction / transport ---------------------------------------
@@ -662,7 +678,7 @@ def catalog_character(group, name):
             "binary dihedral (incl. quaternion8) groups, not %s" % group.label
         )
     if name == "std":
-        perms = getattr(group, "permutations", None)
+        perms = group.permutations
         if perms is None:
             raise UserError(
                 "catalog representation 'std' is defined for symmetric and "

@@ -16,7 +16,7 @@ from .errors import UserError, TheoremViolation
 from .characters import (
     ClassFunction,
     trivial_character,
-    assert_genuine_character,
+    check_linearization,
     restrict_to,
     induce_from,
     lambda_minus_one_dual,
@@ -33,11 +33,6 @@ def support_project(alpha, class_index):
         raise UserError("class index %d out of range (%d classes)" % (class_index, r))
     vals = [alpha.values[i] if i == class_index else ZERO for i in range(r)]
     return ClassFunction(alpha.group, vals)
-
-
-def support_components(alpha):
-    """All support projections; they sum back to the input."""
-    return [support_project(alpha, i) for i in range(len(alpha.values))]
 
 
 def mult_twist(alpha, h):
@@ -66,7 +61,9 @@ def orbifold_chern(algebra, vec):
     for idx, coeff in vec.items():
         s, t = basis.pairs[idx]
         deg = basis.tables[s][t].values[0].to_rational()
-        assert deg is not None and deg.denominator == 1
+        if deg is None or deg.denominator != 1:
+            raise TheoremViolation("irreducible degree %r is not an integer"
+                                   % deg)
         if isinstance(coeff, Fraction) or isinstance(coeff, int):
             q = Fraction(coeff)
         else:
@@ -77,11 +74,15 @@ def orbifold_chern(algebra, vec):
     return out
 
 
-def _normal_factor(v, G, sector):
-    """lambda_-1 of the dual normal class V - V^h at a sector, on Z(h)."""
-    Z = sector.centralizer
-    fixed = invariants_char(v, (sector.rep,), Z)
-    return lambda_minus_one_dual(restrict_to(v, Z) - fixed)
+def _normal_factor(v, sector):
+    """lambda_-1 of the dual normal class V - V^h at a sector, on Z(h); kept
+    in v's memo by sector index, so v must live on the sectors' group."""
+    key = ("normal_factor", sector.index)
+    if key not in v._memo:
+        Z = sector.centralizer
+        fixed = invariants_char(v, (sector.rep,), Z)
+        v._memo[key] = lambda_minus_one_dual(restrict_to(v, Z) - fixed)
+    return v._memo[key]
 
 
 def f_shriek(alpha, G, v):
@@ -90,25 +91,25 @@ def f_shriek(alpha, G, v):
     and untwist.  Components come back supported at the identity class."""
     if alpha.group is not G:
         raise UserError("class function does not live on the given group")
-    assert_genuine_character(v, "the linearization character")
+    check_linearization(G, v)
     sectors = build_sectors(G)
     out = []
     for s in sectors.sectors:
         Z = s.centralizer
         h_local = Z.from_parent[s.rep]
         cls = Z.group.class_of(h_local)
-        assert len(Z.group.conjugacy_classes()[cls]) == 1, (
-            "a sector element must be central in its centralizer"
-        )
+        if len(Z.group.conjugacy_classes()[cls]) != 1:
+            raise TheoremViolation(
+                "a sector element must be central in its centralizer")
         proj = support_project(restrict_to(alpha, Z), cls)
-        scale = _normal_factor(v, G, s).value(h_local)
+        scale = _normal_factor(v, s).value(h_local)
         if scale.to_rational() == 0:
             raise TheoremViolation(
                 "normal-bundle factor vanished at a sector element"
             )
         comp = mult_twist(proj * scale.inverse(), h_local)
-        for i, val in enumerate(comp.values):
-            assert i == 0 or val == ZERO, "component not supported at the identity"
+        if any(val != ZERO for val in comp.values[1:]):
+            raise TheoremViolation("component not supported at the identity")
         out.append(comp)
     return out
 
@@ -116,7 +117,7 @@ def f_shriek(alpha, G, v):
 def push_twist(components, G, v):
     """The forward map: per sector twist by the inverse element, multiply by
     the normal factor, induce up to G, and sum."""
-    assert_genuine_character(v, "the linearization character")
+    check_linearization(G, v)
     sectors = build_sectors(G)
     if len(components) != len(sectors.sectors):
         raise UserError(
@@ -129,7 +130,7 @@ def push_twist(components, G, v):
             raise UserError("component %d lives on the wrong group" % s.index)
         h_local = Z.from_parent[s.rep]
         tcomp = mult_twist(comp, Z.group.inv[h_local])
-        ind = induce_from(tcomp * _normal_factor(v, G, s), Z)
+        ind = induce_from(tcomp * _normal_factor(v, s), Z)
         total = ind if total is None else total + ind
     return total
 
@@ -154,10 +155,11 @@ def _expand_components(K, components):
 def star_T(alpha, beta, G, v):
     """Transplant of the inertial product onto class functions of G:
     f_*t( f^!(alpha) * f^!(beta) ) through the integral ring's table.  The
-    ring is built once per character and group and kept in v's memo."""
-    K = v._memo.get(("k_ring", G))
+    ring is built once per character and kept in v's memo."""
+    check_linearization(G, v)
+    K = v._memo.get("k_ring")
     if K is None:
-        K = v._memo[("k_ring", G)] = k_ring(G, v)
+        K = v._memo["k_ring"] = k_ring(G, v)
     basis = K.context["kbasis"]
     sectors = K.context["sectors"]
     prod = K.mul(_expand_components(K, f_shriek(alpha, G, v)),

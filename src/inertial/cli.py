@@ -25,7 +25,6 @@ from .characters import (
     zero_character,
     catalog_character,
     assert_genuine_character,
-    inner_product,
 )
 from .logtrace import age, log_trace, twisted_pullback, fw_check, v_identity_check
 from .inertia import build_sectors, build_double_sectors, DOUBLE_SECTOR_CAP
@@ -167,36 +166,19 @@ def load_rep(spec, group):
     )
 
 
-def install_chartable(group, path):
-    """Validate a user-supplied character table and attach it to the group."""
+def check_chartable(group, path):
+    """Refuse a user-supplied character table unless its rows are the
+    irreducible characters of the group, in any order."""
     data = _read_json_spec(path, "character table")
     rows = data.get("table")
-    r = len(group.conjugacy_classes())
-    if not isinstance(rows, list) or len(rows) != r:
-        raise UserError("character table must have one row per class (%d)" % r)
-    chars = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != r:
-            raise UserError("character table rows must have %d values" % r)
-        chars.append(ClassFunction(group, [_parse_value(x) for x in row]))
-    total = 0
-    for i, a in enumerate(chars):
-        deg = a.values[0].to_rational()
-        if deg is None or deg.denominator != 1 or deg <= 0:
-            raise UserError("row %d has a non-positive-integer degree" % i)
-        total += deg * deg
-        for j, b in enumerate(chars):
-            want = cyc(1 if i == j else 0)
-            if inner_product(a, b) != want:
-                raise UserError(
-                    "supplied table fails orthogonality at rows %d, %d" % (i, j)
-                )
-    if total != group.n:
-        raise UserError("supplied degrees square-sum to %s, not |G| = %d"
-                        % (total, group.n))
-    chars.sort(key=lambda chi: (chi.values[0].to_rational(),
-                                json.dumps(chi.to_json()["values_by_class"])))
-    group._char_table = tuple(chars)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise UserError("character table must be a list of rows")
+    chars = [ClassFunction(group, [_parse_value(x) for x in row])
+             for row in rows]
+    table = character_table(group)
+    if len(chars) != len(table) or set(chars) != set(table):
+        raise UserError("supplied table is not the character table of %s"
+                        % group.label)
 
 
 def _frac(q):
@@ -230,7 +212,7 @@ def cmd_group_info(args):
 def cmd_chartable(args):
     G = load_group(args.group, args.max_order)
     if args.chartable_file:
-        install_chartable(G, args.chartable_file)
+        check_chartable(G, args.chartable_file)
     table = character_table(G)
     sectors = build_sectors(G)
     return {
@@ -405,17 +387,13 @@ def _verify_rings(G, v, names):
         report["chow"] = verify(chow, ring_checks)
         report["k"] = verify(kr, ring_checks)
     if "rr" in names:
+        chern = [{s: c for s, c in enumerate(orbifold_chern(kr, {i: 1})) if c}
+                 for i in range(kr.dim)]
         ok = True
         for i in range(kr.dim):
-            chi = orbifold_chern(kr, {i: Fraction(1)})
-            vi = {s: c for s, c in enumerate(chi) if c != 0}
             for j in range(kr.dim):
-                chj = orbifold_chern(kr, {j: Fraction(1)})
-                vj = {s: c for s, c in enumerate(chj) if c != 0}
-                lhs = orbifold_chern(
-                    kr, kr.mul({i: Fraction(1)}, {j: Fraction(1)})
-                )
-                rhs_vec = chow.mul(vi, vj)
+                lhs = orbifold_chern(kr, kr.mul({i: 1}, {j: 1}))
+                rhs_vec = chow.mul(chern[i], chern[j])
                 rhs = [rhs_vec.get(s, Fraction(0)) for s in range(chow.dim)]
                 if lhs != rhs:
                     ok = False

@@ -82,7 +82,14 @@ class FiniteGroup:
 
     With check, the table is validated and its order capped at max_order
     (None: no cap).
+
+    _memo keeps what other modules derive from the table alone (README,
+    "Derived state"); __slots__ refuses any other attribute.
     """
+
+    __slots__ = ("table", "n", "label", "names", "inv", "catalog",
+                 "permutations", "_class_data", "_subgroups", "_orders",
+                 "_memo")
 
     def __init__(self, table, names=None, label=None, check=True,
                  max_order=MAX_TABLE_ORDER):
@@ -100,9 +107,11 @@ class FiniteGroup:
                 raise UserError("element %d has no two-sided inverse" % a)
         self.inv = tuple(inv)
         self.catalog = None  # set by catalog constructors, e.g. ("cyclic", 3)
+        self.permutations = None  # set when built from permutations
         self._class_data = None
         self._subgroups = {}
         self._orders = None
+        self._memo = {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -257,7 +266,7 @@ class FiniteGroup:
     def _label_words(self):
         """Shortest generator words for every element the names can reach,
         found by breadth-first search; deterministic via sorted name order."""
-        cached = getattr(self, "_word_labels", None)
+        cached = self._memo.get("word_labels")
         if cached is not None:
             return cached
         words = {0: "e" if self.names.get("e") == 0 else "0"}
@@ -288,7 +297,7 @@ class FiniteGroup:
             words[x] = "*".join(
                 name if k == 1 else "%s^%d" % (name, k) for name, k in parts
             )
-        self._word_labels = words
+        self._memo["word_labels"] = words
         return words
 
     def element_label(self, x):

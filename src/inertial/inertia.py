@@ -9,7 +9,7 @@ h^-1 = the stored representative of the target class; consumers must treat
 the choice as arbitrary and move class functions only through transport.
 """
 
-from .errors import UserError
+from .errors import TheoremViolation, UserError
 
 DOUBLE_SECTOR_CAP = 200
 TRIPLE_TUPLE_CAP = 2_000_000
@@ -37,7 +37,9 @@ class SectorIndex:
             group.inverse_class(i) for i in range(len(self.sectors))
         )
         for i, j in enumerate(self.sigma):
-            assert self.sigma[j] == i, "inversion involution is not an involution"
+            if self.sigma[j] != i:
+                raise TheoremViolation(
+                    "inversion involution is not an involution")
 
     def __len__(self):
         return len(self.sectors)
@@ -64,10 +66,9 @@ class SectorIndex:
 
 
 def build_sectors(group):
-    cached = getattr(group, "_sector_index", None)
+    cached = group._memo.get("sectors")
     if cached is None:
-        cached = SectorIndex(group)
-        group._sector_index = cached
+        cached = group._memo["sectors"] = SectorIndex(group)
     return cached
 
 
@@ -186,9 +187,9 @@ def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
             "eager double-sector enumeration is capped at |G| <= %d "
             "(got %d); raise the cap explicitly to proceed" % (cap, group.n)
         )
-    cached = getattr(group, "_double_sectors", None)
+    cached = group._memo.get("doubles")
     if cached is None:
-        cached = group._double_sectors = DoubleSectorIndex(group)
+        cached = group._memo["doubles"] = DoubleSectorIndex(group)
     return cached
 
 
@@ -230,26 +231,11 @@ def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
     if group.n ** 3 > cap:
         raise UserError(
             "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
-            "resolve individual tuples with resolve_diag_class instead"
+            "so the multiproduct check cannot run on this group"
             % (cap, group.n ** 3)
         )
-    cached = getattr(group, "_triple_sectors", None)
+    cached = group._memo.get("triples")
     if cached is None:
-        cached = group._triple_sectors = TripleSectorIndex(group)
+        cached = group._memo["triples"] = TripleSectorIndex(group)
     return cached
 
-
-def resolve_diag_class(group, elements):
-    """On-demand orbit of one tuple, for groups beyond the eager caps."""
-    elements = tuple(elements)
-    conj = group.conj
-    seen = {}
-    members = []
-    for x in range(group.n):
-        img = tuple(conj(x, m) for m in elements)
-        if img not in seen:
-            seen[img] = x
-            members.append(img)
-    rep = min(members)
-    cls = DiagClass(-1, rep, group.centralizer(*rep), members)
-    return cls

@@ -16,7 +16,7 @@ from .characters import (
     character_table,
     trivial_character,
     zero_character,
-    assert_genuine_character,
+    check_linearization,
     decompose,
     transport,
     restrict_between,
@@ -177,13 +177,14 @@ def _chow_products(G, v, classes, inputs, output):
 
 def chow_ring(G, v):
     """The rational inertial product: one generator per sector, graded by age."""
-    assert_genuine_character(v, "the linearization character")
+    check_linearization(G, v)
     sectors = build_sectors(G)
     doubles = build_double_sectors(G, None)
     labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
     grading = [age(v, s.rep) for s in sectors.sectors]
     table = _chow_products(G, v, doubles.classes, ("e1", "e2"), "mu")
-    assert sectors.sectors[0].rep == 0, "identity sector must come first"
+    if sectors.sectors[0].rep != 0:
+        raise TheoremViolation("the identity sector must come first")
     context = {
         "kind": "chow", "group": G, "rep": v,
         "sectors": sectors, "doubles": doubles,
@@ -270,6 +271,34 @@ def _folded(u, coords, fusion):
             yield (t,) + ts, w
 
 
+def _fusion(H):
+    """The fusion tensor of H, kept in H's memo: row [p][q] lists (k, n) with
+    n != 0 the multiplicity of irreducible k in the product of p and q."""
+    fusion = H._memo.get("fusion")
+    if fusion is None:
+        irr = character_table(H)
+        fusion = H._memo["fusion"] = [
+            [[(k, n) for k, n in enumerate(_int_coords(a * b)) if n]
+             for b in irr]
+            for a in irr
+        ]
+    return fusion
+
+
+def _restriction(G, s, w, Zm):
+    """(w Z_s w^-1, rows), kept in G's memo: row t holds the coordinates over
+    Irr(Z_m) of irreducible t of sector s's centralizer Z_s, moved by w and
+    restricted to Z_m."""
+    key = ("restriction", s, w, Zm)
+    cached = G._memo.get(key)
+    if cached is None:
+        Zs = build_sectors(G).sectors[s].centralizer
+        moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
+        cached = G._memo[key] = moved[0][1], [
+            _int_coords(restrict_between(chi, sub, Zm)) for chi, sub in moved]
+    return cached
+
+
 def _k_products(G, v, basis, classes, inputs, output):
     """Structure constants of the integral product summed over diagonal classes.
 
@@ -286,43 +315,18 @@ def _k_products(G, v, basis, classes, inputs, output):
     sector.  One restriction table per (sector, conjugator, Z_m) serves
     both ends.  Returns {(input basis indices): {output basis index: int}}.
     """
-    sectors = build_sectors(G)
-    fusions = {}
-    restricted = {}
-
-    def restriction(s, w, Zm):
-        """(w Z_s w^-1, rows): row t holds the coordinates over Irr(Z_m) of
-        irreducible t of sector s, moved by w and restricted to Z_m."""
-        key = (s, w, Zm)
-        if key not in restricted:
-            Zs = sectors.sectors[s].centralizer
-            rows = []
-            for chi in basis.tables[s]:
-                moved, sub = transport(chi, Zs, w)
-                rows.append(_int_coords(restrict_between(moved, sub, Zm)))
-            restricted[key] = sub, rows
-        return restricted[key]
-
     out = {}
     for cls in classes:
         ms = cls.rep
         prod = G.prod(ms)
         Zm = cls.centralizer
-        fusion = fusions.get(Zm.group)
-        if fusion is None:
-            irr = character_table(Zm.group)
-            fusion = [
-                [[(k, n) for k, n in enumerate(_int_coords(a * b)) if n]
-                 for b in irr]
-                for a in irr
-            ]
-            fusions[Zm.group] = fusion
+        fusion = _fusion(Zm.group)
         coords = []
         for name in inputs:
             s, h = cls.maps[name]
-            coords.append(restriction(s, G.inv[h], Zm)[1])
+            coords.append(_restriction(G, s, G.inv[h], Zm)[1])
         sk, h = cls.maps[output]
-        moved, image = restriction(sk, G.inv[h], Zm)
+        moved, image = _restriction(G, sk, G.inv[h], Zm)
         if moved is not G.centralizer(prod):
             raise TheoremViolation(
                 "moving the centralizer of sector %d by %d misses the "
@@ -350,7 +354,7 @@ def k_ring(G, v):
     """The inertial product on the sum of centralizer representation rings,
     built from the double classes by _k_products.  The table is integral;
     this is checked."""
-    assert_genuine_character(v, "the linearization character")
+    check_linearization(G, v)
     sectors = build_sectors(G)
     doubles = build_double_sectors(G, None)
     basis = _KBasis(G, sectors)

@@ -9,7 +9,8 @@ product's centralizer and decomposes it, where the library works in integer
 coordinates and pushes forward by the transpose of a restriction (Frobenius
 reciprocity).  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
-product.
+product, and the orbit of a single tuple against the eager class
+enumeration.
 """
 
 from fractions import Fraction
@@ -25,7 +26,8 @@ from inertial.characters import (
 )
 from inertial.cyclotomic import ONE, ZERO
 from inertial.errors import TheoremViolation
-from inertial.inertia import build_double_sectors, build_sectors
+from inertial.chern import support_project
+from inertial.inertia import DiagClass, build_double_sectors, build_sectors
 from inertial.logtrace import invariants_char, twisted_pullback
 
 
@@ -194,3 +196,24 @@ def lambda_minus_one_dual_newton(v):
 def dual_power_trace(v, x, i):
     """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
     return v.value(v.group.power(x, i)).conjugate()
+
+
+def resolve_diag_class(group, elements):
+    """The orbit of one tuple under simultaneous conjugation, found on its
+    own rather than by the eager enumeration."""
+    elements = tuple(elements)
+    conj = group.conj
+    seen = {}
+    members = []
+    for x in range(group.n):
+        img = tuple(conj(x, m) for m in elements)
+        if img not in seen:
+            seen[img] = x
+            members.append(img)
+    rep = min(members)
+    return DiagClass(-1, rep, group.centralizer(*rep), members)
+
+
+def support_components(alpha):
+    """All support projections; they sum back to the input."""
+    return [support_project(alpha, i) for i in range(len(alpha.values))]

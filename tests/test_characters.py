@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from inertial.characters import (
@@ -265,3 +269,29 @@ def test_class_function_validation():
         raise AssertionError("wrong length accepted")
     except UserError:
         pass
+
+
+def test_dixon_lift_checks_survive_optimize():
+    # assert statements vanish under -O; a wrong lifted value must still be
+    # caught by the exact orthogonality check
+    script = """
+import sys
+from inertial import characters
+from inertial.cli import main
+if not sys.flags.optimize:
+    sys.exit(2)
+real = characters.root_of_unity
+characters.root_of_unity = (
+    lambda o, k: real(o, k) + (1 if (o, k) == (3, 1) else 0))
+sys.exit(main(["chartable", "--group", "catalog:cyclic(3)"]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["kind"] == "TheoremViolation"

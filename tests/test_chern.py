@@ -17,14 +17,14 @@ from inertial.chern import (
     push_twist,
     star_T,
     star_T_identity,
-    support_components,
     support_project,
 )
 from inertial.cyclotomic import cyc
 from inertial.errors import UserError
 from inertial.groups import catalog_group
 from inertial.inertia import build_sectors
-from inertial.rings import k_ring
+from inertial.rings import chow_ring, k_ring
+from oracles import support_components
 
 
 def test_support_project_partition():
@@ -240,3 +240,37 @@ def test_star_t_associative_on_a_reducible_rep():
                 left = vec_star(prods[(i, j)], k)
                 right = star_vec(i, prods[(j, k)])
                 assert left == right, f"associativity fails at {(i, j, k)}"
+
+
+def _refuses_foreign_character(call):
+    # v lives on cyclic(4), the quotient is by klein4
+    G = catalog_group("klein4")
+    v = catalog_character(catalog_group("cyclic(4)"), "sl2")
+    try:
+        call(G, v)
+        raise AssertionError("a character of another group was accepted")
+    except UserError as exc:
+        assert "lives on cyclic(4), not on klein4" in str(exc)
+
+
+def test_chow_ring_refuses_a_foreign_character():
+    _refuses_foreign_character(chow_ring)
+
+
+def test_k_ring_refuses_a_foreign_character():
+    _refuses_foreign_character(k_ring)
+
+
+def test_f_shriek_refuses_a_foreign_character():
+    _refuses_foreign_character(
+        lambda G, v: f_shriek(trivial_character(G), G, v))
+
+
+def test_push_twist_refuses_a_foreign_character():
+    _refuses_foreign_character(lambda G, v: push_twist(
+        f_shriek(trivial_character(G), G, zero_character(G)), G, v))
+
+
+def test_star_t_refuses_a_foreign_character():
+    _refuses_foreign_character(lambda G, v: star_T(
+        trivial_character(G), trivial_character(G), G, v))

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from inertial import inertia
+from inertial import characters, chern, inertia
+from inertial.characters import assert_genuine_character, lambda_minus_one_dual
 from inertial.cli import main
+from inertial.cyclotomic import root_of_unity
 from inertial.errors import UserError
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors
@@ -355,3 +357,42 @@ def test_logtrace_command():
         {"conductor": 1, "coeffs": ["1/1"]},
         {"conductor": 1, "coeffs": ["-1/1"]},
     ]
+
+
+def test_chartable_file_never_changes_the_group(tmp_path):
+    # [1, zeta_4], [1, -zeta_4] pass orthogonality and the degree sum but
+    # are not the characters of cyclic(2)
+    zeta = root_of_unity(4, 1)
+    path = str(tmp_path / "fake.json")
+    with open(path, "w") as fh:
+        json.dump({"table": [[1, zeta.to_json()], [1, (-zeta).to_json()]]},
+                  fh)
+    code, out, err = run_cli(["chartable", "--group", "catalog:cyclic(2)",
+                              "--chartable-file", path])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["kind"] == "UserError"
+    for argv in (["k-ring", "--group", "catalog:cyclic(2)", "--rep", "zero"],
+                 ["chartable", "--group", "catalog:cyclic(2)"]):
+        cold = run_process(argv)
+        assert run_cli(argv)[:2] == (cold.returncode, cold.stdout.decode())
+
+
+def test_star_t_computes_each_normal_factor_once(monkeypatch):
+    calls = []
+    checks = []
+
+    def counted(v):
+        calls.append(v)
+        return lambda_minus_one_dual(v)
+
+    def checked(v, what):
+        checks.append(v)
+        return assert_genuine_character(v, what)
+
+    monkeypatch.setattr(chern, "lambda_minus_one_dual", counted)
+    monkeypatch.setattr(characters, "assert_genuine_character", checked)
+    code, _, err = run_cli(["star-t", "--group", "catalog:quaternion8",
+                            "--rep", "sl2"])
+    assert code == 0, err
+    assert len(calls) == 5, "one normal factor per sector of quaternion8"
+    assert len(checks) == 1, "the character's genuineness checked again"

@@ -172,3 +172,15 @@ def test_exponent_and_abelian_flags():
     assert catalog_group("symmetric(3)").exponent() == 6
     assert catalog_group("klein4").is_abelian()
     assert not catalog_group("symmetric(3)").is_abelian()
+
+
+def test_group_refuses_undeclared_attributes():
+    # derived state lives in the group's memo, not in attributes hung on it
+    G = catalog_group("cyclic(3)")
+    try:
+        G._char_table = ()
+        raise AssertionError("an undeclared attribute was accepted")
+    except AttributeError:
+        pass
+    assert G.permutations is None
+    assert catalog_group("symmetric(3)").permutations is not None

@@ -3,9 +3,9 @@ from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import (
     build_double_sectors,
     build_sectors,
-    resolve_diag_class,
     triple_sectors,
 )
+from oracles import resolve_diag_class
 
 GROUPS = [
     "cyclic(1)",

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from inertial import characters, rings
 from inertial.characters import (
     catalog_character,
     character_table,
@@ -383,3 +384,19 @@ def test_checks_requiring_context_refuse_parsed_tables():
         raise AssertionError("unknown check accepted")
     except UserError:
         pass
+
+
+def test_warm_group_shares_restriction_tables(monkeypatch):
+    G = catalog_group("symmetric(3)")
+    verify(k_ring(G, catalog_character(G, "std")), ["multiproduct"])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return characters.transport(*args)
+
+    monkeypatch.setattr(rings, "transport", counted)
+    K = k_ring(G, catalog_character(G, "std"))
+    assert verify(K, ["multiproduct"]) == {"multiproduct": True}
+    assert lusztig_ring(G).dim == K.dim
+    assert calls == [], "a warm group rebuilt its restriction tables"
