@@ -22,11 +22,11 @@ class ClassFunction:
     first, then by ascending class size and smallest member).
 
     _memo holds what is derived from this class function and costly to
-    recompute: eigenvalue multiplicities, log traces and obstruction classes
-    (see logtrace), the K ring and per-sector normal factors of chern, and
-    a passed genuineness check (check_linearization).  An entry is stored
-    only after every exact check on its input has passed, and it lives and
-    dies with this object.
+    recompute: eigenvalue multiplicities, log traces, obstruction classes
+    and pullback tables (see logtrace), the K ring and per-sector normal
+    factors of chern, and a passed genuineness check (check_linearization).
+    An entry is stored only after every exact check on its input has
+    passed, and it lives and dies with this object.
     """
 
     __slots__ = ("group", "values", "_memo")
@@ -106,10 +106,6 @@ class ClassFunction:
         return {"values_by_class": [v.to_json() for v in self.values]}
 
 
-def class_function(group, values):
-    return ClassFunction(group, values)
-
-
 def trivial_character(group):
     return ClassFunction(group, [ONE] * len(group.conjugacy_classes()))
 
@@ -171,7 +167,7 @@ def _primitive_root(p):
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
-    raise AssertionError("no primitive root found")
+    raise TheoremViolation("no primitive root found")
 
 
 def _class_matrix(group, i, p):
@@ -277,7 +273,7 @@ def _sqrt_mod(target, p):
     for d in range(1, p // 2 + 1):
         if d * d % p == target:
             return d
-    raise AssertionError("no square root mod p for a degree")
+    raise TheoremViolation("no square root mod p for a degree")
 
 
 def _matvec(M, v, p):
@@ -299,7 +295,8 @@ def _solve_in_basis(basis, images, p):
             if aug[i][c]:
                 piv = i
                 break
-        assert piv is not None, "basis vectors are dependent"
+        if piv is None:
+            raise TheoremViolation("basis vectors are dependent")
         aug[row], aug[piv] = aug[piv], aug[row]
         ipiv = pow(aug[row][c], p - 2, p)
         aug[row] = [v * ipiv % p for v in aug[row]]
@@ -314,8 +311,9 @@ def _solve_in_basis(basis, images, p):
     coords = [[aug[row_i][s + m] for m in range(t)] for row_i in range(s)]
     # consistency: non-pivot rows must be all zero in the image columns
     for i in range(s, r):
-        assert all(aug[i][s + m] == 0 for m in range(t)), \
-            "image left the subspace: class matrices do not commute?"
+        if any(aug[i][s + m] for m in range(t)):
+            raise TheoremViolation(
+                "image left the subspace: class matrices do not commute?")
     return coords  # coords[j][m]: coefficient of basis[j] in images[m]
 
 
@@ -344,7 +342,8 @@ def _split_subspace(M, basis, p):
                             vec[idx] = (vec[idx] + cj * basis[j][idx]) % p
                 piece.append(vec)
             pieces.append(piece)
-    assert sum(len(piece) for piece in pieces) == s, "eigenspaces do not fill"
+    if sum(len(piece) for piece in pieces) != s:
+        raise TheoremViolation("eigenspaces do not fill")
     return pieces
 
 
@@ -381,13 +380,15 @@ def character_table(group):
             else:
                 nxt.extend(_split_subspace(Mi, s, p))
         subspaces = nxt
-    assert all(len(s) == 1 for s in subspaces), \
-        "class matrices failed to separate the irreducible characters"
+    if any(len(s) != 1 for s in subspaces):
+        raise TheoremViolation(
+            "class matrices failed to separate the irreducible characters")
     vectors = [s[0] for s in subspaces]
 
     chars = []
     for v in vectors:
-        assert v[0] % p != 0, "eigenvector vanishes on the identity class"
+        if v[0] % p == 0:
+            raise TheoremViolation("eigenvector vanishes on the identity class")
         norm = pow(v[0], p - 2, p)
         omega = [x * norm % p for x in v]
         s = 0
@@ -458,10 +459,6 @@ def decompose(v):
         if q is None or q.denominator != 1 or q < 0:
             genuine = False
     return mults, genuine
-
-
-def is_genuine_character(v):
-    return decompose(v)[1]
 
 
 def assert_genuine_character(v, what="class function"):

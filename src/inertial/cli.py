@@ -575,9 +575,6 @@ def main(argv=None):
     except InertialError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return exc.exit_code
-    except AssertionError as exc:
-        _emit_error("InternalInvariantViolation", str(exc) or "assertion failed")
-        return 3
     except Exception as exc:  # never a bare crash
         _emit_error("InternalError", "%s: %s" % (type(exc).__name__, exc))
         return 3

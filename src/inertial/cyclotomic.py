@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import UserError
+from .errors import TheoremViolation, UserError
 
 Rational = Fraction
 
@@ -50,7 +50,8 @@ def _poly_divmod_exact(num, den):
         if c:
             for j, dj in enumerate(den):
                 num[i - deg_d + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise TheoremViolation("non-exact polynomial division")
     return quot
 
 
@@ -134,7 +135,8 @@ def _high_power_row(n, k):
 @lru_cache(maxsize=None)
 def _lift_rows(small, big):
     """Power-basis images of zeta_small^k in conductor big, k = 0..phi(small)-1."""
-    assert big % small == 0
+    if big % small:
+        raise TheoremViolation("conductor %d does not divide %d" % (small, big))
     step = big // small
     phi_s = euler_phi(small)
     rows = []
@@ -284,7 +286,9 @@ class Cyclotomic:
         while True:
             while r1 and r1[-1] == 0:
                 r1.pop()
-            assert r1, "Phi_N divides a shorter nonzero polynomial?"
+            if not r1:
+                raise TheoremViolation(
+                    "Phi_N divides a shorter nonzero polynomial?")
             if len(r1) == 1:
                 inv = [c / r1[0] for c in s1]
                 return _canonical(n, _reduce_power_list(n, inv))
@@ -460,7 +464,9 @@ def _canonical(n, coeffs):
     divisors are skipped — the halved divisor is checked instead.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    assert len(coeffs) == euler_phi(n)
+    if len(coeffs) != euler_phi(n):
+        raise TheoremViolation("%d coefficients at conductor %d"
+                               % (len(coeffs), n))
     if all(c == 0 for c in coeffs[1:]):
         return Cyclotomic(1, (coeffs[0],))
     z = Cyclotomic(n, tuple(coeffs))
@@ -471,7 +477,8 @@ def _canonical(n, coeffs):
             continue
         if _fixed_by(z, n, d):
             return _express_at(z, d)
-    assert n % 4 != 2, "conductor 2 mod 4 failed to descend"
+    if n % 4 == 2:
+        raise TheoremViolation("conductor 2 mod 4 failed to descend")
     return z
 
 
@@ -500,7 +507,8 @@ def _express_at(z, d):
     n = z.conductor
     rows = _lift_rows(d, n)  # zeta_d^k as conductor-n vectors
     sol = _solve_linear(rows, tuple(z.coeffs))
-    assert sol is not None, "Galois-invariant element failed to descend"
+    if sol is None:
+        raise TheoremViolation("Galois-invariant element failed to descend")
     if all(c == 0 for c in sol[1:]):
         return Cyclotomic(1, (sol[0],))
     return Cyclotomic(d, tuple(sol))

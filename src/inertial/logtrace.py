@@ -3,16 +3,18 @@
 For a character V of G and an element g of order o, V splits under g into
 eigenspaces for the o-th roots of unity; each eigenspace is a module over
 any subgroup Z centralizing g.  The logarithmic trace weights the k-th
-eigencharacter by k/o; its rank is the age.  Tuples with product 1 give the
-logarithmic restriction V(m_1,...,m_l) over the tuple's centralizer — the
-obstruction class that twists the inertial products.  Its non-negativity
-and integrality, and the identity family used for associativity, are
-verified exactly on every call that constructs one.
+eigencharacter by k/o; its rank is the age.  Tuples m with product 1 give
+the logarithmic restriction V(m_1,...,m_l) over the tuple's centralizer Z —
+the obstruction class that twists the inertial products.  Z and H = <m>
+commute, so V pulls back along Z x H -> G, (z, h) -> zh, to one integer
+table (pullback_columns); the class is derived from log traces and from
+that table, and the two must agree exactly on every call that builds one.
 
-Log traces with the default centralizer and obstruction classes are
-memoized on the character (ClassFunction._memo), keyed by element and by
-tuple: each distinct input is computed and checked once per character, and
-only a result that passed every check is stored.
+Log traces with the default centralizer, obstruction classes and pullback
+tables are memoized on the character (ClassFunction._memo), keyed by
+element, by tuple and by ("pullback", Z, H): each distinct input is
+computed and checked once per character, and only a result that passed
+every check is stored.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ from .characters import (
     trivial_character,
     zero_character,
 )
-from .cyclotomic import ZERO, cyc, root_of_unity
+from .cyclotomic import ZERO, root_of_unity
 from .errors import TheoremViolation, UserError
 
 
@@ -38,6 +40,21 @@ def dim_int(v):
     if d is None or d.denominator != 1 or d < 0:
         raise TheoremViolation("character dimension %r is not a non-negative integer" % d)
     return int(d)
+
+
+def int_coords(vchar, what="virtual character", nonnegative=False):
+    """Coordinates of vchar over its group's irreducibles, demanded to be
+    integers (and, with nonnegative, at least 0)."""
+    out = []
+    for m in decompose(vchar)[0]:
+        q = m.to_rational()
+        if q is None or q.denominator != 1 or (nonnegative and q < 0):
+            raise TheoremViolation(
+                "%s has a coordinate %r that is not a%s integer"
+                % (what, m, " non-negative" if nonnegative else "n")
+            )
+        out.append(int(q))
+    return out
 
 
 def age(v, g):
@@ -151,21 +168,31 @@ def invariants_char(v, ms, sub):
     return ClassFunction(sub.group, vals)
 
 
-def multiplicity_space_char(v, subH, chi, sub):
-    """Character on sub of Hom_H(E, V) for an irreducible E of H (chi = its character).
+def pullback_columns(v, Z, H):
+    """V pulled back along Z x H -> G, (z, h) -> zh, as an integer table.
 
-    Value at z: (1/|H|) sum_{h in H} conj(chi(h)) v(hz).
+    Column E (an irreducible of H, in table order) holds the coordinates
+    over Irr(Z) of Hom_H(E, V), whose character at z is the inner product
+    over H of h -> v(hz) (a class function, as Z centralizes H) with E.
+    Every column is checked to be a non-negative integer vector, then the
+    table is kept in v's memo under ("pullback", Z, H).
     """
+    key = ("pullback", Z, H)
+    cached = v._memo.get(key)
+    if cached is not None:
+        return cached
     G = v.group
-    scale = Fraction(1, subH.order)
-    vals = []
-    for rep in sub.group.class_reps():
-        zp = sub.to_parent(rep)
-        total = ZERO
-        for local, h in enumerate(subH.elements):
-            total = total + chi.value(local).conjugate() * v.value(G.op(h, zp))
-        vals.append(total * scale)
-    return ClassFunction(sub.group, vals)
+    for h in H.elements:
+        _check_centralizes(G, Z, h)
+    slices = [ClassFunction(H.group, [v.value(G.op(H.to_parent(r), zp))
+                                      for r in H.group.class_reps()])
+              for zp in map(Z.to_parent, Z.group.class_reps())]
+    columns = [int_coords(ClassFunction(Z.group, [inner_product(f, chi)
+                                                  for f in slices]),
+                          "a pullback column", nonnegative=True)
+               for chi in character_table(H.group)]
+    v._memo[key] = columns
+    return columns
 
 
 class TwistedClass:
@@ -188,13 +215,15 @@ class TwistedClass:
 
 
 def log_restriction(v, ms):
-    """V(m_1,...,m_l) = sum_i L(m_i)(V) + V^m - V, over the tuple centralizer.
+    """V(m_1,...,m_l) = sum_i L(m_i)(V) + V^m - V, over the tuple centralizer Z.
 
-    Requires the tuple product to be the identity.  The result is decomposed
-    over the centralizer's irreducibles; non-negativity and integrality of
-    the multiplicities is enforced, and the class is re-derived through the
-    isotypic decomposition under H = <m> as an independent cross-check.
-    The checked result is memoized on v by tuple.
+    Requires the tuple product to be the identity.  Two derivations must
+    meet exactly in integer coordinates over Irr(Z): (a) the pointwise sum
+    above, decomposed, and (b) sum_E r_E col_E over the nontrivial
+    irreducibles E of H = <m>, with r_E = sum_i age_E(m_i) - dim E and
+    col_E the pullback column.  The coordinates and every r_E must be
+    non-negative integers, and the rank must equal the age formula.  The
+    checked result is memoized on v by tuple.
     """
     G = v.group
     ms = tuple(ms)
@@ -207,28 +236,36 @@ def log_restriction(v, ms):
     if cached is not None:
         return cached
     Z = G.centralizer(*ms)
+    H = G.generated(ms)
     total = -restrict_to(v, Z)
     for m in ms:
         lt = log_trace(v, m)
         total = total + restrict_between(lt.char, lt.sub, Z)
     total = total + invariants_char(v, ms, Z)
+    what = "obstruction class for tuple %s" % (list(ms),)
+    mults = int_coords(total, what, nonnegative=True)
 
-    mults = []
-    for m in decompose(total)[0]:
-        q = m.to_rational()
-        if q is None or q.denominator != 1 or q < 0:
+    triv = trivial_character(H.group)
+    isotypic = [0] * len(mults)
+    for chi, col in zip(character_table(H.group), pullback_columns(v, Z, H)):
+        if chi == triv:
+            continue
+        r = (sum((age(chi, H.from_parent[m]) for m in ms), Fraction(0))
+             - dim_int(chi))
+        if r.denominator != 1 or r < 0:
             raise TheoremViolation(
-                "obstruction class for tuple %s has a multiplicity %r that is "
-                "not a non-negative integer" % (list(ms), m)
+                "isotypic coefficient %s for tuple %s is not a non-negative "
+                "integer" % (r, list(ms))
             )
-        mults.append(int(q))
-
-    _validate_isotypic_reconstruction(v, ms, Z, total)
+        isotypic = [a + int(r) * c for a, c in zip(isotypic, col)]
+    if isotypic != mults:
+        raise TheoremViolation("%s: log-trace coordinates %s != isotypic %s"
+                               % (what, mults, isotypic))
 
     rank = dim_int(total)
     expected = (
         sum((age(v, m) for m in ms), Fraction(0))
-        + invariant_dimension(v, G.generated(ms))
+        + invariant_dimension(v, H)
         - dim_int(v)
     )
     if rank != expected:
@@ -239,35 +276,6 @@ def log_restriction(v, ms):
     tc = TwistedClass(ms, Z, total, tuple(mults), rank)
     v._memo[key] = tc
     return tc
-
-
-def _validate_isotypic_reconstruction(v, ms, Z, total):
-    """Re-derive V(m) from the H-isotypic pieces of V and compare exactly.
-
-    V = (V^H x 1) + sum_E V_E x E over nontrivial irreducibles E of H = <m>;
-    the class equals sum_E r_E V_E with r_E = sum_i age_E(m_i) - dim E.
-    """
-    G = v.group
-    H = G.generated(ms)
-    locals_ = [H.from_parent[m] for m in ms]
-    triv = trivial_character(H.group)
-    recon = zero_character(Z.group)
-    for chi in character_table(H.group):
-        if chi == triv:
-            continue
-        r = sum((age(chi, lm) for lm in locals_), Fraction(0)) - dim_int(chi)
-        if r.denominator != 1 or r < 0:
-            raise TheoremViolation(
-                "isotypic coefficient %s for tuple %s is not a non-negative "
-                "integer" % (r, list(ms))
-            )
-        if r:
-            recon = recon + int(r) * multiplicity_space_char(v, H, chi, Z)
-    if recon != total:
-        raise TheoremViolation(
-            "obstruction class for tuple %s fails the isotypic reconstruction"
-            % (list(ms),)
-        )
 
 
 def twisted_pullback(v, ms):

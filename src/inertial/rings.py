@@ -17,14 +17,13 @@ from .characters import (
     trivial_character,
     zero_character,
     check_linearization,
-    decompose,
+    eigen_multiplicities,
     transport,
     restrict_between,
     lambda_minus_one_dual,
-    inner_product,
     invariant_dimension,
 )
-from .logtrace import age, invariants_char, twisted_pullback
+from .logtrace import age, int_coords, pullback_columns, twisted_pullback
 from .inertia import build_sectors, build_double_sectors, triple_sectors
 
 class GradedAlgebra:
@@ -192,20 +191,6 @@ def chow_ring(G, v):
     return GradedAlgebra(labels, grading, table, "rational", 0, context)
 
 
-def otherassoc_ring(G, v):
-    """Degenerate variant: identity-sector products kept, the rest zeroed."""
-    base = chow_ring(G, v)
-    table = {
-        (i, j): terms
-        for (i, j), terms in base.table.items()
-        if i == base.identity_index or j == base.identity_index
-    }
-    alg = GradedAlgebra(base.labels, base.grading, table, "rational",
-                        base.identity_index, dict(base.context))
-    alg.context["kind"] = "otherassoc"
-    return alg
-
-
 # -- the integral product on centralizer representation rings -------------------
 
 
@@ -232,17 +217,9 @@ class _KBasis:
         return self.offsets[sector] + t
 
 
-def _int_coords(vchar):
-    """Exact integer coordinates of a virtual character over the irreducibles."""
-    out = []
-    for m in decompose(vchar)[0]:
-        q = m.to_rational()
-        if q is None or q.denominator != 1:
-            raise TheoremViolation(
-                "virtual character has non-integral coordinate %r" % m
-            )
-        out.append(int(q))
-    return out
+def _unit(H):
+    """Index of the trivial character in H's table."""
+    return character_table(H).index(trivial_character(H))
 
 
 def _fold(u, w, fusion):
@@ -278,7 +255,7 @@ def _fusion(H):
     if fusion is None:
         irr = character_table(H)
         fusion = H._memo["fusion"] = [
-            [[(k, n) for k, n in enumerate(_int_coords(a * b)) if n]
+            [[(k, n) for k, n in enumerate(int_coords(a * b)) if n]
              for b in irr]
             for a in irr
         ]
@@ -295,8 +272,17 @@ def _restriction(G, s, w, Zm):
         Zs = build_sectors(G).sectors[s].centralizer
         moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
         cached = G._memo[key] = moved[0][1], [
-            _int_coords(restrict_between(chi, sub, Zm)) for chi, sub in moved]
+            int_coords(restrict_between(chi, sub, Zm)) for chi, sub in moved]
     return cached
+
+
+def _lambda_duals(H):
+    """Coordinates of lambda_-1(rho^dual) for each irreducible rho of H,
+    kept in H's memo."""
+    if "lambda_duals" not in H._memo:
+        H._memo["lambda_duals"] = [int_coords(lambda_minus_one_dual(rho))
+                                   for rho in character_table(H)]
+    return H._memo["lambda_duals"]
 
 
 def _k_products(G, v, basis, classes, inputs, output):
@@ -305,15 +291,18 @@ def _k_products(G, v, basis, classes, inputs, output):
     For a class of tuples m with centralizer Z_m: move each input sector's
     irreducibles to Z_m through the class's alignment conjugator and
     restrict; multiply them with the class factor, lambda_-1 of the dual of
-    the obstruction class plus V^{prod} / V^{<m>} (the excess of the
-    fixed-space inclusion, 0 when the two agree; lambda_-1 turns the sum
-    into the product of the two factors); induce to the product's
-    centralizer and move onto the product's sector.  Every step is
-    Z-linear, so it all runs in integer coordinates over Irr(Z_m): products
-    fold through the fusion tensor of Z_m, and by Frobenius reciprocity
-    induce-and-move is the transpose of move-and-restrict from the product's
-    sector.  One restriction table per (sector, conjugator, Z_m) serves
-    both ends.  Returns {(input basis indices): {output basis index: int}}.
+    W = V(m) + V^{prod} - V^{<m>} (the obstruction class plus the excess of
+    the fixed-space inclusion, 0 when the two agree); induce to the
+    product's centralizer and move onto the product's sector.  Every step
+    is Z-linear, so it all runs in integer coordinates over Irr(Z_m).  With
+    H = <m> and col_E the pullback columns of (Z_m, H), the excess is
+    sum_E (dim E^{prod} - [E trivial]) col_E, so W has non-negative integer
+    coordinates w, and its factor is the product of lambda_-1(rho^dual)
+    taken w_rho times.  Products fold through the fusion tensor of Z_m, and
+    by Frobenius reciprocity induce-and-move is the transpose of
+    move-and-restrict from the product's sector.  One restriction table per
+    (sector, conjugator, Z_m) serves both ends.  Returns
+    {(input basis indices): {output basis index: int}}.
     """
     out = {}
     for cls in classes:
@@ -332,11 +321,18 @@ def _k_products(G, v, basis, classes, inputs, output):
                 "moving the centralizer of sector %d by %d misses the "
                 "centralizer of %d" % (sk, G.inv[h], prod)
             )
-        factor = lambda_minus_one_dual(
-            twisted_pullback(v, ms).char
-            + invariants_char(v, (prod,), Zm) - invariants_char(v, ms, Zm)
-        )
-        for ts, u in _folded(_int_coords(factor), coords, fusion):
+        H = G.generated(ms)
+        w, one = list(twisted_pullback(v, ms).mults), _unit(H.group)
+        for e, (chi, col) in enumerate(zip(character_table(H.group),
+                                           pullback_columns(v, Zm, H))):
+            n = eigen_multiplicities(chi, H.from_parent[prod])[0] - (e == one)
+            w = [a + n * c for a, c in zip(w, col)]
+        factor = [0] * len(w)
+        factor[_unit(Zm.group)] = 1
+        for lam, n in zip(_lambda_duals(Zm.group), w):
+            for _ in range(n):
+                factor = _fold(factor, lam, fusion)
+        for ts, u in _folded(factor, coords, fusion):
             nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(
                 tuple(basis.index(cls.maps[name][0], t)
@@ -359,17 +355,13 @@ def k_ring(G, v):
     doubles = build_double_sectors(G, None)
     basis = _KBasis(G, sectors)
     table = _k_products(G, v, basis, doubles.classes, ("e1", "e2"), "mu")
-    triv = trivial_character(G)
-    id_t = next(
-        t for t, chi in enumerate(character_table(G)) if chi == triv
-    )
     context = {
         "kind": "k", "group": G, "rep": v,
         "sectors": sectors, "doubles": doubles, "kbasis": basis,
     }
     return GradedAlgebra(
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
-        basis.index(0, id_t), context,
+        basis.index(0, _unit(G)), context,
     )
 
 
@@ -404,7 +396,8 @@ def eta_pairing(algebra):
     Sectors pair only with their inverse classes.  On fundamental classes
     the value is 1 over the centralizer order; on representation classes it
     is the invariant multiplicity of the product after moving the second
-    argument to the first centralizer through the inversion.
+    argument to the first centralizer through the inversion, read off the
+    restriction table of the inverse sector and the fusion tensor.
     """
     ctx = algebra.context
     if ctx is None:
@@ -418,33 +411,29 @@ def eta_pairing(algebra):
     sigma = sectors.sigma
     n = algebra.dim
     matrix = [[0] * n for _ in range(n)]
-    if ctx["kind"] in ("chow", "otherassoc"):
+    if ctx["kind"] == "chow":
         for i, s in enumerate(sectors.sectors):
             matrix[i][sigma[i]] = Fraction(1, s.centralizer.order)
     elif ctx["kind"] == "k":
         basis = ctx["kbasis"]
-        for bi, (si, t1) in enumerate(basis.pairs):
+        for si, s in enumerate(sectors.sectors):
             sj = sigma[si]
-            Zi = sectors.sectors[si].centralizer
-            ri = sectors.sectors[si].rep
-            Zj = sectors.sectors[sj].centralizer
-            # move characters at the inverse sector onto Z(ri) through a
-            # conjugator sending the inverse sector's representative to ri^-1
-            w = G.witness(G.inv[ri])
-            chi = basis.tables[si][t1]
-            for t2 in range(len(basis.tables[sj])):
-                bj = basis.index(sj, t2)
-                moved, sub = transport(basis.tables[sj][t2], Zj, w)
-                if sub is not Zi:
-                    raise TheoremViolation(
-                        "moving the centralizer of sector %d by %d misses "
-                        "the centralizer of sector %d" % (sj, w, si))
-                val = inner_product(chi * moved, trivial_character(Zi.group))
-                q = val.to_rational()
-                if q is None or q.denominator != 1:
-                    raise TheoremViolation(
-                        "pairing value %r is not an integer" % val)
-                matrix[bi][bj] = int(q)
+            Zi = s.centralizer
+            # move the inverse sector's irreducibles onto Z(ri) through a
+            # conjugator sending its representative to ri^-1
+            w = G.witness(G.inv[s.rep])
+            moved, rows = _restriction(G, sj, w, Zi)
+            if moved is not Zi:
+                raise TheoremViolation(
+                    "moving the centralizer of sector %d by %d misses "
+                    "the centralizer of sector %d" % (sj, w, si))
+            one = _unit(Zi.group)
+            for t1, products in enumerate(_fusion(Zi.group)):
+                bi = basis.index(si, t1)
+                for t2, row in enumerate(rows):
+                    matrix[bi][basis.index(sj, t2)] = sum(
+                        row[q] * c for q, terms in enumerate(products)
+                        for k, c in terms if k == one)
     else:
         raise UserError("no pairing for algebra kind %r" % ctx["kind"])
     return PairingMatrix(algebra.labels, matrix)

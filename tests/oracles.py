@@ -7,7 +7,9 @@ the library's character primitives but not its product routine: it forms
 every product of two irreducibles as a class function, induces it to the
 product's centralizer and decomposes it, where the library works in integer
 coordinates and pushes forward by the transpose of a restriction (Frobenius
-reciprocity).  The Newton-identity route
+reciprocity).  The obstruction-class reference rebuilds each class
+pointwise from the isotypic pieces of V, where the library reads it off
+one integer pullback table.  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
 product, and the orbit of a single tuple against the eager class
 enumeration.
@@ -23,12 +25,14 @@ from inertial.characters import (
     lambda_minus_one_dual,
     restrict_between,
     transport,
+    trivial_character,
+    zero_character,
 )
 from inertial.cyclotomic import ONE, ZERO
 from inertial.errors import TheoremViolation
 from inertial.chern import support_project
 from inertial.inertia import DiagClass, build_double_sectors, build_sectors
-from inertial.logtrace import invariants_char, twisted_pullback
+from inertial.logtrace import age, invariants_char, twisted_pullback
 
 
 def brute_identity(table):
@@ -163,6 +167,35 @@ def reference_k_table(G, v):
     return {key: {k: c for k, c in row.items() if c != 0}
             for key, row in table.items()
             if any(c != 0 for c in row.values())}
+
+
+def reference_obstruction(v, ms):
+    """Coordinates of the obstruction class of a tuple with product 1,
+    rebuilt pointwise from the isotypic pieces of V under H = <m>.
+
+    V(m) = sum_E r_E Hom_H(E, V) over the nontrivial irreducibles E of H,
+    with r_E = sum_i age_E(m_i) - dim E; the character of Hom_H(E, V) at z
+    in the tuple centralizer is (1/|H|) sum_{h in H} conj(E(h)) v(hz).
+    """
+    G = v.group
+    Z = G.centralizer(*ms)
+    H = G.generated(ms)
+    triv = trivial_character(H.group)
+    total = zero_character(Z.group)
+    for chi in character_table(H.group):
+        if chi == triv:
+            continue
+        r = (sum(age(chi, H.from_parent[m]) for m in ms)
+             - chi.values[0].to_rational())
+        vals = []
+        for rep in Z.group.class_reps():
+            zp = Z.to_parent(rep)
+            acc = ZERO
+            for local, h in enumerate(H.elements):
+                acc = acc + chi.value(local).conjugate() * v.value(G.op(h, zp))
+            vals.append(acc * Fraction(1, H.order))
+        total = total + ClassFunction(Z.group, vals) * r
+    return tuple(m.to_rational() for m in decompose(total)[0])
 
 
 def lambda_minus_one_dual_newton(v):

@@ -10,9 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from inertial.characters import (
+    ClassFunction,
     catalog_character,
     character_table,
-    class_function,
     transport,
     zero_character,
 )
@@ -232,7 +232,7 @@ def test_criterion_10():
         G, v = pair(spec, repname)
         r = len(G.conjugacy_classes())
         basis = [
-            class_function(G, [1 if i == c else 0 for i in range(r)])
+            ClassFunction(G, [1 if i == c else 0 for i in range(r)])
             for c in range(r)
         ]
         for alpha in basis:
@@ -247,7 +247,7 @@ def test_criterion_10():
                 vals = [
                     1 if (t.index == s.index and c == 0) else 0 for c in range(rt)
                 ]
-                comps.append(class_function(t.centralizer.group, vals))
+                comps.append(ClassFunction(t.centralizer.group, vals))
             forward = f_shriek(push_twist(comps, G, v), G, v)
             for t, comp in zip(sectors, forward):
                 assert comp == comps[t.index], (

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 from inertial.characters import (
+    ClassFunction,
     catalog_character,
     character_table,
-    class_function,
     decompose,
     regular_character,
     restrict_to,
@@ -47,13 +47,13 @@ def test_support_project_partition():
 def test_support_project_z2_example():
     G = catalog_group("cyclic(2)")
     triv = trivial_character(G)
-    assert support_project(triv, 0) == class_function(G, [1, 0])
-    assert support_project(triv, 1) == class_function(G, [0, 1])
+    assert support_project(triv, 0) == ClassFunction(G, [1, 0])
+    assert support_project(triv, 1) == ClassFunction(G, [0, 1])
 
 
 def test_mult_twist_translation():
     G = catalog_group("cyclic(2)")
-    sign = class_function(G, [1, -1])
+    sign = ClassFunction(G, [1, -1])
     assert mult_twist(sign, 1) == -sign, "sign(sz) = -sign(z)"
     assert mult_twist(sign, 0) == sign
 
@@ -80,7 +80,7 @@ def test_mult_twist_is_eigenvalue_weighted_sum():
 
 def test_mult_twist_inverse_and_centrality():
     G = catalog_group("cyclic(4)")
-    v = class_function(G, [2, cyc(3), -1, 0])
+    v = ClassFunction(G, [2, cyc(3), -1, 0])
     g = 1
     assert mult_twist(mult_twist(v, g), G.inv[g]) == v
     H = catalog_group("symmetric(3)")
@@ -118,8 +118,8 @@ def test_f_shriek_z2_denominator():
     G = catalog_group("cyclic(2)")
     v = catalog_character(G, "sl2")
     comps = f_shriek(trivial_character(G), G, v)
-    assert comps[0] == class_function(G, [1, 0])
-    assert comps[1] == class_function(G, [Fraction(1, 4), 0])
+    assert comps[0] == ClassFunction(G, [1, 0])
+    assert comps[1] == ClassFunction(G, [Fraction(1, 4), 0])
 
 
 def test_f_shriek_point_case():
@@ -150,7 +150,7 @@ def test_mutual_inverse_round_trips():
         r = len(G.conjugacy_classes())
         # forward-then-back on the indicator basis of CF(G)
         for c in range(r):
-            alpha = class_function(G, [1 if i == c else 0 for i in range(r)])
+            alpha = ClassFunction(G, [1 if i == c else 0 for i in range(r)])
             back = push_twist(f_shriek(alpha, G, v), G, v)
             assert back == alpha, f"{spec}/{rep}: push o shriek != id at {c}"
         # back-then-forward on the identity-supported component basis
@@ -161,7 +161,7 @@ def test_mutual_inverse_round_trips():
                 Z = sector.centralizer
                 k = len(Z.group.conjugacy_classes())
                 vals = [1 if (t == s and i == 0) else 0 for i in range(k)]
-                comps.append(class_function(Z.group, vals))
+                comps.append(ClassFunction(Z.group, vals))
             out = f_shriek(push_twist(comps, G, v), G, v)
             for t in range(r):
                 assert out[t] == comps[t], (
@@ -172,8 +172,8 @@ def test_mutual_inverse_round_trips():
 def test_star_t_z2_point_table():
     G = catalog_group("cyclic(2)")
     v = zero_character(G)
-    e0 = class_function(G, [1, 0])
-    e1 = class_function(G, [0, 1])
+    e0 = ClassFunction(G, [1, 0])
+    e1 = ClassFunction(G, [0, 1])
     basis = [e0, e1]
     table = {}
     for i, a in enumerate(basis):
@@ -193,7 +193,7 @@ def test_star_t_identity_and_commutativity():
     ident = star_T_identity(G, v)
     samples = [
         trivial_character(G),
-        class_function(G, [3, cyc(Fraction(1, 2)), -2]),
+        ClassFunction(G, [3, cyc(Fraction(1, 2)), -2]),
         character_table(G)[2],
     ]
     for alpha in samples:
@@ -209,7 +209,7 @@ def test_star_t_associative_on_a_reducible_rep():
     v = catalog_character(G, "std") + trivial_character(G)
     r = len(G.conjugacy_classes())
     basis = [
-        class_function(G, [1 if i == c else 0 for i in range(r)])
+        ClassFunction(G, [1 if i == c else 0 for i in range(r)])
         for c in range(r)
     ]
     # products of basis vectors, then associate through the table

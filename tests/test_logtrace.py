@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,6 @@ from inertial.characters import (
     ClassFunction,
     catalog_character,
     character_table,
-    class_function,
     decompose,
     invariant_dimension,
     restrict_between,
@@ -17,7 +17,7 @@ from inertial.characters import (
 )
 from inertial.errors import UserError
 from inertial.groups import catalog_group
-from inertial.inertia import build_double_sectors
+from inertial.inertia import build_double_sectors, triple_sectors
 from inertial.logtrace import (
     age,
     dim_int,
@@ -29,6 +29,8 @@ from inertial.logtrace import (
     twisted_pullback,
     v_identity_check,
 )
+
+from oracles import reference_obstruction
 
 PAIRS = [
     ("cyclic(2)", "sl2"),
@@ -114,7 +116,7 @@ def test_explicit_log_trace_value():
     G, v = load("cyclic(2)", "sl2")
     lt = log_trace(v, 1)
     assert lt.sub.order == 2
-    sign = class_function(lt.sub.group, [1, -1])
+    sign = ClassFunction(lt.sub.group, [1, -1])
     assert lt.char == sign
 
 
@@ -308,3 +310,50 @@ sys.exit(1)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_obstruction_classes_match_the_isotypic_reference():
+    # the pointwise isotypic route, kept as an oracle, against the library's
+    # two derivations on every double and triple class
+    for spec, rep in (("symmetric(3)", "std"), ("cyclic(4)", "sl2"),
+                      ("quaternion8", "sl2"), ("dihedral(5)", "regular")):
+        G, v = load(spec, rep)
+        for cls in (build_double_sectors(G).classes
+                    + triple_sectors(G).classes):
+            ms = cls.rep + (G.inv[G.prod(cls.rep)],)
+            assert log_restriction(v, ms).mults == reference_obstruction(v, ms), (
+                f"{spec}/{rep}: obstruction class of {ms} disagrees with the "
+                "isotypic reference"
+            )
+
+
+def test_corrupted_pullback_column_raises_under_optimize():
+    # one wrong entry in the only nontrivial column of H = cyclic(2) must stop
+    # the run (exit 3) with a message naming the tuple, also under -O
+    script = """
+import sys
+from inertial import logtrace
+from inertial.characters import character_table, trivial_character
+from inertial.cli import main
+if not sys.flags.optimize:
+    sys.exit(2)
+real = logtrace.pullback_columns
+def corrupted(v, Z, H):
+    triv = trivial_character(H.group)
+    return [[c + (i == 0 and chi != triv) for i, c in enumerate(col)]
+            for chi, col in zip(character_table(H.group), real(v, Z, H))]
+logtrace.pullback_columns = corrupted
+sys.exit(main(["obstruction", "--group", "catalog:cyclic(2)", "--rep", "sl2",
+               "--tuple", "1,1,1"]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "TheoremViolation"
+    assert "tuple [1, 1, 1, 1]" in error["message"], error["message"]

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 from inertial import characters, rings
 from inertial.characters import (
+    ClassFunction,
     catalog_character,
     character_table,
     trivial_character,
     zero_character,
 )
 from inertial.errors import TheoremViolation, UserError
-from inertial.groups import catalog_group
-from inertial.inertia import build_double_sectors
+from inertial.groups import FiniteGroup, catalog_group
+from inertial.inertia import build_double_sectors, triple_sectors
 from inertial.logtrace import age, twisted_pullback
 from inertial.rings import (
     GradedAlgebra,
@@ -22,7 +23,6 @@ from inertial.rings import (
     eta_pairing,
     k_ring,
     lusztig_ring,
-    otherassoc_ring,
     verify,
 )
 
@@ -291,20 +291,6 @@ def test_frobenius_through_verify():
             )
 
 
-def test_otherassoc_ring():
-    G = catalog_group("symmetric(3)")
-    v = catalog_character(G, "std")
-    alg = otherassoc_ring(G, v)
-    report = verify(alg, ALL_CHECKS)
-    assert report == {name: True for name in ALL_CHECKS}
-    e = alg.identity_index
-    for (i, j), terms in alg.table.items():
-        if i != e and j != e:
-            raise AssertionError(
-                f"degenerate product has a non-identity entry at {(i, j)}: {terms}"
-            )
-
-
 def test_corrupted_table_fails_associativity():
     G = catalog_group("symmetric(3)")
     alg = chow_ring(G, zero_character(G))
@@ -339,21 +325,23 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
 
 
 def test_pairing_invariants_raise_under_optimize():
-    # one patched pairing value must stop the run (exit 3) also when assert
-    # statements are stripped: 1/2 breaks integrality, 1 breaks symmetry
+    # one perturbed restriction row read by the pairing must stop the run
+    # (exit 3) also when assert statements are stripped: on cyclic(2) the
+    # extra 1 lands above the diagonal only, so the matrix is not symmetric
     script = """
 import sys
 from inertial import rings
 from inertial.cli import main
 if not sys.flags.optimize:
     sys.exit(2)
-real = rings.inner_product
-calls = []
-def patched(a, b):
-    calls.append(None)
-    value = real(a, b)
-    return value + rings.Fraction(sys.argv[1]) if len(calls) == 2 else value
-rings.inner_product = patched
+real = rings._restriction
+def perturbed(G, s, w, Zm):
+    sub, rows = real(G, s, w, Zm)
+    if sys._getframe(1).f_code.co_name != "eta_pairing":
+        return sub, rows
+    return sub, [[c + ((t, q) == (0, 1)) for q, c in enumerate(row)]
+                 for t, row in enumerate(rows)]
+rings._restriction = perturbed
 sys.exit(main(["eta", "--group", "catalog:cyclic(2)", "--mode", "k"]))
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -361,13 +349,12 @@ sys.exit(main(["eta", "--group", "catalog:cyclic(2)", "--mode", "k"]))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
     )
-    for offset, words in (("1/2", "not an integer"), ("1", "not symmetric")):
-        proc = subprocess.run([sys.executable, "-O", "-c", script, offset],
-                              capture_output=True, env=env)
-        assert proc.returncode == 3, proc.stderr
-        error = json.loads(proc.stderr)["error"]
-        assert error["kind"] == "TheoremViolation"
-        assert words in error["message"]
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "TheoremViolation"
+    assert "not symmetric" in error["message"]
 
 
 def test_checks_requiring_context_refuse_parsed_tables():
@@ -400,3 +387,25 @@ def test_warm_group_shares_restriction_tables(monkeypatch):
     assert verify(K, ["multiproduct"]) == {"multiproduct": True}
     assert lusztig_ring(G).dim == K.dim
     assert calls == [], "a warm group rebuilt its restriction tables"
+
+
+def test_class_factors_take_lambda_once_per_irreducible(monkeypatch):
+    # a fresh copy of cyclic(4), so no group memo is warm: the multiproduct
+    # check computes lambda_-1(rho^dual) once per irreducible rho of each
+    # distinct tuple centralizer, not once per tuple class
+    C4 = catalog_group("cyclic(4)")
+    G = FiniteGroup(C4.table)
+    v = ClassFunction(G, catalog_character(C4, "sl2").values)
+    calls = []
+
+    def counted(chi):
+        calls.append(chi)
+        return characters.lambda_minus_one_dual(chi)
+
+    monkeypatch.setattr(rings, "lambda_minus_one_dual", counted)
+    K = k_ring(G, v)
+    assert verify(K, ["multiproduct"]) == {"multiproduct": True}
+    centralizers = {cls.centralizer for cls in build_double_sectors(G).classes
+                    + triple_sectors(G).classes}
+    bound = sum(len(character_table(Z.group)) for Z in centralizers)
+    assert 0 < len(calls) <= bound, f"{len(calls)} lambda_-1 calls, bound {bound}"
