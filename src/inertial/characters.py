@@ -561,19 +561,6 @@ def transport(v, sub, h):
 # -- symmetric-function operations ---------------------------------------------
 
 
-def adams(v, j):
-    """Adams operation: g -> v(g^j)."""
-    g = v.group
-    return ClassFunction(
-        g, [v.values[g.power_class(i, j)] for i in range(len(v.values))]
-    )
-
-
-def dual(v):
-    """Character of the dual representation, g -> v(g^-1)."""
-    return adams(v, -1)
-
-
 def eigen_multiplicities(v, x):
     """Multiplicity of the eigenvalue zeta_o^k of x on v, for k = 0..o-1.
 

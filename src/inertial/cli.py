@@ -9,8 +9,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic, cyc, parse_rational
 from .errors import InertialError, UserError, CheckFailure, TheoremViolation
 from .groups import (
     MAX_TABLE_ORDER,
@@ -114,17 +115,24 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
     )
 
 
-def _parse_value(obj):
+def _parse_value(obj, group):
+    """A character value of group from JSON input."""
     if isinstance(obj, bool):
         raise UserError("character values must be numbers, not booleans")
     if isinstance(obj, int):
         return cyc(obj)
     if isinstance(obj, str):
         try:
-            return cyc(Fraction(obj))
-        except ValueError:
-            raise UserError("cannot parse %r as a rational number" % obj)
+            return cyc(parse_rational(obj))
+        except (ValueError, ZeroDivisionError):
+            raise UserError("cannot parse %.40r as a rational number" % obj)
     if isinstance(obj, dict):
+        # a character value lies in Q(zeta_e), e the exponent; refuse any
+        # other conductor before field work that grows with it
+        n, e = obj.get("conductor"), group.exponent()
+        if isinstance(n, int) and n > 0 and lcm(2, e) % n:
+            raise UserError("conductor %d does not divide the group exponent "
+                            "%d (or twice it, when it is odd)" % (n, e))
         try:
             return Cyclotomic.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -157,7 +165,7 @@ def load_rep(spec, group):
                 "expected one value per conjugacy class (%d classes in the "
                 "emitted order, got %d values)" % (r, len(values))
             )
-        v = ClassFunction(group, [_parse_value(x) for x in values])
+        v = ClassFunction(group, [_parse_value(x, group) for x in values])
         assert_genuine_character(v, "the supplied character")
         return v
     raise UserError(
@@ -173,7 +181,7 @@ def check_chartable(group, path):
     rows = data.get("table")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise UserError("character table must be a list of rows")
-    chars = [ClassFunction(group, [_parse_value(x) for x in row])
+    chars = [ClassFunction(group, [_parse_value(x, group) for x in row])
              for row in rows]
     table = character_table(group)
     if len(chars) != len(table) or set(chars) != set(table):

@@ -1,10 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis of Q[x]/(Phi_N(x)) with x = zeta_N
-= exp(2*pi*i/N), coefficients exact rationals.  Every value is kept at its
-minimal conductor (never 2 mod 4), so equality and hashing are structural.
+An element of Q(zeta_N) is stored as integer numerators in the power basis
+1, x, ..., x^(phi(N)-1) of Q[x]/(Phi_N(x)), x = zeta_N = exp(2*pi*i/N), over
+one positive common denominator, the fraction reduced (the numerators and
+the denominator share no factor).  Field arithmetic runs on Python ints;
+Fractions appear only in to_rational, in display and in parsing input.
+
+Every value is kept at its minimal conductor, never 2 mod 4 (Q(zeta_2m) =
+Q(zeta_m) for odd m), so equality and hashing are structural: a function of
+the conductor, the numerators and the denominator.  A sum or product at
+conductor N is canonicalized by trying each divisor d of N in ascending
+order: a cached integer left inverse of the lift Q(zeta_d) -> Q(zeta_N)
+proposes coordinates at d, which are accepted only when they are integers
+and lift back to the input exactly.  A product by a rational and a Galois
+image keep the conductor (an automorphism maps each Q(zeta_d) onto itself),
+so they skip that search.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -18,6 +31,7 @@ __all__ = [
     "Cyclotomic",
     "cyclotomic_polynomial",
     "euler_phi",
+    "parse_rational",
     "root_of_unity",
     "cyc",
     "ZERO",
@@ -27,11 +41,16 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def euler_phi(n):
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    phi, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            phi -= phi // p
+        p += 1
+    if m > 1:
+        phi -= phi // m
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -69,146 +88,151 @@ def cyclotomic_polynomial(n):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n):
-    """x^k mod Phi_n for k = 0 .. 2*phi(n)-2, as integer coefficient tuples."""
+def _power_rows(n):
+    """x^k mod Phi_n for k = 0 .. n-1 (x^n = 1), each as its non-zero
+    (index, integer coefficient) pairs."""
     phi = euler_phi(n)
     mod = cyclotomic_polynomial(n)
+    row = [1] + [0] * (phi - 1)
     rows = []
-    row = [0] * phi
-    row[0] = 1
-    rows.append(tuple(row))
-    prev = row
-    for _ in range(1, 2 * phi - 1):
-        row = [0] + prev[:-1]
-        top = prev[-1]
-        if top:
-            for j in range(phi):
-                row[j] -= top * mod[j]
-        rows.append(tuple(row))
-        prev = row
-    return tuple(rows)
-
-
-def _reduce_power_list(n, coeffs):
-    """Reduce a coefficient list (any length) mod Phi_n to length phi(n)."""
-    phi = euler_phi(n)
-    rows = None
-    out = [Fraction(0)] * phi
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k < phi:
-            out[k] += c
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            if k < len(rows):
-                row = rows[k]
-            else:
-                row = _high_power_row(n, k)
-            for j, rj in enumerate(row):
-                if rj:
-                    out[j] += c * rj
-    return out
-
-
-@lru_cache(maxsize=None)
-def _high_power_row(n, k):
-    # x^k mod Phi_n for k beyond the precomputed window (e.g. galois maps).
-    k = k % n  # x^n = 1 in Q(zeta_n)
-    rows = _reduction_rows(n)
-    if k < len(rows):
-        return rows[k]
-    # multiply x^(len-1) by x repeatedly; n is small so this is fine
-    phi = euler_phi(n)
-    mod = cyclotomic_polynomial(n)
-    row = list(rows[-1])
-    for _ in range(k - (len(rows) - 1)):
+    for _ in range(n):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
         top = row[-1]
         row = [0] + row[:-1]
         if top:
             for j in range(phi):
                 row[j] -= top * mod[j]
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _lift_rows(small, big):
-    """Power-basis images of zeta_small^k in conductor big, k = 0..phi(small)-1."""
-    if big % small:
-        raise TheoremViolation("conductor %d does not divide %d" % (small, big))
-    step = big // small
-    phi_s = euler_phi(small)
-    rows = []
-    for k in range(phi_s):
-        vec = [Fraction(0)] * (step * k + 1)
-        vec[step * k] = Fraction(1)
-        rows.append(tuple(_reduce_power_list(big, vec)))
     return tuple(rows)
 
 
-def _solve_linear(columns, target):
-    """Solve sum_j x_j * columns[j] = target over Fraction; None if inconsistent."""
-    m = len(target)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, m):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    sol = [Fraction(0)] * k
-    for row_i, c in enumerate(piv_cols):
-        sol[c] = aug[row_i][k]
-    # consistency: rows below rank must have zero rhs, and solution must verify
-    for i in range(m):
-        s = sum(sol[j] * columns[j][i] for j in range(k))
-        if s != target[i]:
+def _reduce(n, poly):
+    """Integer polynomial coefficients (any length) mod Phi_n, length phi(n)."""
+    phi = euler_phi(n)
+    out = poly[:phi] + [0] * (phi - len(poly))
+    rows = _power_rows(n)
+    for k in range(phi, len(poly)):
+        c = poly[k]
+        if c:
+            for j, r in rows[k % n]:
+                out[j] += c * r
+    return out
+
+
+@lru_cache(maxsize=None)
+def _descent_table(d, n):
+    """(L, D, pivots, zero_rows, lift) for the lift Q(zeta_d) -> Q(zeta_n).
+
+    lift[j][k] is coordinate j of zeta_d^k = zeta_n^(k*n/d), d | n.  L is an
+    integer left inverse of the pivot rows up to the scale D > 0:
+    sum_p L[i][p] * lift[pivots[p]][k] == D * [i == k].  zero_rows are the
+    coordinates every lift leaves at zero.
+    """
+    step = n // d
+    phi_d, phi_n = euler_phi(d), euler_phi(n)
+    rows = _power_rows(n)
+    lift = [[0] * phi_d for _ in range(phi_n)]
+    for k in range(phi_d):
+        for j, r in rows[k * step]:
+            lift[j][k] = r
+    # integer Gauss-Jordan on [lift | identity]: the right half of a pivot
+    # row records which combination of input rows it is
+    aug = [row + [int(i == j) for i in range(phi_n)]
+           for j, row in enumerate(lift)]
+    pivots = []
+    for c in range(phi_d):
+        p = next(j for j in range(phi_n) if j not in pivots and aug[j][c])
+        pivots.append(p)
+        for j in range(phi_n):
+            f = aug[j][c]
+            if j != p and f:
+                g = aug[p][c]
+                row = [g * x - f * y for x, y in zip(aug[j], aug[p])]
+                h = gcd(*row)
+                aug[j] = [x // h for x in row]
+    scale = lcm(*(abs(aug[p][c]) for c, p in enumerate(pivots)))
+    inverse = tuple(
+        tuple(aug[p][phi_d + q] * (scale // aug[p][c]) for q in pivots)
+        for c, p in enumerate(pivots)
+    )
+    zero_rows = tuple(j for j, row in enumerate(lift) if not any(row))
+    return inverse, scale, tuple(pivots), zero_rows, tuple(map(tuple, lift))
+
+
+@lru_cache(maxsize=None)
+def _descent_divisors(n):
+    """Candidate smaller conductors of a conductor-n value, ascending."""
+    return tuple(d for d in _divisors(n) if 1 < d < n and d % 4 != 2)
+
+
+def _descend(nums, d, n):
+    """The conductor-d numerators whose lift is nums, or None if there are none."""
+    inverse, scale, pivots, zero_rows, lift = _descent_table(d, n)
+    # a value at its full conductor usually fails here, before any product
+    for j in zero_rows:
+        if nums[j]:
             return None
-    return sol
+    out = []
+    for row in inverse:
+        s = sum(c * nums[p] for c, p in zip(row, pivots))
+        if s % scale:
+            return None
+        out.append(s // scale)
+    # accepted only when lifting back reproduces the input exactly
+    for row, x in zip(lift, nums):
+        if sum(c * y for c, y in zip(row, out)) != x:
+            return None
+    return out
+
+
+def _canonical(n, nums, den):
+    """The Cyclotomic nums/den at conductor n, at its minimal conductor.
+
+    nums is a list of phi(n) ints and den > 0.  Q(zeta_d) embeds in Q(zeta_n)
+    for every d | n, and the value lies in the image for the smallest d that
+    _descend accepts; a conductor 2 mod 4 always descends to its odd half.
+    """
+    if len(nums) != euler_phi(n):
+        raise TheoremViolation("%d coefficients at conductor %d"
+                               % (len(nums), n))
+    if n == 1 or not any(nums[1:]):
+        return _reduced(1, nums[:1], den)
+    for d in _descent_divisors(n):
+        small = _descend(nums, d, n)
+        if small is not None:
+            return _reduced(d, small, den)
+    if n % 4 == 2:
+        raise TheoremViolation("conductor %d failed to descend" % n)
+    return _reduced(n, nums, den)
+
+
+def _reduced(n, nums, den):
+    """The Cyclotomic nums/den at conductor n, the fraction reduced."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return Cyclotomic(n, tuple(c // g for c in nums), den // g)
+    return Cyclotomic(n, tuple(nums), den)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_N), immutable, always at minimal conductor."""
+    """An element of Q(zeta_N), immutable, always at minimal conductor:
+    numerators nums in the power basis over the denominator den."""
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "nums", "den", "_hash")
 
-    def __init__(self, conductor, coeffs):
+    def __init__(self, conductor, nums, den):
         # Private: use cyc()/root_of_unity()/arithmetic instead of calling
         # this with unreduced data.
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", hash((conductor, coeffs)))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_rational(q):
-        return Cyclotomic(1, (Fraction(q),))
-
     # -- basic predicates ----------------------------------------------------
 
     def is_zero(self):
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and self.nums[0] == 0
 
     def is_rational(self):
         return self.conductor == 1
@@ -216,34 +240,57 @@ class Cyclotomic:
     def to_rational(self):
         """The rational value, or None when the element is irrational."""
         if self.conductor == 1:
-            return self.coeffs[0]
+            return Fraction(self.nums[0], self.den)
         return None
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _lift_coeffs(self, big):
-        if self.conductor == big:
-            return list(self.coeffs)
-        rows = _lift_rows(self.conductor, big)
-        out = [Fraction(0)] * euler_phi(big)
-        for k, c in enumerate(self.coeffs):
+    def _at(self, n):
+        """The numerators lifted to conductor n, a multiple of the conductor."""
+        if self.conductor == n:
+            return self.nums
+        step = n // self.conductor
+        rows = _power_rows(n)
+        out = [0] * euler_phi(n)
+        for k, c in enumerate(self.nums):
             if c:
-                for j, rj in enumerate(rows[k]):
-                    if rj:
-                        out[j] += c * rj
+                for j, r in rows[k * step]:
+                    out[j] += c * r
         return out
 
+    def _scale(self, p, q):
+        """self * p/q for ints p and q != 0; the conductor stays."""
+        if not p:
+            return ZERO
+        if p == q:
+            return self
+        if q < 0:
+            p, q = -p, -q
+        return _reduced(self.conductor, [c * p for c in self.nums],
+                        self.den * q)
+
     def __add__(self, other):
-        other = cyc(other)
-        n = lcm(self.conductor, other.conductor)
-        a = self._lift_coeffs(n)
-        b = other._lift_coeffs(n)
-        return _canonical(n, [x + y for x, y in zip(a, b)])
+        if not isinstance(other, Cyclotomic):
+            other = cyc(other)
+        n = self.conductor
+        if n == 1 and not self.nums[0]:
+            return other
+        if other.conductor == 1 and not other.nums[0]:
+            return self
+        if n != other.conductor:
+            n = lcm(n, other.conductor)
+        a = self._at(n)
+        b = other._at(n)
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(n, [x + y for x, y in zip(a, b)], da)
+        return _canonical(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.conductor, tuple(-c for c in self.nums),
+                          self.den)
 
     def __sub__(self, other):
         return self + (-cyc(other))
@@ -252,24 +299,24 @@ class Cyclotomic:
         return cyc(other) + (-self)
 
     def __mul__(self, other):
-        other = cyc(other)
+        if not isinstance(other, Cyclotomic):
+            other = cyc(other)
         if self.conductor == 1:
-            q = self.coeffs[0]
-            if q == 0:
-                return ZERO
-            return Cyclotomic(other.conductor, tuple(q * c for c in other.coeffs))
+            return other._scale(self.nums[0], self.den)
         if other.conductor == 1:
-            return other * self
-        n = lcm(self.conductor, other.conductor)
-        a = self._lift_coeffs(n)
-        b = other._lift_coeffs(n)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return _canonical(n, _reduce_power_list(n, prod))
+            return self._scale(other.nums[0], other.den)
+        n = self.conductor
+        if n != other.conductor:
+            n = lcm(n, other.conductor)
+        a = self._at(n)
+        b = other._at(n)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return _canonical(n, _reduce(n, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -278,31 +325,24 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         n = self.conductor
         if n == 1:
-            return Cyclotomic(1, (Fraction(1) / self.coeffs[0],))
-        # extended Euclid in Q[x] against Phi_n (irreducible over Q)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                raise TheoremViolation(
-                    "Phi_N divides a shorter nonzero polynomial?")
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return _canonical(n, _reduce_power_list(n, inv))
-            q, rem = _frac_poly_divmod(r0, r1)
-            s_next = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
+            return ONE._scale(self.den, self.nums[0])
+        # 1/z = (product of the other Galois conjugates of z) / norm(z)
+        others = ONE
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                others = others * self.galois(j)
+        norm = self * others
+        if not norm.is_rational() or norm.is_zero():
+            raise TheoremViolation("the norm of %r is not a non-zero rational"
+                                   % (self,))
+        return others._scale(norm.den, norm.nums[0])
 
     def __truediv__(self, other):
         other = cyc(other)
         if other.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         if other.conductor == 1:
-            return self * Cyclotomic(1, (Fraction(1) / other.coeffs[0],))
+            return self._scale(other.den, other.nums[0])
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -330,14 +370,13 @@ class Cyclotomic:
             raise ValueError("galois exponent %d not coprime to conductor %d" % (j, n))
         if n == 1 or j == 1:
             return self
-        out = [Fraction(0)] * euler_phi(n)
-        for k, c in enumerate(self.coeffs):
+        rows = _power_rows(n)
+        out = [0] * len(self.nums)
+        for k, c in enumerate(self.nums):
             if c:
-                row = _high_power_row(n, (j * k) % n)
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return _canonical(n, out)
+                for i, r in rows[j * k % n]:
+                    out[i] += c * r
+        return Cyclotomic(n, tuple(out), self.den)
 
     def conjugate(self):
         return self.galois(-1)
@@ -346,13 +385,19 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.conductor == 1 and self.coeffs[0] == other
+            return self.conductor == 1 and self.to_rational() == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor == other.conductor and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.conductor, self.nums, self.den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self):
         return not self.is_zero()
@@ -361,16 +406,17 @@ class Cyclotomic:
 
     def __str__(self):
         if self.conductor == 1:
-            return str(self.coeffs[0])
+            return str(self.to_rational())
         return self.__repr__()
 
     def __repr__(self):
         if self.conductor == 1:
-            return "cyc(%s)" % self.coeffs[0]
+            return "cyc(%s)" % self.to_rational()
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c == 0:
                 continue
+            c = Fraction(c, self.den)
             if k == 0:
                 terms.append(str(c))
             elif k == 1:
@@ -379,18 +425,12 @@ class Cyclotomic:
                 terms.append("%s*z%d^%d" % (c, self.conductor, k))
         return "(" + " + ".join(terms) + ")"
 
-    def approx(self):
-        """Float embedding via zeta_N -> exp(2*pi*i/N).  Diagnostics only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-
     def to_json(self):
-        return {
-            "conductor": self.conductor,
-            "coeffs": [_frac_str(c) for c in self.coeffs],
-        }
+        coeffs = []
+        for c in self.nums:
+            g = gcd(c, self.den)
+            coeffs.append("%d/%d" % (c // g, self.den // g))
+        return {"conductor": self.conductor, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj):
@@ -401,125 +441,51 @@ class Cyclotomic:
         n = obj["conductor"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise UserError("bad conductor in cyclotomic JSON")
+        raw = obj["coeffs"]
+        if not isinstance(raw, list):
+            raise UserError("cyclotomic coefficients must be a list")
+        # phi(n) >= sqrt(n/2): a larger conductor cannot match the count,
+        # and is refused before phi(n) is computed
+        if n > 2 * len(raw) ** 2 or len(raw) != euler_phi(n):
+            raise UserError("coefficient count does not match phi(conductor)")
         try:
-            coeffs = [Fraction(s) for s in obj["coeffs"]]
+            coeffs = [parse_rational(s) for s in raw]
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise UserError("bad cyclotomic coefficient: %s" % exc)
-        if len(coeffs) != euler_phi(n):
-            raise UserError("coefficient count does not match phi(conductor)")
-        return _canonical(n, coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _canonical(
+            n, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
-def _frac_str(q):
-    return "%d/%d" % (q.numerator, q.denominator)
+# the limit on int(str) of Python 3.10.7 and later; 4300 is its default
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 
 
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dn] = c
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, (num or [Fraction(0)])
+def parse_rational(value):
+    """A number from outside input as a Fraction, in bounded time.
 
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-@lru_cache(maxsize=None)
-def _gal_subgroup(n, d):
-    """Units j mod n with j = 1 mod d: the Galois group of Q(zeta_n)/Q(zeta_d)."""
-    return tuple(
-        j for j in range(2, n) if gcd(j, n) == 1 and (j - 1) % d == 0
-    )
-
-
-def _canonical(n, coeffs):
-    """Build a Cyclotomic from conductor-n coefficients, minimizing the conductor.
-
-    The element lies in Q(zeta_d) for d | n exactly when it is fixed by the
-    units j = 1 mod d of (Z/n)*; the smallest such d is the conductor.  A
-    conductor is never 2 mod 4 (Q(zeta_2m) = Q(zeta_m) for odd m), so those
-    divisors are skipped — the halved divisor is checked instead.
+    Strings are read as Fraction reads them, but a decimal exponent larger
+    than sys.get_int_max_str_digits() (the limit Python puts on int(str)) is
+    refused with ValueError: Fraction("1e10000000") would build 10**10000000.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    if len(coeffs) != euler_phi(n):
-        raise TheoremViolation("%d coefficients at conductor %d"
-                               % (len(coeffs), n))
-    if all(c == 0 for c in coeffs[1:]):
-        return Cyclotomic(1, (coeffs[0],))
-    z = Cyclotomic(n, tuple(coeffs))
-    for d in _divisors(n):
-        if d == n:
-            break
-        if d % 4 == 2:
-            continue
-        if _fixed_by(z, n, d):
-            return _express_at(z, d)
-    if n % 4 == 2:
-        raise TheoremViolation("conductor 2 mod 4 failed to descend")
-    return z
-
-
-def _fixed_by(z, n, d):
-    for j in _gal_subgroup(n, d):
-        if _raw_galois(z, j) != z.coeffs:
-            return False
-    return True
-
-
-def _raw_galois(z, j):
-    """Galois image coefficients without re-canonicalizing (avoids recursion)."""
-    n = z.conductor
-    out = [Fraction(0)] * euler_phi(n)
-    for k, c in enumerate(z.coeffs):
-        if c:
-            row = _high_power_row(n, (j * k) % n)
-            for i, ri in enumerate(row):
-                if ri:
-                    out[i] += c * ri
-    return tuple(out)
-
-
-def _express_at(z, d):
-    """Re-express z (known fixed by Gal(N/d)) in the conductor-d power basis."""
-    n = z.conductor
-    rows = _lift_rows(d, n)  # zeta_d^k as conductor-n vectors
-    sol = _solve_linear(rows, tuple(z.coeffs))
-    if sol is None:
-        raise TheoremViolation("Galois-invariant element failed to descend")
-    if all(c == 0 for c in sol[1:]):
-        return Cyclotomic(1, (sol[0],))
-    return Cyclotomic(d, tuple(sol))
+    if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "")
+        limit = _max_str_digits()
+        if e and digits.isdigit() and limit and int(digits) > limit:
+            raise ValueError("decimal exponent of %.40r exceeds %d"
+                             % (value, limit))
+    return Fraction(value)
 
 
 def cyc(value):
     """Coerce ints, Fractions and Cyclotomics to Cyclotomic."""
     if isinstance(value, Cyclotomic):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic(1, (Fraction(value),))
+    if isinstance(value, int):
+        return Cyclotomic(1, (int(value),), 1)
+    if isinstance(value, Fraction):
+        return Cyclotomic(1, (value.numerator,), value.denominator)
     raise TypeError("cannot interpret %r as a cyclotomic number" % (value,))
 
 
@@ -527,19 +493,18 @@ def root_of_unity(n, k=1):
     """zeta_n^k as an exact cyclotomic, reduced to minimal conductor."""
     if n < 1:
         raise ValueError("root_of_unity needs a positive order")
-    k %= n
-    if k == 0:
-        return ONE
+    return _root(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root(n, k):
     g = gcd(n, k)
     n, k = n // g, k // g
-    if n == 1:
-        return ONE
-    if n == 2:
-        return Cyclotomic(1, (Fraction(-1),))
-    vec = [Fraction(0)] * (k + 1)
-    vec[k] = Fraction(1)
-    return _canonical(n, _reduce_power_list(n, vec))
+    nums = [0] * euler_phi(n)
+    for j, r in _power_rows(n)[k]:
+        nums[j] = r
+    return _canonical(n, nums, 1)
 
 
-ZERO = Cyclotomic(1, (Fraction(0),))
-ONE = Cyclotomic(1, (Fraction(1),))
+ZERO = Cyclotomic(1, (0,), 1)
+ONE = Cyclotomic(1, (1,), 1)

@@ -61,7 +61,7 @@ def age(v, g):
     """Sum of normalized eigenvalue exponents of g on v: sum_k (k/o) m_k."""
     o = v.group.order_of(g)
     mults = eigen_multiplicities(v, g)
-    return sum((Fraction(k, o) * m for k, m in enumerate(mults)), Fraction(0))
+    return Fraction(sum(k * m for k, m in enumerate(mults)), o)
 
 
 class EigenDecomposition:

@@ -11,6 +11,7 @@ stored alignment conjugators only.
 
 from fractions import Fraction
 
+from .cyclotomic import parse_rational
 from .errors import TheoremViolation, UserError
 from .characters import (
     character_table,
@@ -108,7 +109,7 @@ def _json_index(x, n):
 
 def _json_number(s):
     """A JSON coefficient as an int when its denominator is 1, else a Fraction."""
-    q = Fraction(s)
+    q = parse_rational(s)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -124,7 +125,7 @@ def algebra_from_json(data):
             raise ValueError("the basis is empty")
         if not isinstance(data["grading"], list):
             raise ValueError("grading must be a list")
-        grading = [Fraction(g) for g in data["grading"]]
+        grading = [parse_rational(g) for g in data["grading"]]
         if len(grading) != n:
             raise ValueError("%d grades for %d basis elements"
                              % (len(grading), n))

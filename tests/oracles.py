@@ -12,10 +12,14 @@ pointwise from the isotypic pieces of V, where the library reads it off
 one integer pullback table.  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
 product, and the orbit of a single tuple against the eager class
-enumeration.
+enumeration.  The scalar-field reference works on Fraction coefficients and
+finds the minimal conductor by the Galois-fixed test and a linear solve,
+where the library descends by cached integer tables.
 """
 
+import cmath
 from fractions import Fraction
+from math import gcd
 
 from inertial.characters import (
     ClassFunction,
@@ -28,7 +32,7 @@ from inertial.characters import (
     trivial_character,
     zero_character,
 )
-from inertial.cyclotomic import ONE, ZERO
+from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial
 from inertial.errors import TheoremViolation
 from inertial.chern import support_project
 from inertial.inertia import DiagClass, build_double_sectors, build_sectors
@@ -226,6 +230,19 @@ def lambda_minus_one_dual_newton(v):
     return ClassFunction(g, vals)
 
 
+def adams(v, j):
+    """Adams operation: g -> v(g^j)."""
+    g = v.group
+    return ClassFunction(
+        g, [v.values[g.power_class(i, j)] for i in range(len(v.values))]
+    )
+
+
+def dual(v):
+    """Character of the dual representation, g -> v(g^-1)."""
+    return adams(v, -1)
+
+
 def dual_power_trace(v, x, i):
     """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
     return v.value(v.group.power(x, i)).conjugate()
@@ -250,3 +267,132 @@ def resolve_diag_class(group, elements):
 def support_components(alpha):
     """All support projections; they sum back to the input."""
     return [support_project(alpha, i) for i in range(len(alpha.values))]
+
+
+# -- the scalar field --------------------------------------------------------
+
+
+def approx(z):
+    """Float embedding of a Cyclotomic via zeta_N -> exp(2*pi*i/N)."""
+    w = cmath.exp(2j * cmath.pi / z.conductor)
+    return sum(c / z.den * w**k for k, c in enumerate(z.nums))
+
+
+def coords(z):
+    """(conductor, Fraction coefficients) of a library Cyclotomic."""
+    return z.conductor, tuple(Fraction(c, z.den) for c in z.nums)
+
+
+def coords_json(coords):
+    """The JSON form the library must give the element with these coords."""
+    n, coeffs = coords
+    return {"conductor": n,
+            "coeffs": ["%d/%d" % (c.numerator, c.denominator) for c in coeffs]}
+
+
+def reference_power(n, k):
+    """x^k mod Phi_n by polynomial long division, Fraction coefficients."""
+    mod = cyclotomic_polynomial(n)
+    phi = len(mod) - 1
+    poly = [Fraction(0)] * max(k + 1, phi)
+    poly[k] = Fraction(1)
+    for i in range(len(poly) - 1, phi - 1, -1):
+        c = poly[i]
+        if c:
+            for j, m in enumerate(mod):
+                poly[i - phi + j] -= c * m
+    return poly[:phi]
+
+
+def _combine(n, terms):
+    """sum c * x^k mod Phi_n over (k, c) in terms."""
+    out = [Fraction(0)] * (len(cyclotomic_polynomial(n)) - 1)
+    for k, c in terms:
+        if c:
+            for j, r in enumerate(reference_power(n, k)):
+                out[j] += c * r
+    return out
+
+
+def _solve_linear(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Fraction; None if inconsistent."""
+    m = len(target)
+    k = len(columns)
+    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
+    piv_cols = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    sol = [Fraction(0)] * k
+    for row_i, c in enumerate(piv_cols):
+        sol[c] = aug[row_i][k]
+    for i in range(m):
+        if sum(sol[j] * columns[j][i] for j in range(k)) != target[i]:
+            return None
+    return sol
+
+
+def reference_canonical(n, coeffs):
+    """(conductor, coefficients) of the element of Q(zeta_n) with these
+    power-basis coefficients, at its minimal conductor (never 2 mod 4).
+
+    The element lies in Q(zeta_d), d | n, exactly when the units j = 1 mod d
+    of (Z/n)* fix it; for the smallest such d it is re-expressed in the
+    conductor-d power basis by a linear solve.
+    """
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    for d in range(1, n):
+        if n % d or d % 4 == 2:
+            continue
+        units = [j for j in range(2, n) if gcd(j, n) == 1 and (j - 1) % d == 0]
+        if all(tuple(_combine(n, [(j * k % n, c) for k, c in enumerate(coeffs)]))
+               == coeffs for j in units):
+            columns = [reference_power(n, k * (n // d))
+                       for k in range(len(cyclotomic_polynomial(d)) - 1)]
+            sol = _solve_linear(columns, coeffs)
+            if sol is None:
+                raise AssertionError("a Galois-fixed element did not descend")
+            return d, tuple(sol)
+    if n % 4 == 2:
+        raise AssertionError("conductor %d did not descend" % n)
+    return n, coeffs
+
+
+def reference_root(n, k):
+    return reference_canonical(n, reference_power(n, k % n))
+
+
+def _lift(coords, n):
+    d, coeffs = coords
+    return _combine(n, [(k * (n // d), c) for k, c in enumerate(coeffs)])
+
+
+def reference_sum(a, b, n):
+    """The canonical sum of two coords, both of conductor dividing n."""
+    return reference_canonical(n, [x + y for x, y in zip(_lift(a, n),
+                                                         _lift(b, n))])
+
+
+def reference_product(a, b, n):
+    x, y = _lift(a, n), _lift(b, n)
+    return reference_canonical(n, _combine(n, [
+        (i + j, xi * yj) for i, xi in enumerate(x) for j, yj in enumerate(y)]))
+
+
+def reference_galois(a, j):
+    n, coeffs = a
+    return reference_canonical(n, _combine(n, [(j * k % n, c)
+                                               for k, c in enumerate(coeffs)]))

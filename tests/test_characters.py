@@ -6,11 +6,9 @@ from fractions import Fraction
 
 from inertial.characters import (
     ClassFunction,
-    adams,
     catalog_character,
     character_table,
     decompose,
-    dual,
     eigen_multiplicities,
     induce_between,
     induce_from,
@@ -27,7 +25,7 @@ from inertial.characters import (
 from inertial.cyclotomic import cyc
 from inertial.errors import UserError
 from inertial.groups import catalog_group
-from oracles import lambda_minus_one_dual_newton
+from oracles import adams, dual, lambda_minus_one_dual_newton
 
 TABLE_GROUPS = [
     "cyclic(2)",

@@ -25,7 +25,7 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv, *flags):
+def run_process(argv, *flags, timeout=None):
     """Run the CLI in a fresh interpreter started with the given flags."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
@@ -34,7 +34,7 @@ def run_process(argv, *flags):
     )
     return subprocess.run(
         [sys.executable, *flags, "-m", "inertial", *argv],
-        capture_output=True, env=env, cwd=ROOT,
+        capture_output=True, env=env, cwd=ROOT, timeout=timeout,
     )
 
 
@@ -68,6 +68,13 @@ def test_out_flag_writes_file(tmp_path):
     assert open(path).read().endswith("\n")
 
 
+BIG_CONDUCTOR = [
+    "chow-ring", "--group", "catalog:cyclic(2)", "--rep",
+    '{"kind": "character", "values_by_class": '
+    '[{"conductor": 30000001, "coeffs": ["1"]}, "1"]}',
+]
+
+
 def test_user_errors_exit_1():
     cases = [
         ["group-info", "--group", "catalog:sporadic(1)"],
@@ -87,6 +94,13 @@ def test_user_errors_exit_1():
         ["group-info", "--group", '{"kind": "perm", "generators": 5}'],
         ["age", "--group", "catalog:symmetric(3)", "--rep",
          '{"kind": "catalog_rep"}', "--element", "s1"],
+        # numbers whose parsing would grow with their size: a conductor
+        # far above the group exponent, and a huge decimal exponent
+        BIG_CONDUCTOR,
+        ["chow-ring", "--group", "catalog:cyclic(2)", "--rep",
+         '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'],
+        ["chow-ring", "--group", "catalog:cyclic(2)", "--rep",
+         '{"kind": "character", "values_by_class": ["1/0", "1"]}'],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -95,6 +109,20 @@ def test_user_errors_exit_1():
         body = json.loads(err)
         assert body["error"]["kind"] == "UserError"
         assert isinstance(body["error"]["message"], str)
+
+
+def test_oversized_numbers_exit_1_promptly_under_optimize():
+    for argv, why in (
+            (BIG_CONDUCTOR, "does not divide the group exponent 2"),
+            (["verify", "--group", "catalog:cyclic(2)", "--rep",
+              '{"kind": "character", "values_by_class": '
+              '[{"conductor": 1, "coeffs": ["1e-10000000"]}, "1"]}'],
+             "decimal exponent")):
+        proc = run_process(argv, "-O", timeout=5)
+        assert proc.returncode == 1, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "UserError"
+        assert why in error["message"], error["message"]
 
 
 def test_group_json_inputs():

@@ -1,12 +1,32 @@
+import json
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 from inertial.cyclotomic import (
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
+    parse_rational,
     root_of_unity,
 )
 from inertial.errors import UserError
+from oracles import (
+    approx,
+    coords,
+    coords_json,
+    reference_canonical,
+    reference_galois,
+    reference_product,
+    reference_root,
+    reference_sum,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_rational_embedding():
@@ -111,8 +131,114 @@ def test_malformed_json_rejected():
 
 
 def test_float_embedding_tracks_exact_values():
-    # approx() is diagnostics-only, but it should still be a field hom
+    # the float embedding of tests/oracles.py should be a ring hom
     z = root_of_unity(7, 3)
     w = root_of_unity(7, 4)
-    assert abs((z * w).approx() - z.approx() * w.approx()) < 1e-9
-    assert abs((z + w).approx() - (z.approx() + w.approx())) < 1e-9
+    assert abs(approx(z * w) - approx(z) * approx(w)) < 1e-9
+    assert abs(approx(z + w) - (approx(z) + approx(w))) < 1e-9
+
+
+def _agrees(z, ref):
+    assert coords(z) == ref, f"{z!r}: library {coords(z)}, reference {ref}"
+    assert (json.dumps(z.to_json(), sort_keys=True)
+            == json.dumps(coords_json(ref), sort_keys=True))
+
+
+def test_field_matches_the_reference_canonical_form():
+    # every operation lands on the conductor and coefficients of the
+    # Galois-fixed test and linear solve kept in tests/oracles.py
+    rng = random.Random(7001)
+    for n in range(1, 25):
+        for k in range(n):
+            _agrees(root_of_unity(n, k), reference_root(n, k))
+    for _ in range(150):
+        big = rng.randint(1, 24)
+        n = rng.choice([d for d in range(1, big + 1) if big % d == 0])
+        m = rng.choice([d for d in range(1, big + 1) if big % d == 0])
+        values = []
+        for order in (n, m):
+            # sums of a few roots, sometimes of an order 2 mod 4 (6, 10, 14,
+            # 18), which descends to its odd half
+            if order % 2 and 2 * order <= 24 and rng.random() < 0.3:
+                order *= 2
+            z = cyc(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(order)
+                q = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                zk = root_of_unity(order, k)
+                _agrees(zk, reference_root(order, k))
+                prev = z
+                z = z + q * zk
+                _agrees(z, reference_sum(coords(prev), coords(q * zk),
+                                         lcm(prev.conductor, order)))
+            values.append(z)
+        z, w = values
+        top = lcm(z.conductor, w.conductor)
+        _agrees(z + w, reference_sum(coords(z), coords(w), top))
+        _agrees(z * w, reference_product(coords(z), coords(w), top))
+        _agrees(z - z, (1, (Fraction(0),)))
+        units = [j for j in range(1, max(z.conductor, 2))
+                 if gcd(j, z.conductor) == 1]
+        j = rng.choice(units)
+        _agrees(z.galois(j), reference_galois(coords(z), j))
+        _agrees(z.conjugate(), reference_galois(coords(z), -1))
+        if not z.is_zero():
+            inv = z.inverse()
+            assert reference_canonical(*coords(inv)) == coords(inv)
+            _agrees(z * inv, (1, (Fraction(1),)))
+        for lhs, rhs in ((approx(z + w), approx(z) + approx(w)),
+                         (approx(z * w), approx(z) * approx(w))):
+            assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+def test_corrupted_descent_table_raises_under_optimize():
+    # a wrong left inverse proposes wrong coordinates at conductor 3, the
+    # lift-back check refuses them, and zeta_6 cannot descend: exit 3
+    script = """
+import sys
+from inertial import cyclotomic
+from inertial.cli import main
+if not sys.flags.optimize:
+    sys.exit(2)
+real = cyclotomic._descent_table
+def corrupted(d, n):
+    inverse, scale, pivots, zero_rows, lift = real(d, n)
+    inverse = tuple(tuple(c + 1 for c in row) for row in inverse)
+    return inverse, scale, pivots, zero_rows, lift
+cyclotomic._descent_table = corrupted
+sys.exit(main(["chartable", "--group", "catalog:cyclic(6)"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "TheoremViolation"
+    assert "conductor 6 failed to descend" in error["message"], error["message"]
+
+
+def test_outside_numbers_are_parsed_in_bounded_time():
+    start = time.perf_counter()
+    for bad in ("1e10000000", "1E-10000000", "2.5e+1_0000000",
+                "1e" + "9" * 5000):
+        try:
+            parse_rational(bad)
+            raise AssertionError(f"accepted {bad[:20]}")
+        except ValueError:
+            pass
+    # 100000000000031 is prime: phi by trial division would take seconds
+    for bad in ({"conductor": 30000001, "coeffs": ["1"]},
+                {"conductor": 100000000000031, "coeffs": ["1", "0"]},
+                {"conductor": 3, "coeffs": ["1e10000000", "0"]}):
+        try:
+            Cyclotomic.from_json(bad)
+            raise AssertionError(f"accepted {bad}")
+        except UserError:
+            pass
+    assert time.perf_counter() - start < 1.0
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2)
+    assert parse_rational("1.5e3") == 1500
+    assert parse_rational(7) == 7

@@ -70,6 +70,9 @@ def test_algebra_json_round_trip():
                 dict(one, basis="ab", grading=["0", "0"]),
                 dict(one, grading=["0", "0"]),
                 dict(one, table=[{"i": 1, "j": 0, "terms": []}]),
+                dict(one, grading=["1e10000000"]),
+                dict(one, table=[
+                    {"i": 0, "j": 0, "terms": [{"k": 0, "c": "1e-9999999"}]}]),
                 {"basis": [], "grading": [], "identity": 0, "table": []}):
         try:
             algebra_from_json(bad)
