@@ -112,13 +112,22 @@ def test_user_errors_exit_1():
 
 
 def test_oversized_numbers_exit_1_promptly_under_optimize():
-    for argv, why in (
-            (BIG_CONDUCTOR, "does not divide the group exponent 2"),
-            (["verify", "--group", "catalog:cyclic(2)", "--rep",
-              '{"kind": "character", "values_by_class": '
-              '[{"conductor": 1, "coeffs": ["1e-10000000"]}, "1"]}'],
-             "decimal exponent")):
-        proc = run_process(argv, "-O", timeout=5)
+    huge_exponent = (
+        ["verify", "--group", "catalog:cyclic(2)", "--rep",
+         '{"kind": "character", "values_by_class": '
+         '[{"conductor": 1, "coeffs": ["1e-10000000"]}, "1"]}'],
+        "decimal exponent")
+    # the bound is the library's own: lifting Python's limit on int(str)
+    # must not let 10**10000000 be built
+    for flags, (argv, why) in (
+            (("-O",), (BIG_CONDUCTOR, "does not divide the group exponent 2")),
+            (("-O",), huge_exponent),
+            (("-O", "-X", "int_max_str_digits=0"), huge_exponent),
+            (("-O", "-X", "int_max_str_digits=0"),
+             (["chow-ring", "--group", "catalog:cyclic(2)", "--rep",
+               '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'],
+              "cannot parse"))):
+        proc = run_process(argv, *flags, timeout=5)
         assert proc.returncode == 1, proc.stderr
         error = json.loads(proc.stderr)["error"]
         assert error["kind"] == "UserError"

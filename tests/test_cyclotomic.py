@@ -223,7 +223,7 @@ sys.exit(main(["chartable", "--group", "catalog:cyclic(6)"]))
 def test_outside_numbers_are_parsed_in_bounded_time():
     start = time.perf_counter()
     for bad in ("1e10000000", "1E-10000000", "2.5e+1_0000000",
-                "1e" + "9" * 5000):
+                "1e" + "9" * 5000, "1e4301", "1" * 4301):
         try:
             parse_rational(bad)
             raise AssertionError(f"accepted {bad[:20]}")
@@ -241,4 +241,5 @@ def test_outside_numbers_are_parsed_in_bounded_time():
     assert time.perf_counter() - start < 1.0
     assert parse_rational(" -3/6 ") == Fraction(-1, 2)
     assert parse_rational("1.5e3") == 1500
+    assert parse_rational("1e-4300") == Fraction(1, 10 ** 4300)
     assert parse_rational(7) == 7

@@ -1,6 +1,6 @@
 """Microbenchmark of the exact scalar field: microseconds per operation.
 
-    python3 tools/cyclotomic_microbench.py [--repeat R]
+    python3 tools/cyclotomic_microbench.py
 
 Run it from the repository root (it puts src/ on the path itself); it uses
 the standard library only.  For each conductor n in 1, 3, 4, 5, 8, 12 and 24
@@ -9,11 +9,10 @@ it times a + b, a * b and a.conjugate() on two fixed elements of Q(zeta_n),
     a = sum_k (k + 2) zeta_n^k,    b = sum_k (-1)^k (2k + 1)/6 zeta_n^k,
 
 k = 0 .. n-1, one with integer and one with rational coefficients, both at
-conductor n.  Each figure is the best of R timeit repeats (default 5), each
+conductor n.  Each figure is the best of REPEAT (5) timeit repeats, each
 repeat running the operation long enough to take at least 0.2 s.
 """
 
-import argparse
 import os
 import sys
 import timeit
@@ -25,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from inertial.cyclotomic import cyc, root_of_unity  # noqa: E402
 
 CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
+REPEAT = 5
 
 
 def operands(n):
@@ -37,16 +37,13 @@ def operands(n):
     return a, b
 
 
-def per_op_us(fn, repeat):
+def per_op_us(fn):
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat, number)) / number * 1e6
+    return min(timer.repeat(REPEAT, number)) / number * 1e6
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeat", type=int, default=5)
-    args = parser.parse_args(argv)
+def main():
     print("%9s %9s %9s %9s   (us per op)" % ("conductor", "add", "mul",
                                             "conjugate"))
     for n in CONDUCTORS:
@@ -54,7 +51,7 @@ def main(argv=None):
         if a.conductor != n or b.conductor != n:
             raise SystemExit("operands at conductor %d came out at %d and %d"
                              % (n, a.conductor, b.conductor))
-        times = [per_op_us(fn, args.repeat)
+        times = [per_op_us(fn)
                  for fn in (lambda: a + b, lambda: a * b, a.conjugate)]
         print("%9d %9.1f %9.1f %9.1f" % (n, *times))
 
