@@ -53,7 +53,7 @@ def _read_json_spec(spec, what):
             raise UserError("cannot read %s file %r: %s" % (what, spec, exc))
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UserError("malformed %s JSON: %s" % (what, exc))
     if not isinstance(data, dict):
         raise UserError("%s JSON must be an object" % what)
@@ -414,7 +414,7 @@ def _verify_tuples(G, v, names):
     if "nonnegativity" in names:
         ok = True
         count = 0
-        for cls in build_double_sectors(G, None).classes:
+        for cls in build_double_sectors(G, None):
             tc = twisted_pullback(v, cls.rep)
             count += 1
             for m in tc.mults:

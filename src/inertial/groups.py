@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
+from .cyclotomic import MAX_DIGITS
 from .errors import UserError
 
 MAX_TABLE_ORDER = 512
@@ -207,9 +208,6 @@ class FiniteGroup:
     def inverse_class(self, c):
         return self.class_of(self.inv[self.conjugacy_classes()[c][0]])
 
-    def power_class(self, c, j):
-        return self.class_of(self.power(self.conjugacy_classes()[c][0], j))
-
     # -- subgroups --------------------------------------------------------------
 
     def subgroup(self, elements):
@@ -219,9 +217,6 @@ class FiniteGroup:
             sub = Subgroup(self, key)
             self._subgroups[key] = sub
         return sub
-
-    def whole(self):
-        return self.subgroup(range(self.n))
 
     def generated(self, gens):
         seen = _closure_under(self.table, list(gens))
@@ -243,6 +238,9 @@ class FiniteGroup:
         token = token.strip()
         if not token:
             raise UserError("empty element token")
+        if len(token) > MAX_DIGITS:
+            raise UserError("element token of %d characters exceeds the "
+                            "limit of %d" % (len(token), MAX_DIGITS))
         if re.fullmatch(r"-?\d+", token):
             idx = int(token)
             if not 0 <= idx < self.n:
@@ -572,7 +570,11 @@ def catalog_group(spec, max_order=MAX_TABLE_ORDER):
 
     A group larger than max_order is refused.
     """
-    m = _CATALOG_RE.fullmatch(spec.strip().lower())
+    spec = spec.strip().lower()
+    if len(spec) > MAX_DIGITS:
+        raise UserError("catalog group name of %d characters exceeds the "
+                        "limit of %d" % (len(spec), MAX_DIGITS))
+    m = _CATALOG_RE.fullmatch(spec)
     if not m:
         raise UserError("cannot parse catalog group name %r" % spec)
     kind, n = m.group(1), m.group(2)

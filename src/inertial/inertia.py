@@ -1,12 +1,22 @@
 """Sector bookkeeping for the inertial constructions.
 
 Single sectors are the conjugacy classes of G in canonical order.  Double
-and triple sectors are orbits of G acting by simultaneous conjugation on
-pairs/triples, enumerated eagerly up to a size cap, with alignment
-conjugators recorded for every evaluation and multiplication map.  A stored
-conjugator h for a map always satisfies h * (image of the representative) *
-h^-1 = the stored representative of the target class; consumers must treat
-the choice as arbitrary and move class functions only through transport.
+and triple sectors are the classes of pairs and triples under simultaneous
+conjugation, enumerated eagerly up to a size cap.  Each is built from the
+classes one entry shorter: for a class with lex-least representative t and
+centralizer Z, the tuples of the class that start with t are (t, z x z^-1)
+for z in Z, so every Z-orbit of G gives one longer class, represented by
+t followed by the orbit's least member, with the orbit's stabilizer as its
+centralizer.  No member of a class has a prefix below t, so that tuple is
+the lex-least of its class, and extending the classes in ascending order
+of t, the orbits in ascending order of their least member, lists the
+longer classes in ascending order of representative, as a lex scan of all
+tuples would.
+
+Each class records, for every entry of its representative and for their
+product, the sector of that element and a conjugator h with h * element *
+h^-1 = the sector's representative; consumers must treat the choice as
+arbitrary and move class functions only through transport.
 """
 
 from .errors import TheoremViolation, UserError
@@ -44,9 +54,6 @@ class SectorIndex:
     def __len__(self):
         return len(self.sectors)
 
-    def sector_of(self, x):
-        return self.group.class_of(x)
-
     def to_json(self):
         g = self.group
         out = []
@@ -73,114 +80,46 @@ def build_sectors(group):
 
 
 class DiagClass:
-    """An orbit of simultaneous conjugation on l-tuples.
+    """A class of l-tuples under simultaneous conjugation.
 
-    maps: dict of map name -> (target index, conjugator); targets of "e1"/
-    "e2"/"e3"/"mu"/"mu_full" are single-sector indices, of "e12"/"e23"/
-    "mu_12_3"/"mu_1_23"/"swap"/"cycle" double-sector indices.
+    maps holds one (sector index, conjugator h) per entry of rep and then
+    one for the product of rep, with h moving that element onto its
+    sector's representative.
     """
 
-    __slots__ = ("index", "rep", "length", "centralizer", "members", "maps")
+    __slots__ = ("rep", "centralizer", "maps")
 
-    def __init__(self, index, rep, centralizer, members):
-        self.index = index
+    def __init__(self, group, rep, centralizer):
         self.rep = rep
-        self.length = len(rep)
         self.centralizer = centralizer
-        self.members = members
-        self.maps = {}
-
-    @property
-    def orbit_size(self):
-        return len(self.members)
+        self.maps = tuple((group.class_of(x), group.inv[group.witness(x)])
+                          for x in rep + (group.prod(rep),))
 
 
-def _enumerate_diag_classes(group, length):
-    """Lex scan of all l-tuples; orbits found in order of their lex-least member."""
-    n = group.n
-    assigned = {}
-    witness = {}
-    classes = []
-    conj = group.conj
-
-    def tuples_lex():
-        idx = [0] * length
-        while True:
-            yield tuple(idx)
-            pos = length - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < n:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-
-    for t in tuples_lex():
-        if t in assigned:
-            continue
-        index = len(classes)
-        members = []
-        for x in range(n):
-            img = tuple(conj(x, m) for m in t)
-            if img not in assigned:
-                assigned[img] = index
-                witness[img] = x
-                members.append(img)
-        classes.append(DiagClass(index, t, group.centralizer(*t), members))
-    return classes, assigned, witness
-
-
-class DoubleSectorIndex:
-    """All pair classes with alignment data for e1, e2, mu, swap and cycle."""
-
-    def __init__(self, group):
-        self.group = group
-        self.sectors = build_sectors(group)
-        classes, assigned, witness = _enumerate_diag_classes(group, 2)
-        self.classes = classes
-        self._class_of = assigned
-        self._witness = witness
-        inv, op = group.inv, group.op
-        for cls in classes:
-            a, b = cls.rep
-            ab = op(a, b)
-            cls.maps["e1"] = (group.class_of(a), inv[group.witness(a)])
-            cls.maps["e2"] = (group.class_of(b), inv[group.witness(b)])
-            cls.maps["mu"] = (group.class_of(ab), inv[group.witness(ab)])
-            cls.maps["swap"] = self.locate((b, a))
-            cls.maps["cycle"] = self.locate((b, inv[ab]))
-
-    def __len__(self):
-        return len(self.classes)
-
-    def locate(self, pair):
-        """(class index, h) with h * pair * h^-1 = that class's representative."""
-        idx = self._class_of[pair]
-        return idx, self.group.inv[self._witness[pair]]
-
-    def to_json(self):
-        out = []
-        for cls in self.classes:
-            out.append({
-                "index": cls.index,
-                "representative": list(cls.rep),
-                "orbit_size": cls.orbit_size,
-                "centralizer_order": cls.centralizer.order,
-                "e1_sector": cls.maps["e1"][0],
-                "e2_sector": cls.maps["e2"][0],
-                "mu_sector": cls.maps["mu"][0],
-                "swap_class": cls.maps["swap"][0],
-                "cycle_class": cls.maps["cycle"][0],
-            })
-        return out
+def _extend(group, classes):
+    """The classes of (l+1)-tuples from (rep, centralizer) of the l-tuple
+    classes, taken in ascending representative order."""
+    out = []
+    for rep, Z in classes:
+        seen = [False] * group.n
+        for x in range(group.n):
+            if seen[x]:
+                continue
+            stabilizer = []
+            for z in Z.elements:
+                y = group.conj(z, x)
+                seen[y] = True
+                if y == x:
+                    stabilizer.append(z)
+            out.append(DiagClass(group, rep + (x,),
+                                 group.subgroup(stabilizer)))
+    return tuple(out)
 
 
 def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
     """The group's pair classes, enumerated once and kept on the group.
 
-    cap bounds |G| for this call, whether or not the index is built yet;
+    cap bounds |G| for this call, whether or not the classes are built yet;
     None applies none (the ring builders, after their caller's bound)."""
     if cap is not None and group.n > cap:
         raise UserError(
@@ -189,45 +128,14 @@ def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
         )
     cached = group._memo.get("doubles")
     if cached is None:
-        cached = group._memo["doubles"] = DoubleSectorIndex(group)
+        cached = group._memo["doubles"] = _extend(group, sorted(
+            ((s.rep,), s.centralizer) for s in build_sectors(group).sectors))
     return cached
-
-
-class TripleSectorIndex:
-    """All triple classes with the maps the associativity verifier needs."""
-
-    def __init__(self, group):
-        self.group = group
-        doubles = build_double_sectors(group, None)
-        classes, assigned, witness = _enumerate_diag_classes(group, 3)
-        self.classes = classes
-        self._class_of = assigned
-        self._witness = witness
-        inv, op = group.inv, group.op
-        for cls in classes:
-            a, b, c = cls.rep
-            ab, bc = op(a, b), op(b, c)
-            abc = op(ab, c)
-            cls.maps["e1"] = (group.class_of(a), inv[group.witness(a)])
-            cls.maps["e2"] = (group.class_of(b), inv[group.witness(b)])
-            cls.maps["e3"] = (group.class_of(c), inv[group.witness(c)])
-            cls.maps["e12"] = doubles.locate((a, b))
-            cls.maps["e23"] = doubles.locate((b, c))
-            cls.maps["mu_12_3"] = doubles.locate((ab, c))
-            cls.maps["mu_1_23"] = doubles.locate((a, bc))
-            cls.maps["mu_full"] = (group.class_of(abc), inv[group.witness(abc)])
-
-    def __len__(self):
-        return len(self.classes)
-
-    def locate(self, triple):
-        idx = self._class_of[triple]
-        return idx, self.group.inv[self._witness[triple]]
 
 
 def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
     """The group's triple classes, enumerated once and kept on the group;
-    cap bounds |G|^3 for this call, whether or not the index is built yet."""
+    cap bounds |G|^3 for this call, whether or not they are built yet."""
     if group.n ** 3 > cap:
         raise UserError(
             "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
@@ -236,6 +144,7 @@ def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
         )
     cached = group._memo.get("triples")
     if cached is None:
-        cached = group._memo["triples"] = TripleSectorIndex(group)
+        cached = group._memo["triples"] = _extend(group, (
+            (cls.rep, cls.centralizer)
+            for cls in build_double_sectors(group, None)))
     return cached
-

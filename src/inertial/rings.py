@@ -64,9 +64,6 @@ class GradedAlgebra:
     def dim(self):
         return len(self.labels)
 
-    def mul_basis(self, i, j):
-        return dict(self.table.get((i, j), {}))
-
     def mul(self, va, vb):
         """Product of two sparse coefficient vectors (dicts index -> coefficient)."""
         out = {}
@@ -149,15 +146,15 @@ def algebra_from_json(data):
 # -- the rational product on fundamental classes --------------------------------
 
 
-def _chow_products(G, v, classes, inputs, output):
+def _chow_products(G, v, classes):
     """Structure constants of the rational product summed over diagonal classes.
 
     A class of tuples m contributes exactly when the obstruction class has
     rank 0 (the ages of the m_i add up to the age of their product) and the
     fixed space of <m> fills the fixed space of the product; it then adds
     the index of its centralizer in the product's centralizer.  Returns
-    {(input sectors): {output sector: Fraction}}; inputs names the maps of the
-    input sectors ("e1", "e2", ...) and output the map of the product's.
+    {(input sectors): {output sector: Fraction}}, the input sectors read
+    off cls.maps[:-1] and the output sector off cls.maps[-1].
     """
     out = {}
     for cls in classes:
@@ -169,8 +166,8 @@ def _chow_products(G, v, classes, inputs, output):
                 != invariant_dimension(v, G.generated((prod,)))):
             continue
         coeff = Fraction(G.centralizer(prod).order, cls.centralizer.order)
-        row = out.setdefault(tuple(cls.maps[name][0] for name in inputs), {})
-        k = cls.maps[output][0]
+        row = out.setdefault(tuple(s for s, _ in cls.maps[:-1]), {})
+        k = cls.maps[-1][0]
         row[k] = row.get(k, Fraction(0)) + coeff
     return out
 
@@ -179,16 +176,12 @@ def chow_ring(G, v):
     """The rational inertial product: one generator per sector, graded by age."""
     check_linearization(G, v)
     sectors = build_sectors(G)
-    doubles = build_double_sectors(G, None)
     labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
     grading = [age(v, s.rep) for s in sectors.sectors]
-    table = _chow_products(G, v, doubles.classes, ("e1", "e2"), "mu")
+    table = _chow_products(G, v, build_double_sectors(G, None))
     if sectors.sectors[0].rep != 0:
         raise TheoremViolation("the identity sector must come first")
-    context = {
-        "kind": "chow", "group": G, "rep": v,
-        "sectors": sectors, "doubles": doubles,
-    }
+    context = {"kind": "chow", "group": G, "rep": v, "sectors": sectors}
     return GradedAlgebra(labels, grading, table, "rational", 0, context)
 
 
@@ -286,7 +279,7 @@ def _lambda_duals(H):
     return H._memo["lambda_duals"]
 
 
-def _k_products(G, v, basis, classes, inputs, output):
+def _k_products(G, v, basis, classes):
     """Structure constants of the integral product summed over diagonal classes.
 
     For a class of tuples m with centralizer Z_m: move each input sector's
@@ -311,11 +304,9 @@ def _k_products(G, v, basis, classes, inputs, output):
         prod = G.prod(ms)
         Zm = cls.centralizer
         fusion = _fusion(Zm.group)
-        coords = []
-        for name in inputs:
-            s, h = cls.maps[name]
-            coords.append(_restriction(G, s, G.inv[h], Zm)[1])
-        sk, h = cls.maps[output]
+        inputs = cls.maps[:-1]
+        coords = [_restriction(G, s, G.inv[h], Zm)[1] for s, h in inputs]
+        sk, h = cls.maps[-1]
         moved, image = _restriction(G, sk, G.inv[h], Zm)
         if moved is not G.centralizer(prod):
             raise TheoremViolation(
@@ -336,8 +327,7 @@ def _k_products(G, v, basis, classes, inputs, output):
         for ts, u in _folded(factor, coords, fusion):
             nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(
-                tuple(basis.index(cls.maps[name][0], t)
-                      for name, t in zip(inputs, ts)), {}
+                tuple(basis.index(s, t) for (s, _), t in zip(inputs, ts)), {}
             )
             for t, r in enumerate(image):
                 n = sum(up * r[p] for p, up in nonzero)
@@ -353,12 +343,11 @@ def k_ring(G, v):
     this is checked."""
     check_linearization(G, v)
     sectors = build_sectors(G)
-    doubles = build_double_sectors(G, None)
     basis = _KBasis(G, sectors)
-    table = _k_products(G, v, basis, doubles.classes, ("e1", "e2"), "mu")
+    table = _k_products(G, v, basis, build_double_sectors(G, None))
     context = {
         "kind": "k", "group": G, "rep": v,
-        "sectors": sectors, "doubles": doubles, "kbasis": basis,
+        "sectors": sectors, "kbasis": basis,
     }
     return GradedAlgebra(
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
@@ -505,12 +494,11 @@ def _check_multiproduct(alg):
     directly to the triple classes."""
     ctx = alg.context
     G, v = ctx["group"], ctx["rep"]
-    triples = triple_sectors(G).classes
-    inputs = ("e1", "e2", "e3")
+    triples = triple_sectors(G)
     if ctx["kind"] == "chow":
-        direct = _chow_products(G, v, triples, inputs, "mu_full")
+        direct = _chow_products(G, v, triples)
     elif ctx["kind"] == "k":
-        direct = _k_products(G, v, ctx["kbasis"], triples, inputs, "mu_full")
+        direct = _k_products(G, v, ctx["kbasis"], triples)
     else:
         raise UserError("no triple-product rule for kind %r" % ctx["kind"])
     return _triples_agree(

@@ -11,15 +11,19 @@ reciprocity).  The obstruction-class reference rebuilds each class
 pointwise from the isotypic pieces of V, where the library reads it off
 one integer pullback table.  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
-product, and the orbit of a single tuple against the eager class
-enumeration.  The scalar-field reference works on Fraction coefficients and
-finds the minimal conductor by the Galois-fixed test and a linear solve,
-where the library descends by cached integer tables.
+product.  The orbit of a single tuple and a lex scan of all tuples are
+checked against the library's class enumeration, which extends shorter
+classes by centralizer orbits.  The scalar-field reference works on
+Fraction coefficients and finds the minimal conductor by the Galois-fixed
+test and a linear solve, where the library descends by cached integer
+tables.
 """
 
 import cmath
+import itertools
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from inertial.characters import (
     ClassFunction,
@@ -35,7 +39,7 @@ from inertial.characters import (
 from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial
 from inertial.errors import TheoremViolation
 from inertial.chern import support_project
-from inertial.inertia import DiagClass, build_double_sectors, build_sectors
+from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import age, invariants_char, twisted_pullback
 
 
@@ -145,7 +149,7 @@ def reference_k_table(G, v):
         return out
 
     table = {}
-    for cls in build_double_sectors(G).classes:
+    for cls in build_double_sectors(G):
         m1, m2 = cls.rep
         m12 = G.op(m1, m2)
         Z = cls.centralizer
@@ -230,11 +234,16 @@ def lambda_minus_one_dual_newton(v):
     return ClassFunction(g, vals)
 
 
+def power_class(g, c, j):
+    """The class of the j-th power of class c's members."""
+    return g.class_of(g.power(g.conjugacy_classes()[c][0], j))
+
+
 def adams(v, j):
     """Adams operation: g -> v(g^j)."""
     g = v.group
     return ClassFunction(
-        g, [v.values[g.power_class(i, j)] for i in range(len(v.values))]
+        g, [v.values[power_class(g, i, j)] for i in range(len(v.values))]
     )
 
 
@@ -246,6 +255,18 @@ def dual(v):
 def dual_power_trace(v, x, i):
     """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
     return v.value(v.group.power(x, i)).conjugate()
+
+
+class Orbit(NamedTuple):
+    """One class of tuples under simultaneous conjugation.
+
+    maps holds (sector, h) for each entry of rep and then for their product,
+    h * element * h^-1 being the sector's representative (empty when not
+    asked for)."""
+    rep: tuple
+    centralizer: object
+    members: list
+    maps: tuple = ()
 
 
 def resolve_diag_class(group, elements):
@@ -261,7 +282,40 @@ def resolve_diag_class(group, elements):
             seen[img] = x
             members.append(img)
     rep = min(members)
-    return DiagClass(-1, rep, group.centralizer(*rep), members)
+    return Orbit(rep, group.centralizer(*rep), members)
+
+
+def _sector_map(table, inv, classes, x):
+    """(index of x's class, h) with h * x * h^-1 the class's least member,
+    h the inverse of the least w with w * least member * w^-1 = x."""
+    k = next(i for i, cls in enumerate(classes) if x in cls)
+    w = next(w for w in range(len(table))
+             if table[table[w][classes[k][0]]][inv[w]] == x)
+    return k, inv[w]
+
+
+def reference_diag_classes(group, length):
+    """Lex scan of all l-tuples: each class of simultaneous conjugation in
+    order of its lex-least member, with its maps.  Every tuple is visited;
+    the first unseen one starts a new class and marks its whole orbit."""
+    n = group.n
+    table = group.table
+    inv = brute_inverses(table)
+    classes = brute_classes(table)
+    seen = set()
+    out = []
+    for t in itertools.product(range(n), repeat=length):
+        if t in seen:
+            continue
+        members = {tuple(table[table[x][m]][inv[x]] for m in t)
+                   for x in range(n)}
+        seen |= members
+        prod = 0
+        for m in t:
+            prod = table[prod][m]
+        maps = tuple(_sector_map(table, inv, classes, x) for x in t + (prod,))
+        out.append(Orbit(t, group.centralizer(*t), sorted(members), maps))
+    return out
 
 
 def support_components(alpha):

