@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Cyclotomic, cyc, parse_rational
+from .cyclotomic import MAX_DIGITS, Cyclotomic, cyc, parse_rational
 from .errors import InertialError, UserError, CheckFailure, TheoremViolation
 from .groups import (
     MAX_TABLE_ORDER,
@@ -41,6 +41,17 @@ from .rings import (
 from .chern import orbifold_chern, star_T, star_T_identity, support_project
 
 
+def _bounded_int(literal):
+    """A JSON integer literal as an int, refused before it is built when it
+    has more than MAX_DIGITS digits, whatever the interpreter's own limit
+    on int(str)."""
+    digits = len(literal.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise UserError("integer literal of %d digits exceeds the limit of %d"
+                        % (digits, MAX_DIGITS))
+    return int(literal)
+
+
 def _read_json_spec(spec, what):
     """A spec is inline JSON (starts with '{') or a path to a JSON file."""
     if spec.lstrip().startswith("{"):
@@ -52,7 +63,7 @@ def _read_json_spec(spec, what):
         except OSError as exc:
             raise UserError("cannot read %s file %r: %s" % (what, spec, exc))
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_bounded_int)
     except (ValueError, RecursionError) as exc:
         raise UserError("malformed %s JSON: %s" % (what, exc))
     if not isinstance(data, dict):
@@ -400,7 +411,7 @@ def _verify_rings(G, v, names):
         ok = True
         for i in range(kr.dim):
             for j in range(kr.dim):
-                lhs = orbifold_chern(kr, kr.mul({i: 1}, {j: 1}))
+                lhs = orbifold_chern(kr, kr.table.get((i, j), {}))
                 rhs_vec = chow.mul(chern[i], chern[j])
                 rhs = [rhs_vec.get(s, Fraction(0)) for s in range(chow.dim)]
                 if lhs != rhs:

@@ -10,6 +10,7 @@ stored alignment conjugators only.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import parse_rational
 from .errors import TheoremViolation, UserError
@@ -434,10 +435,9 @@ def eta_pairing(algebra):
 
 def _check_identity(alg):
     e = alg.identity_index
-    one = {e: 1}
     for j in range(alg.dim):
         unit = {j: 1}
-        if alg.mul(one, unit) != unit or alg.mul(unit, one) != unit:
+        if alg.table.get((e, j), {}) != unit or alg.table.get((j, e), {}) != unit:
             return False
     return True
 
@@ -459,39 +459,110 @@ def _check_grading(alg):
     return True
 
 
-def _triples_agree(alg, left, right):
-    """Whether left(e_i e_j, k) == right(i, j, k) for every triple of basis
-    indices, e_i e_j read off the table as a sparse vector."""
-    n = alg.dim
+# The triple checks compare, for each pair (i, j), two lists over k at once.
+# Structure constants are scaled by their common denominator D to integers,
+# and the product e_m e_k is packed into one int, P[m][k] = sum_t D c_mk^t
+# 2^(width t).  Packing is Z-linear and its digits are balanced (a negative
+# coordinate borrows from the next digit), so a sum of packed products is the
+# packed sum, and two packed ints whose coordinates are at most `bound` in
+# absolute value are equal exactly when every coordinate is: a coordinate
+# difference stays below 2^width and cannot carry into the next digit.
+
+
+def _digit_width(bound):
+    """Bits per packed digit for coordinates of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _scaled_table(alg):
+    """(D, table): D the common denominator of the structure constants and
+    table[(i, j)] = {k: D c_ij^k}, all integers."""
+    D = 1
+    for terms in alg.table.values():
+        for c in terms.values():
+            D = lcm(D, c.denominator)
+    return D, {key: {k: c.numerator * (D // c.denominator)
+                     for k, c in terms.items()}
+               for key, terms in alg.table.items()}
+
+
+def _pack(terms, width):
+    """The integer coordinates {t: c} as one int, sum_t c 2^(width t)."""
+    return sum(c << (width * t) for t, c in terms.items())
+
+
+def _packed_products(n, table, bound=0):
+    """(rows, width): rows[m] lists (k, P[m][k]) for the non-zero packed
+    products e_m e_k of the scaled table.  The digits are wide enough for a
+    coordinate of absolute value at most bound or at most
+    max|c| * max_(i,j) sum_k |c_ij^k|, which bounds every coordinate of a
+    combination of packed products with the coefficients of one entry."""
+    terms = table.values()
+    top = max((abs(c) for t in terms for c in t.values()), default=0)
+    most = max((sum(map(abs, t.values())) for t in terms), default=0)
+    width = _digit_width(max(bound, top * most))
+    rows = [[] for _ in range(n)]
+    for m, k in table:
+        rows[m].append((k, _pack(table[(m, k)], width)))
+    return rows, width
+
+
+def _combine(n, coeffs, rows):
+    """sum_m c_m rows[m] over the pairs (m, c_m) of coeffs, each row a list
+    of (k, x), as a list over k."""
+    out = [0] * n
+    for m, c in coeffs:
+        for k, x in rows[m]:
+            out[k] += c * x
+    return out
+
+
+def _first_failure(n, table, rows, right):
+    """The first (i, j, k), lexicographically, at which
+    sum_m c_ij^m rows[m][k] differs from right(i, j)[k], or None."""
     for i in range(n):
         for j in range(n):
-            ij = alg.table.get((i, j), {})
-            for k in range(n):
-                if left(ij, k) != right(i, j, k):
-                    return False
-    return True
+            left = _combine(n, table.get((i, j), {}).items(), rows)
+            other = right(i, j)
+            if left != other:
+                return next((i, j, k) for k in range(n)
+                            if left[k] != other[k])
+    return None
+
+
+def _associator_failure(n, table, rows):
+    """The first (i, j, k) at which sum_m c_ij^m rows[m][k] differs from
+    sum_m c_jk^m rows[i][m], or None; the right side runs over the non-zero
+    rows[i][m] and the entries c_jk^m != 0, gathered by (j, m)."""
+    by_jm = [[[] for _ in range(n)] for _ in range(n)]
+    for (j, k), terms in table.items():
+        for m, c in terms.items():
+            by_jm[j][m].append((k, c))
+    return _first_failure(n, table, rows,
+                          lambda i, j: _combine(n, rows[i], by_jm[j]))
 
 
 def _check_associativity(alg):
-    return _triples_agree(
-        alg, lambda ij, k: alg.mul(ij, {k: 1}),
-        lambda i, j, k: alg.mul({i: 1}, alg.table.get((j, k), {})),
-    )
+    """(e_i e_j) e_k == e_i (e_j e_k), on packed products."""
+    _, table = _scaled_table(alg)
+    rows, _ = _packed_products(alg.dim, table)
+    return _associator_failure(alg.dim, table, rows) is None
 
 
 def _check_frobenius(alg):
-    """eta(e_i e_j, e_k) == eta(e_i, e_j e_k)."""
+    """eta(e_i e_j, e_k) == eta(e_i, e_j e_k): the associator with the
+    pairing in place of the packed products, each side one number."""
     eta = eta_pairing(alg).matrix
-    return _triples_agree(
-        alg, lambda ij, k: sum(c * eta[m][k] for m, c in ij.items()),
-        lambda i, j, k: sum(c * eta[i][m]
-                            for m, c in alg.table.get((j, k), {}).items()),
-    )
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in eta]
+    return _associator_failure(alg.dim, alg.table, rows) is None
 
 
 def _check_multiproduct(alg):
     """(e_i e_j) e_k from the table against the product rule applied
-    directly to the triple classes."""
+    directly to the triple classes, both packed.  A coordinate of
+    (e_i e_j) e_k sums products of two constants, so the direct values are
+    scaled by D^2; one that D^2 leaves fractional cannot match and is
+    packed as None."""
     ctx = alg.context
     G, v = ctx["group"], ctx["rep"]
     triples = triple_sectors(G)
@@ -501,11 +572,23 @@ def _check_multiproduct(alg):
         direct = _k_products(G, v, ctx["kbasis"], triples)
     else:
         raise UserError("no triple-product rule for kind %r" % ctx["kind"])
-    return _triples_agree(
-        alg, lambda ij, k: alg.mul(ij, {k: 1}),
-        lambda i, j, k: {t: c for t, c in direct.get((i, j, k), {}).items()
-                         if c != 0},
-    )
+    n = alg.dim
+    D, table = _scaled_table(alg)
+    D2 = D * D
+    whole = {key: {t: c.numerator * (D2 // c.denominator)
+                   for t, c in terms.items()}
+             if all(D2 % c.denominator == 0 for c in terms.values()) else None
+             for key, terms in direct.items()}
+    bound = max((max(map(abs, terms.values())) for terms in whole.values()
+                 if terms), default=0)
+    rows, width = _packed_products(n, table, bound)
+    packed = {}
+    for (i, j, k), terms in whole.items():
+        packed.setdefault((i, j), [0] * n)[k] = (
+            None if terms is None else _pack(terms, width))
+    zero = [0] * n
+    return _first_failure(n, table, rows,
+                          lambda i, j: packed.get((i, j), zero)) is None
 
 
 _CHECKS = {

@@ -16,7 +16,9 @@ checked against the library's class enumeration, which extends shorter
 classes by centralizer orbits.  The scalar-field reference works on
 Fraction coefficients and finds the minimal conductor by the Galois-fixed
 test and a linear solve, where the library descends by cached integer
-tables.
+tables.  The triple-check references compare (e_i e_j) e_k one triple at a
+time with GradedAlgebra.mul on basis vectors, where the library compares
+whole rows of packed integer products for each pair (i, j).
 """
 
 import cmath
@@ -175,6 +177,46 @@ def reference_k_table(G, v):
     return {key: {k: c for k, c in row.items() if c != 0}
             for key, row in table.items()
             if any(c != 0 for c in row.values())}
+
+
+def _first_failing_triple(alg, left, right):
+    """The first (i, j, k), lexicographically, with
+    left(e_i e_j, k) != right(i, j, k), or None."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            ij = alg.table.get((i, j), {})
+            for k in range(n):
+                if left(ij, k) != right(i, j, k):
+                    return i, j, k
+    return None
+
+
+def reference_associativity(alg):
+    """The first triple with (e_i e_j) e_k != e_i (e_j e_k), or None."""
+    return _first_failing_triple(
+        alg, lambda ij, k: alg.mul(ij, {k: 1}),
+        lambda i, j, k: alg.mul({i: 1}, alg.table.get((j, k), {})),
+    )
+
+
+def reference_frobenius(alg, eta):
+    """The first triple with eta(e_i e_j, e_k) != eta(e_i, e_j e_k), or None."""
+    return _first_failing_triple(
+        alg, lambda ij, k: sum(c * eta[m][k] for m, c in ij.items()),
+        lambda i, j, k: sum(c * eta[i][m]
+                            for m, c in alg.table.get((j, k), {}).items()),
+    )
+
+
+def reference_multiproduct(alg, direct):
+    """The first triple at which (e_i e_j) e_k differs from direct[(i, j, k)],
+    or None."""
+    return _first_failing_triple(
+        alg, lambda ij, k: alg.mul(ij, {k: 1}),
+        lambda i, j, k: {t: c for t, c in direct.get((i, j, k), {}).items()
+                         if c != 0},
+    )
 
 
 def reference_obstruction(v, ms):

@@ -125,7 +125,9 @@ def test_user_errors_exit_1():
         assert isinstance(body["error"]["message"], str)
 
 
-def test_oversized_numbers_exit_1_promptly_under_optimize():
+def test_oversized_numbers_exit_1_promptly_under_optimize(tmp_path):
+    huge_entry = tmp_path / "huge_entry.json"
+    huge_entry.write_text('{"kind": "table", "table": [[%s]]}' % ("9" * 400_000))
     huge_exponent = (
         ["verify", "--group", "catalog:cyclic(2)", "--rep",
          '{"kind": "character", "values_by_class": '
@@ -146,7 +148,11 @@ def test_oversized_numbers_exit_1_promptly_under_optimize():
             (("-O", "-X", "int_max_str_digits=0"),
              (HUGE_POWER, "element token of 5002 characters")),
             (("-O", "-X", "int_max_str_digits=0"),
-             (DEEP_JSON, "malformed group JSON"))):
+             (DEEP_JSON, "malformed group JSON")),
+            # json.loads would build the int and the error would echo it
+            (("-O", "-X", "int_max_str_digits=0"),
+             (["group-info", "--group", str(huge_entry)],
+              "integer literal of 400000 digits"))):
         proc = run_process(argv, *flags, timeout=5)
         assert proc.returncode == 1, proc.stderr
         error = json.loads(proc.stderr)["error"]

@@ -1,8 +1,12 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 from inertial import characters, rings
 from inertial.characters import (
@@ -26,9 +30,16 @@ from inertial.rings import (
     verify,
 )
 
-from oracles import class_sum_constants, reference_k_table
+from oracles import (
+    class_sum_constants,
+    reference_associativity,
+    reference_frobenius,
+    reference_k_table,
+    reference_multiproduct,
+)
 
 ALL_CHECKS = ["identity", "commutativity", "associativity", "grading"]
+TRIPLE_CHECKS = ("associativity", "frobenius", "multiproduct")
 
 
 def test_graded_algebra_basics():
@@ -294,6 +305,97 @@ def test_frobenius_through_verify():
             )
 
 
+@contextmanager
+def _patched(**attrs):
+    """Replace attributes of the rings module for the duration of a block."""
+    saved = {name: getattr(rings, name) for name in attrs}
+    for name, value in attrs.items():
+        setattr(rings, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(rings, name, value)
+
+
+def _packed_failure(alg, name):
+    """The named check's verdict and the triple at which its packed loop
+    stopped (None when it ran through)."""
+    seen = []
+    real = rings._first_failure
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with _patched(_first_failure=recorded):
+        ok = rings._CHECKS[name](alg)
+    return ok, seen[-1]
+
+
+def _direct(alg):
+    """The product rule of a built ring applied to its triple classes."""
+    ctx = alg.context
+    G, v = ctx["group"], ctx["rep"]
+    if ctx["kind"] == "chow":
+        return rings._chow_products(G, v, triple_sectors(G))
+    return rings._k_products(G, v, ctx["kbasis"], triple_sectors(G))
+
+
+def _references(alg, direct, eta, names=TRIPLE_CHECKS):
+    """The per-triple reference's first failing triple for each named check
+    (Frobenius only when there is a pairing)."""
+    refs = {"associativity": lambda: reference_associativity(alg),
+            "frobenius": lambda: reference_frobenius(alg, eta),
+            "multiproduct": lambda: reference_multiproduct(alg, direct)}
+    return {name: refs[name]() for name in names
+            if eta is not None or name != "frobenius"}
+
+
+def _mismatches(alg, direct, eta, names=TRIPLE_CHECKS):
+    """The named checks whose packed verdict or stopping triple differs from
+    the reference on alg, the triple-class products and the pairing fixed
+    to direct and eta."""
+    fixed = {"_chow_products": lambda *args: direct,
+             "_k_products": lambda *args: direct,
+             "triple_sectors": lambda G: None,
+             "eta_pairing": lambda algebra: SimpleNamespace(matrix=eta)}
+    out = []
+    with _patched(**fixed):
+        for name, ref in _references(alg, direct, eta, names).items():
+            got = _packed_failure(alg, name)
+            if got != (ref is None, ref):
+                out.append("%s: packed %r, reference %r" % (name, got, ref))
+    return out
+
+
+def _corruptions(alg):
+    """alg with one structure constant c_ij^k moved by +1 or -1, for every
+    (i, j, k) in turn."""
+    n = alg.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for step in (1, -1):
+            table = {key: dict(terms) for key, terms in alg.table.items()}
+            terms = table.setdefault((i, j), {})
+            terms[k] = terms.get(k, 0) + step
+            yield GradedAlgebra(alg.labels, alg.grading, table, alg.scalar,
+                                alg.identity_index, alg.context)
+
+
+def test_packed_checks_match_the_per_triple_reference():
+    for spec, rep in (("symmetric(3)", "zero"), ("symmetric(3)", "std"),
+                      ("cyclic(4)", "sl2"), ("quaternion8", "sl2")):
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        for build in (chow_ring, k_ring):
+            alg = build(G, v)
+            eta = eta_pairing(alg).matrix if v.dim() == 0 else None
+            for name, ref in _references(alg, _direct(alg), eta).items():
+                assert ref is None, f"{spec}/{rep}: reference {name} fails"
+                assert _packed_failure(alg, name) == (True, None), (
+                    f"{spec}/{rep} {build.__name__}: packed {name} fails")
+
+
 def test_corrupted_table_fails_associativity():
     G = catalog_group("symmetric(3)")
     alg = chow_ring(G, zero_character(G))
@@ -308,6 +410,13 @@ def test_corrupted_table_fails_associativity():
     bad = algebra_from_json(blob)
     report = verify(bad, ["associativity"])
     assert report["associativity"] is False
+    # every single-entry corruption of the Chow and K rings: the packed
+    # check stops at the reference's first failing triple
+    for build in (chow_ring, k_ring):
+        for bad in _corruptions(build(G, zero_character(G))):
+            want = reference_associativity(bad)
+            assert _packed_failure(bad, "associativity") == (
+                want is None, want), build.__name__
 
 
 def test_corrupted_table_fails_frobenius_and_multiproduct():
@@ -325,6 +434,144 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
         assert verify(alg, [name]) == {name: False}, (
             f"{name} missed a corrupted entry at {(i, j, k)}"
         )
+    # and agree with the reference, triple for triple, on every single-entry
+    # corruption of the Chow and K rings
+    for build in (chow_ring, k_ring):
+        alg = build(G, zero_character(G))
+        direct, eta = _direct(alg), eta_pairing(alg).matrix
+        for bad in _corruptions(alg):
+            assert _mismatches(bad, direct, eta,
+                               ("frobenius", "multiproduct")) == [], (
+                build.__name__)
+
+
+# Seeded tables for the packing width: each kind of coefficient once.
+_COEFFICIENTS = {
+    "negative": lambda rnd: rnd.choice((-3, -2, -1, 1, 2, 3)),
+    "rational": lambda rnd: Fraction(rnd.choice((-7, -2, 1, 3, 5)),
+                                     rnd.randint(1, 12)),
+    "huge": lambda rnd: rnd.choice((-1, 1)) * rnd.randint(10**40, 10**41),
+}
+
+
+def _polynomial_table(n, coeffs):
+    """Q[x]/(x^n - sum_t coeffs[t] x^t) on the basis 1, x, .., x^(n-1):
+    commutative and associative."""
+    powers = [{t: 1} for t in range(n)]
+    for _ in range(n - 1):
+        top = powers[-1].get(n - 1, 0)
+        shifted = {t + 1: c for t, c in powers[-1].items() if t + 1 < n}
+        for t, c in enumerate(coeffs):
+            shifted[t] = shifted.get(t, 0) + top * c
+        powers.append(shifted)
+    return {(a, b): powers[a + b] for a in range(n) for b in range(n)}
+
+
+def _matrix_table(scale):
+    """2x2 matrices on the basis scale[a][b] E_ab: associative, not
+    commutative."""
+    units = [(a, b) for a in range(2) for b in range(2)]
+    return {(units.index((a, b)), units.index((b, d))):
+            {units.index((a, d)):
+             Fraction(scale[a][b] * scale[b][d]) / scale[a][d]}
+            for a, b, d in itertools.product(range(2), repeat=3)}
+
+
+def _width_cases(seed):
+    """(algebra, direct, eta) triples: associative tables with their triple
+    products and a pairing eta(a, b) = lambda(ab), which is Frobenius for
+    any associative product; then each with one entry moved, and random
+    tables that are neither associative nor Frobenius for that pairing."""
+    rnd = random.Random(seed)
+    for coeff in _COEFFICIENTS.values():
+        n = rnd.randint(3, 5)
+        for table in (_polynomial_table(n, [coeff(rnd) for _ in range(n)]),
+                      _matrix_table([[coeff(rnd) for _ in range(2)]
+                                     for _ in range(2)])):
+            n = 1 + max(max(key) for key in table)
+            alg = GradedAlgebra(["e%d" % i for i in range(n)], [0] * n,
+                                table, "rational", 0,
+                                {"kind": "chow", "group": None, "rep": None})
+            direct = {(i, j, k): alg.mul(alg.table.get((i, j), {}), {k: 1})
+                      for i, j, k in itertools.product(range(n), repeat=3)}
+            lam = [coeff(rnd) for _ in range(n)]
+            eta = [[sum(c * lam[k] for k, c in alg.table.get((i, j), {}).items())
+                    for j in range(n)] for i in range(n)]
+            yield alg, direct, eta
+            moved = {key: dict(terms) for key, terms in alg.table.items()}
+            terms = moved.setdefault((rnd.randrange(n), rnd.randrange(n)), {})
+            k = rnd.randrange(n)
+            terms[k] = terms.get(k, 0) + coeff(rnd)
+            yield (GradedAlgebra(alg.labels, alg.grading, moved, "rational",
+                                 0, alg.context), direct, eta)
+            # a triple product no table with denominator D can reach, D^2
+            # leaving it fractional
+            off = dict(direct)
+            key = (rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
+            off[key] = {**off[key], 0: off[key].get(0, 0)
+                        + Fraction(1, 2**127 - 1)}
+            yield alg, off, eta
+            noise = {(i, j): {k: coeff(rnd) for k in range(n)
+                              if rnd.random() < 0.5}
+                     for i in range(n) for j in range(n)
+                     if rnd.random() < 0.7}
+            yield (GradedAlgebra(alg.labels, alg.grading, noise, "rational",
+                                 0, alg.context), direct, eta)
+
+
+def _carry_case():
+    """(algebra, direct) whose first associator, at (0, 0, 0), has
+    coordinates (0, 4, -1): every coefficient is +-1 and an entry has at
+    most two terms, so coordinates stay within 2 and three bits keep them
+    apart, while at two bits 4 * 2^2 - 1 * 2^4 packs to 0.  direct is the
+    table's own (e_i e_j) e_k but for (0, 0, 0), moved from (0, 2, 0) to
+    (0, 10, -1): at the table's three bits 10 * 2^3 - 1 * 2^6 packs to
+    2 * 2^3, so the digits must widen for the direct values too."""
+    table = {(0, 0): {1: 1, 2: 1}, (1, 0): {1: 1}, (2, 0): {1: 1},
+             (0, 1): {1: -1}, (0, 2): {1: -1, 2: 1}}
+    alg = GradedAlgebra(["x", "y", "z"], [0] * 3, table, "integer", 0,
+                        {"kind": "chow", "group": None, "rep": None})
+    direct = {(i, j, k): alg.mul(alg.table.get((i, j), {}), {k: 1})
+              for i, j, k in itertools.product(range(3), repeat=3)}
+    direct[(0, 0, 0)] = {1: 10, 2: -1}
+    return alg, direct
+
+
+def _packing_mismatches():
+    """Every disagreement between the packed checks and the reference on the
+    seeded width cases and the carry case, and whether the carry case is
+    missed one bit narrower; [] when all agree and it is."""
+    out = []
+    for seed in range(3):
+        for case in _width_cases(seed):
+            out += _mismatches(*case)
+    alg, direct = _carry_case()
+    out += _mismatches(alg, direct, None)
+    width = rings._digit_width
+    with _patched(_digit_width=lambda bound: width(bound) - 1):
+        if _packed_failure(alg, "associativity")[1] == (0, 0, 0):
+            out.append("carry case: still seen one bit narrower")
+    return out
+
+
+def test_packing_width_agrees_with_the_reference():
+    alg, direct = _carry_case()
+    assert reference_associativity(alg) == (0, 0, 0)
+    assert reference_multiproduct(alg, direct) == (0, 0, 0)
+    assert _packing_mismatches() == []
+    # the same cases with assert statements stripped
+    script = ("import json, test_rings; "
+              "print(json.dumps(test_rings._packing_mismatches()))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.path.join(root, "tests"),
+                    env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_pairing_invariants_raise_under_optimize():

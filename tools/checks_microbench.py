@@ -1,0 +1,67 @@
+"""Microbenchmark of the ring checks: milliseconds per table check.
+
+    python3 tools/checks_microbench.py
+
+Run it from the repository root (it puts src/ on the path itself); it uses
+the standard library only.  It builds four rings, the K rings of
+symmetric(4)/std and quaternion8/sl2, the Lusztig ring of symmetric(4) and
+the Chow ring of symmetric(5)/std, and times verify(ring, [check]) for each
+check of rings.verify.  Frobenius needs the complete quotient, so it runs on
+the Lusztig ring only ("-" elsewhere).  One untimed call first fills the
+group memos (character tables, tuple classes, restriction tables), so the
+figures are the check alone, not the first-call set-up.  Each figure is the
+best of REPEAT (5) timeit repeats, each repeat running the check long
+enough to take at least 0.2 s.
+"""
+
+import os
+import sys
+import timeit
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from inertial.characters import catalog_character  # noqa: E402
+from inertial.groups import catalog_group  # noqa: E402
+from inertial.rings import chow_ring, k_ring, lusztig_ring, verify  # noqa: E402
+
+RINGS = (
+    ("k symmetric(4)/std", lambda: k_ring(*_pair("symmetric(4)", "std"))),
+    ("k quaternion8/sl2", lambda: k_ring(*_pair("quaternion8", "sl2"))),
+    ("lusztig symmetric(4)", lambda: lusztig_ring(catalog_group("symmetric(4)"))),
+    ("chow symmetric(5)/std", lambda: chow_ring(*_pair("symmetric(5)", "std"))),
+)
+CHECKS = ("identity", "commutativity", "associativity", "grading",
+          "frobenius", "multiproduct")
+REPEAT = 5
+
+
+def _pair(group, rep):
+    G = catalog_group(group)
+    return G, catalog_character(G, rep)
+
+
+def per_check_ms(alg, name):
+    def check():
+        return verify(alg, [name])
+
+    if check() != {name: True}:
+        raise SystemExit("check %s fails" % name)
+    timer = timeit.Timer(check)
+    number, _ = timer.autorange()
+    return min(timer.repeat(REPEAT, number)) / number * 1e3
+
+
+def main():
+    print("%-22s %4s " % ("ring", "dim")
+          + " ".join("%13s" % name for name in CHECKS) + "   (ms per check)")
+    for label, build in RINGS:
+        alg = build()
+        times = ["%13.3f" % per_check_ms(alg, name)
+                 if name != "frobenius" or alg.context["rep"].dim() == 0
+                 else "%13s" % "-" for name in CHECKS]
+        print("%-22s %4d " % (label, alg.dim) + " ".join(times))
+
+
+if __name__ == "__main__":
+    main()
