@@ -4,19 +4,17 @@ Everything is computed over exact cyclotomic scalars; no floats are used
 anywhere in the mathematical core.
 """
 
-from .cyclotomic import Cyclotomic, Rational, cyc, root_of_unity
-from .errors import CheckFailure, InertialError, TheoremViolation, UserError
+from .cyclotomic import Cyclotomic, cyc, root_of_unity
+from .errors import InertialError, TheoremViolation, UserError
 from .groups import FiniteGroup, catalog_group
 
 __all__ = [
     "Cyclotomic",
-    "Rational",
     "cyc",
     "root_of_unity",
     "FiniteGroup",
     "catalog_group",
     "InertialError",
     "UserError",
-    "CheckFailure",
     "TheoremViolation",
 ]

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, cyc, root_of_unity
+from .cyclotomic import ONE, ZERO, cyc, root_of_unity
 from .errors import TheoremViolation, UserError
 
 

@@ -15,7 +15,6 @@ from .cyclotomic import ZERO
 from .errors import UserError, TheoremViolation
 from .characters import (
     ClassFunction,
-    trivial_character,
     check_linearization,
     restrict_to,
     induce_from,
@@ -176,9 +175,3 @@ def star_T(alpha, beta, G, v):
                 comp = comp + chi * c
         components.append(comp)
     return push_twist(components, G, v)
-
-
-def star_T_identity(G, v):
-    """The unit of the transplanted product: the identity-class component of
-    the trivial class, per the support decomposition."""
-    return support_project(trivial_character(G), 0)

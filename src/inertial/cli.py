@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import MAX_DIGITS, Cyclotomic, cyc, parse_rational
-from .errors import InertialError, UserError, CheckFailure, TheoremViolation
+from .errors import InertialError, UserError, TheoremViolation
 from .groups import (
     MAX_TABLE_ORDER,
     FiniteGroup,
@@ -33,12 +33,11 @@ from .rings import (
     GradedAlgebra,
     chow_ring,
     k_ring,
-    lusztig_ring,
     eta_pairing,
     verify,
     algebra_from_json,
 )
-from .chern import orbifold_chern, star_T, star_T_identity, support_project
+from .chern import orbifold_chern, star_T, support_project
 
 
 def _bounded_int(literal):
@@ -209,10 +208,12 @@ def _cf_json(v):
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Every handler takes (G, v, args): the group and character that main's load
+# step read for it, as add() declared, and the parsed options.
 
 
-def cmd_group_info(args):
-    G = load_group(args.group, args.max_order)
+def cmd_group_info(G, v, args):
     sectors = build_sectors(G)
     classes = sectors.to_json()
     for entry in classes:
@@ -223,13 +224,12 @@ def cmd_group_info(args):
         "order": G.n,
         "exponent": G.exponent(),
         "abelian": G.is_abelian(),
-        "element_names": {k: v for k, v in sorted(G.names.items())},
+        "element_names": dict(sorted(G.names.items())),
         "classes": classes,
     }, 0
 
 
-def cmd_chartable(args):
-    G = load_group(args.group, args.max_order)
+def cmd_chartable(G, v, args):
     if args.chartable_file:
         check_chartable(G, args.chartable_file)
     table = character_table(G)
@@ -245,9 +245,7 @@ def cmd_chartable(args):
     }, 0
 
 
-def cmd_age(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
+def cmd_age(G, v, args):
     x = G.element_from_string(args.element)
     return {
         "command": "age",
@@ -257,9 +255,7 @@ def cmd_age(args):
     }, 0
 
 
-def cmd_logtrace(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
+def cmd_logtrace(G, v, args):
     x = G.element_from_string(args.element)
     lt = log_trace(v, x)
     return {
@@ -273,9 +269,7 @@ def cmd_logtrace(args):
     }, 0
 
 
-def cmd_obstruction(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
+def cmd_obstruction(G, v, args):
     ms = tuple(G.element_from_string(t) for t in args.tuple.split(","))
     tc = twisted_pullback(v, ms)
     return {
@@ -289,42 +283,16 @@ def cmd_obstruction(args):
     }, 0
 
 
-def _ring_json(alg, command):
+def cmd_ring(G, v, args):
+    """chow-ring, k-ring and lusztig: the ring args.build makes, checked."""
+    alg = args.build(G, v)
+    verify(alg, ["identity", "commutativity", "associativity", "grading"])
     out = alg.to_json()
-    out["command"] = command
-    return out
+    out["command"] = args.command
+    return out, 0
 
 
-def cmd_chow_ring(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
-    build_double_sectors(G, args.max_double)
-    alg = chow_ring(G, v)
-    verify(alg, ["identity", "commutativity", "associativity", "grading"])
-    return _ring_json(alg, "chow-ring"), 0
-
-
-def cmd_k_ring(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
-    build_double_sectors(G, args.max_double)
-    alg = k_ring(G, v)
-    verify(alg, ["identity", "commutativity", "associativity", "grading"])
-    return _ring_json(alg, "k-ring"), 0
-
-
-def cmd_lusztig(args):
-    G = load_group(args.group, args.max_order)
-    build_double_sectors(G, args.max_double)
-    alg = lusztig_ring(G)
-    verify(alg, ["identity", "commutativity", "associativity", "grading"])
-    return _ring_json(alg, "lusztig"), 0
-
-
-def cmd_eta(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G) if args.rep else zero_character(G)
-    build_double_sectors(G, args.max_double)
+def cmd_eta(G, v, args):
     alg = chow_ring(G, v) if args.mode == "chow" else k_ring(G, v)
     pairing = eta_pairing(alg)
     out = pairing.to_json()
@@ -333,10 +301,7 @@ def cmd_eta(args):
     return out, 0
 
 
-def cmd_chern(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
-    build_double_sectors(G, args.max_double)
+def cmd_chern(G, v, args):
     K = k_ring(G, v)
     vectors = [
         [_frac(c) for c in orbifold_chern(K, {i: Fraction(1)})]
@@ -350,12 +315,11 @@ def cmd_chern(args):
     }, 0
 
 
-def cmd_star_t(args):
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G)
-    build_double_sectors(G, args.max_double)
+def cmd_star_t(G, v, args):
+    """The transplanted product on the class-supported delta functions; the
+    identity-class delta, index 0, is its unit."""
     r = len(G.conjugacy_classes())
-    one = ClassFunction(G, [cyc(1)] * r)
+    one = trivial_character(G)
     deltas = [support_project(one, i) for i in range(r)]
     table = {}
     for i, a in enumerate(deltas):
@@ -373,16 +337,11 @@ def cmd_star_t(args):
             if terms:
                 table[(i, j)] = terms
     labels = ["d[%s]" % G.element_label(G.class_reps()[i]) for i in range(r)]
-    ident = star_T_identity(G, v)
-    id_idx = next(
-        i for i in range(r)
-        if deltas[i] == ident
-    )
-    alg = GradedAlgebra(labels, [Fraction(0)] * r, table, "rational", id_idx)
+    alg = GradedAlgebra(labels, [Fraction(0)] * r, table, "rational", 0)
     checks = verify(alg, ["identity", "commutativity", "associativity"])
     out = alg.to_json()
     out["command"] = "star-t"
-    out["identity_class_function"] = _cf_json(ident)
+    out["identity_class_function"] = _cf_json(deltas[0])
     code = 0 if all(checks.values()) else 2
     return out, code
 
@@ -469,26 +428,27 @@ def _collect_bools(obj):
                 yield b
 
 
-def cmd_verify(args):
-    if args.algebra:
-        data = _read_json_spec(args.algebra, "algebra")
-        alg = algebra_from_json(data)
-        names = []
-        if args.all or args.associativity:
-            names.extend(["identity", "commutativity", "associativity"])
-        if args.all or args.grading:
-            names.append("grading")
-        if not names:
-            raise UserError("select checks to run (e.g. --associativity or --all)")
-        report = verify(alg, names)
-        ok = all(report.values())
-        return {"command": "verify", "algebra": args.algebra,
-                "checks": report, "holds": ok}, (0 if ok else 2)
-    if not args.group:
+def verify_algebra(args):
+    """verify --algebra: the table checks on a serialized ring, which needs
+    no group; verify without --algebra needs --group."""
+    if not args.algebra:
         raise UserError("verify needs --group (or --algebra FILE)")
-    G = load_group(args.group, args.max_order)
-    v = load_rep(args.rep, G) if args.rep else zero_character(G)
-    build_double_sectors(G, args.max_double)
+    data = _read_json_spec(args.algebra, "algebra")
+    alg = algebra_from_json(data)
+    names = []
+    if args.all or args.associativity:
+        names.extend(["identity", "commutativity", "associativity"])
+    if args.all or args.grading:
+        names.append("grading")
+    if not names:
+        raise UserError("select checks to run (e.g. --associativity or --all)")
+    report = verify(alg, names)
+    ok = all(report.values())
+    return {"command": "verify", "algebra": args.algebra,
+            "checks": report, "holds": ok}, (0 if ok else 2)
+
+
+def cmd_verify(G, v, args):
     names = set()
     for flag in _VERIFY_FLAGS:
         if args.all or getattr(args, flag):
@@ -533,17 +493,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, rep=False, rep_optional=False, element=False,
+    def add(name, fn, rep=None, double=False, element=False,
             tuple_arg=False):
+        """A subcommand and what it reads: --group and --max-order always;
+        rep "required" or "optional" (zero by default) adds --rep, "zero"
+        reads the zero character, None no character; double adds
+        --max-double, for a command that builds the pair classes."""
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, character=rep, double=double)
         p.add_argument("--group", required=(name != "verify"))
-        if rep:
-            p.add_argument("--rep", required=not rep_optional)
+        if rep in ("required", "optional"):
+            p.add_argument("--rep", required=(rep == "required"))
         p.add_argument("--max-order", type=int, default=MAX_TABLE_ORDER,
                        help="override the group size cap (default 512)")
-        p.add_argument("--max-double", type=int, default=DOUBLE_SECTOR_CAP,
-                       help="override the double-sector cap (default 200)")
+        if double:
+            p.add_argument("--max-double", type=int, default=DOUBLE_SECTOR_CAP,
+                           help="override the double-sector cap (default 200)")
         p.add_argument("--out", default=None, help="write the artifact here")
         if element:
             p.add_argument("--element", required=True)
@@ -556,23 +521,43 @@ def build_parser():
     p = add("chartable", cmd_chartable)
     p.add_argument("--chartable-file", default=None,
                    help="validate and use this character table")
-    add("age", cmd_age, rep=True, element=True)
-    add("logtrace", cmd_logtrace, rep=True, element=True)
-    add("obstruction", cmd_obstruction, rep=True, tuple_arg=True)
-    add("chow-ring", cmd_chow_ring, rep=True)
-    add("k-ring", cmd_k_ring, rep=True)
-    add("lusztig", cmd_lusztig)
-    p = add("eta", cmd_eta, rep=True, rep_optional=True)
+    add("age", cmd_age, rep="required", element=True)
+    add("logtrace", cmd_logtrace, rep="required", element=True)
+    add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)
+    add("chow-ring", cmd_ring, rep="required", double=True).set_defaults(
+        build=chow_ring)
+    add("k-ring", cmd_ring, rep="required", double=True).set_defaults(
+        build=k_ring)
+    add("lusztig", cmd_ring, rep="zero", double=True).set_defaults(
+        build=k_ring)
+    p = add("eta", cmd_eta, rep="optional", double=True)
     p.add_argument("--mode", choices=("chow", "k"), default="chow")
-    add("chern", cmd_chern, rep=True)
-    add("star-t", cmd_star_t, rep=True)
-    p = add("verify", cmd_verify, rep=True, rep_optional=True)
+    add("chern", cmd_chern, rep="required", double=True)
+    add("star-t", cmd_star_t, rep="required", double=True)
+    p = add("verify", cmd_verify, rep="optional", double=True)
     p.add_argument("--algebra", default=None,
                    help="re-check a serialized ring JSON file")
     p.add_argument("--all", action="store_true")
     for flag in _VERIFY_FLAGS:
         p.add_argument("--" + flag.replace("_", "-"), action="store_true")
     return parser
+
+
+def load(args):
+    """The group and character a command reads, as add() declared them:
+    G under --max-order; v from --rep, the zero character where --rep is
+    optional and not given or where the command takes none, or None; and
+    the pair classes of G under --max-double."""
+    G = load_group(args.group, args.max_order)
+    v = None
+    if args.character == "zero" or (args.character == "optional"
+                                    and not args.rep):
+        v = zero_character(G)
+    elif args.character:
+        v = load_rep(args.rep, G)
+    if args.double:
+        build_double_sectors(G, args.max_double)
+    return G, v
 
 
 def _emit(obj, path):
@@ -586,10 +571,12 @@ def _emit(obj, path):
 
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        obj, code = args.fn(args)
-        _emit(obj, getattr(args, "out", None))
+        args = build_parser().parse_args(argv)
+        if args.command == "verify" and (args.algebra or not args.group):
+            obj, code = verify_algebra(args)
+        else:
+            obj, code = args.fn(*load(args), args)
+        _emit(obj, args.out)
         return code
     except InertialError as exc:
         _emit_error(type(exc).__name__, str(exc))

@@ -23,10 +23,7 @@ from math import gcd, lcm
 
 from .errors import TheoremViolation, UserError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Cyclotomic",
     "cyclotomic_polynomial",
     "euler_phi",

@@ -17,12 +17,6 @@ class UserError(InertialError):
     exit_code = 1
 
 
-class CheckFailure(InertialError):
-    """A requested verification ran and found a violation."""
-
-    exit_code = 2
-
-
 class TheoremViolation(InertialError):
     """An identity that must hold for valid input failed.
 

@@ -2,7 +2,7 @@
 
 For a character V of G and an element g of order o, V splits under g into
 eigenspaces for the o-th roots of unity; each eigenspace is a module over
-any subgroup Z centralizing g.  The logarithmic trace weights the k-th
+the centralizer Z of g.  The logarithmic trace weights the k-th
 eigencharacter by k/o; its rank is the age.  Tuples m with product 1 give
 the logarithmic restriction V(m_1,...,m_l) over the tuple's centralizer Z —
 the obstruction class that twists the inertial products.  Z and H = <m>
@@ -10,11 +10,10 @@ commute, so V pulls back along Z x H -> G, (z, h) -> zh, to one integer
 table (pullback_columns); the class is derived from log traces and from
 that table, and the two must agree exactly on every call that builds one.
 
-Log traces with the default centralizer, obstruction classes and pullback
-tables are memoized on the character (ClassFunction._memo), keyed by
-element, by tuple and by ("pullback", Z, H): each distinct input is
-computed and checked once per character, and only a result that passed
-every check is stored.
+Log traces, obstruction classes and pullback tables are memoized on the
+character (ClassFunction._memo), keyed by element, by tuple and by
+("pullback", Z, H): each distinct input is computed and checked once per
+character, and only a result that passed every check is stored.
 """
 
 from fractions import Fraction
@@ -64,16 +63,6 @@ def age(v, g):
     return Fraction(sum(k * m for k, m in enumerate(mults)), o)
 
 
-class EigenDecomposition:
-    """Eigencharacters V_k of an element g on V, as characters of Z."""
-
-    def __init__(self, element, order, sub, parts):
-        self.element = element
-        self.order = order
-        self.sub = sub
-        self.parts = parts
-
-
 def _check_centralizes(group, sub, g):
     t = group.table
     for x in sub.elements:
@@ -81,33 +70,6 @@ def _check_centralizes(group, sub, g):
             raise UserError(
                 "subgroup element %d does not centralize element %d" % (x, g)
             )
-
-
-def eigen_characters(v, g, sub=None):
-    """Split v under the action of g into root-of-unity eigencharacters on sub.
-
-    parts[k](z) = (1/o) sum_j zeta_o^(-jk) v(g^j z); sub defaults to the full
-    centralizer of g.
-    """
-    G = v.group
-    if sub is None:
-        sub = G.centralizer(g)
-    else:
-        _check_centralizes(G, sub, g)
-    o = G.order_of(g)
-    scale = Fraction(1, o)
-    powers = [G.power(g, j) for j in range(o)]
-    reps_parent = [sub.to_parent(rep) for rep in sub.group.class_reps()]
-    parts = []
-    for k in range(o):
-        vals = []
-        for zp in reps_parent:
-            total = ZERO
-            for j, gj in enumerate(powers):
-                total = total + root_of_unity(o, (-j * k) % o) * v.value(G.op(gj, zp))
-            vals.append(total * scale)
-        parts.append(ClassFunction(sub.group, vals))
-    return EigenDecomposition(g, o, sub, parts)
 
 
 class LogTraceClass:
@@ -120,30 +82,37 @@ class LogTraceClass:
         self.rank = rank
 
 
-def log_trace(v, g, sub=None):
-    """L(g)(V) on sub, which defaults to the centralizer of g.
+def log_trace(v, g):
+    """L(g)(V) = sum_k (k/o) V_k on the centralizer Z of g, o the order of
+    g and V_k(z) = (1/o) sum_j zeta_o^(-jk) v(g^j z) the eigencharacter of
+    zeta_o^k.  Computed as one weighted sum over the powers of g,
 
-    With the default centralizer the result is memoized on v by element.
+        L(g)(z) = sum_j w_j v(g^j z),  w_j = (1/o^2) sum_k k zeta_o^(-jk),
+
+    k from 1 to o - 1; its rank must be the age of g.  Memoized on v by
+    element.
     """
     key = ("log_trace", g)
-    if sub is None:
-        cached = v._memo.get(key)
-        if cached is not None:
-            return cached
-    eigen = eigen_characters(v, g, sub)
-    o = eigen.order
-    total = zero_character(eigen.sub.group)
-    for k in range(1, o):
-        total = total + eigen.parts[k] * Fraction(k, o)
-    rank = total.values[0].to_rational()
+    cached = v._memo.get(key)
+    if cached is not None:
+        return cached
+    G = v.group
+    Z = G.centralizer(g)
+    o = G.order_of(g)
+    scale = Fraction(1, o * o)
+    weights = [sum((root_of_unity(o, -j * k) * k for k in range(1, o)), ZERO)
+               * scale for j in range(o)]
+    powers = [G.power(g, j) for j in range(o)]
+    char = ClassFunction(Z.group, [
+        sum((w * v.value(G.op(gj, z)) for w, gj in zip(weights, powers)), ZERO)
+        for z in map(Z.to_parent, Z.group.class_reps())])
+    rank = char.values[0].to_rational()
     if rank is None or rank != age(v, g):
         raise TheoremViolation(
             "rank %r of the log trace of element %d disagrees with its age"
             % (rank, g)
         )
-    lt = LogTraceClass(g, eigen.sub, total, rank)
-    if sub is None:
-        v._memo[key] = lt
+    lt = v._memo[key] = LogTraceClass(g, Z, char, rank)
     return lt
 
 
@@ -309,11 +278,7 @@ def fw_check(v, ms):
     if G.prod(ms) != 0:
         raise UserError("tuple product must be the identity element")
     lhs = sum((age(v, m) for m in ms), Fraction(0))
-    if ms:
-        fixed = invariant_dimension(v, G.generated(ms))
-    else:
-        fixed = dim_int(v)
-    rhs = dim_int(v) - fixed
+    rhs = dim_int(v) - invariant_dimension(v, G.generated(ms))
     integral = lhs.denominator == 1
     return {
         "lhs": lhs,

@@ -17,7 +17,6 @@ from .errors import TheoremViolation, UserError
 from .characters import (
     character_table,
     trivial_character,
-    zero_character,
     check_linearization,
     eigen_multiplicities,
     transport,
@@ -354,11 +353,6 @@ def k_ring(G, v):
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
         basis.index(0, _unit(G)), context,
     )
-
-
-def lusztig_ring(G):
-    """The integral product for the complete quotient [pt/G]."""
-    return k_ring(G, zero_character(G))
 
 
 # -- the pairing -----------------------------------------------------------------

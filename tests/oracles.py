@@ -9,7 +9,9 @@ product's centralizer and decomposes it, where the library works in integer
 coordinates and pushes forward by the transpose of a restriction (Frobenius
 reciprocity).  The obstruction-class reference rebuilds each class
 pointwise from the isotypic pieces of V, where the library reads it off
-one integer pullback table.  The Newton-identity route
+one integer pullback table.  The eigencharacters of an element are split
+one root of unity at a time, where the library's log trace is one weighted
+sum over the element's powers.  The Newton-identity route
 to lambda_-1 of the dual is checked against the library's eigenvalue
 product.  The orbit of a single tuple and a lex scan of all tuples are
 checked against the library's class enumeration, which extends shorter
@@ -38,7 +40,7 @@ from inertial.characters import (
     trivial_character,
     zero_character,
 )
-from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial
+from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
 from inertial.errors import TheoremViolation
 from inertial.chern import support_project
 from inertial.inertia import build_double_sectors, build_sectors
@@ -217,6 +219,35 @@ def reference_multiproduct(alg, direct):
         lambda i, j, k: {t: c for t, c in direct.get((i, j, k), {}).items()
                          if c != 0},
     )
+
+
+class EigenDecomposition(NamedTuple):
+    """Eigencharacters V_k of an element g on V, as characters of Z(g)."""
+
+    element: int
+    order: int
+    sub: object
+    parts: list
+
+
+def eigen_characters(v, g):
+    """Split v under the action of g into root-of-unity eigencharacters on
+    the centralizer of g: parts[k](z) = (1/o) sum_j zeta_o^(-jk) v(g^j z)."""
+    G = v.group
+    sub = G.centralizer(g)
+    o = G.order_of(g)
+    powers = [G.power(g, j) for j in range(o)]
+    parts = []
+    for k in range(o):
+        vals = []
+        for rep in sub.group.class_reps():
+            zp = sub.to_parent(rep)
+            total = ZERO
+            for j, gj in enumerate(powers):
+                total = total + root_of_unity(o, -j * k) * v.value(G.op(gj, zp))
+            vals.append(total * Fraction(1, o))
+        parts.append(ClassFunction(sub.group, vals))
+    return EigenDecomposition(g, o, sub, parts)
 
 
 def reference_obstruction(v, ms):

@@ -14,9 +14,11 @@ from inertial.characters import (
     catalog_character,
     character_table,
     transport,
+    trivial_character,
     zero_character,
 )
-from inertial.chern import f_shriek, orbifold_chern, push_twist, star_T, star_T_identity
+from inertial.chern import (
+    f_shriek, orbifold_chern, push_twist, star_T, support_project)
 from inertial.cyclotomic import cyc
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors, build_sectors
@@ -257,7 +259,7 @@ def test_criterion_10():
                     f"{spec}: sector {t.index} component round trip failed"
                 )
 
-        ident = star_T_identity(G, v)
+        ident = support_project(trivial_character(G), 0)
         prods = {}
         for i in range(r):
             for j in range(r):

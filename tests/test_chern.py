@@ -16,7 +16,6 @@ from inertial.chern import (
     orbifold_chern,
     push_twist,
     star_T,
-    star_T_identity,
     support_project,
 )
 from inertial.cyclotomic import cyc
@@ -184,13 +183,13 @@ def test_star_t_z2_point_table():
     assert table[(0, 0)] == e0
     assert table[(0, 1)] == table[(1, 0)] == e1
     assert table[(1, 1)] == e0
-    assert star_T_identity(G, v) == e0
+    assert support_project(trivial_character(G), 0) == e0
 
 
 def test_star_t_identity_and_commutativity():
     G = catalog_group("symmetric(3)")
     v = zero_character(G)
-    ident = star_T_identity(G, v)
+    ident = support_project(trivial_character(G), 0)
     samples = [
         trivial_character(G),
         ClassFunction(G, [3, cyc(Fraction(1, 2)), -2]),

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -6,7 +7,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from inertial import characters, chern, inertia
+import pytest
+
+from inertial import characters, chern, cli, inertia
 from inertial.characters import assert_genuine_character, lambda_minus_one_dual
 from inertial.cli import main
 from inertial.cyclotomic import root_of_unity
@@ -394,13 +397,25 @@ PINNED = (
     "lusztig --group catalog:symmetric(4)",
     "eta --group catalog:quaternion8 --mode k",
     "chow-ring --group catalog:symmetric(3) --rep std",
+    "group-info --group catalog:symmetric(4)",
+    "chartable --group catalog:dihedral(5)",
+    "age --group catalog:symmetric(4) --rep std --element 7",
+    "logtrace --group catalog:quaternion8 --rep sl2 --element 1",
+    "obstruction --group catalog:quaternion8 --rep sl2 --tuple 1,2",
+    "star-t --group catalog:quaternion8 --rep sl2",
+    "verify --group catalog:symmetric(3) --all",
 )
+
+# no benchmark command runs chern, so its artifact is pinned here
+CHERN = {"chern --group catalog:symmetric(3) --rep std": {
+    "exit": 0,
+    "sha256": "1e1f05a5167f316867937837e58bfb08d919ca196e9c5780b2f89a22115a2333"}}
 
 
 def test_artifacts_match_benchmark_references():
     with open(os.path.join(ROOT, "perfbench", "refs.json")) as fh:
-        refs = json.load(fh)["commands"]
-    for key in PINNED:
+        refs = dict(json.load(fh)["commands"], **CHERN)
+    for key in PINNED + tuple(CHERN):
         proc = run_process(key.split(" "))
         got = {"exit": proc.returncode,
                "sha256": hashlib.sha256(proc.stdout).hexdigest()}
@@ -459,3 +474,93 @@ def test_star_t_computes_each_normal_factor_once(monkeypatch):
     assert code == 0, err
     assert len(calls) == 5, "one normal factor per sector of quaternion8"
     assert len(checks) == 1, "the character's genuineness checked again"
+
+
+def _user_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1, f"{[a[:60] for a in argv]} exited {code}: {err}"
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "UserError"
+
+
+# the options each subcommand needs besides --group and --rep; verify runs
+# in group mode and without --all, which would skip reading the check flags
+NEEDS = {
+    "group-info": [], "chartable": [], "age": ["--element", "0"],
+    "logtrace": ["--element", "0"], "obstruction": ["--tuple", "0,0"],
+    "chow-ring": [], "k-ring": [], "lusztig": [], "eta": [], "chern": [],
+    "star-t": [], "verify": ["--fw"],
+}
+TAKES_REP = ("age", "logtrace", "obstruction", "chow-ring", "k-ring", "eta",
+             "chern", "star-t", "verify")
+BAD_GROUPS = (
+    "catalog:sporadic(1)",
+    '{"kind": "nonsense"}',
+    '{"kind": "table", "table": 5}',
+    '{"kind": "catalog"}',
+    '{"kind": "table", "table": [[0, 1], [1, 0]], "names": {"g": 9}}',
+    '{"kind": "perm", "generators": 5}',
+    "catalog:cyclic(%s)" % HUGE,
+    DEEP_JSON[-1],
+)
+BAD_REPS = (
+    ("symmetric(3)", '{"kind": "character", "values_by_class": ["1", "5", "1"]}'),
+    ("symmetric(3)", "sl2"),
+    ("symmetric(3)", '{"kind": "catalog_rep"}'),
+    ("cyclic(2)", BIG_CONDUCTOR[-1]),
+    ("cyclic(2)", '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'),
+    ("cyclic(2)", '{"kind": "character", "values_by_class": ["1/0", "1"]}'),
+)
+
+
+def _argv(command, group="catalog:cyclic(2)", rep="zero"):
+    """A run of command on group, with rep where it takes --rep."""
+    return [command, "--group", group,
+            *(["--rep", rep] if command in TAKES_REP else []), *NEEDS[command]]
+
+
+def test_max_double_only_where_pair_classes_are_built():
+    for command in ("group-info", "chartable", "age", "logtrace",
+                    "obstruction"):
+        _user_error(_argv(command) + ["--max-double", "5"])
+
+
+@pytest.mark.parametrize("command", sorted(NEEDS))
+def test_malformed_specs_exit_1_in_every_command(command):
+    for group in BAD_GROUPS:
+        _user_error(_argv(command, group=group))
+    if command in TAKES_REP:
+        for group, rep in BAD_REPS:
+            _user_error(_argv(command, "catalog:" + group, rep))
+
+
+def test_every_option_is_read(monkeypatch):
+    # a subcommand may accept only options its path reads: record the
+    # attribute reads on the parsed namespace from the end of parsing on
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = cli._Parser.parse_args
+
+    def recorded(self, argv):
+        args = parse(self, argv, Recording())
+        reads.clear()
+        return args
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(NEEDS)
+    unread = {}
+    for name, parser in subparsers.choices.items():
+        code, _, err = run_cli(_argv(name))
+        assert code == 0, f"{name}: {err}"
+        options = {a.dest for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+        if options - reads:
+            unread[name] = sorted(options - reads)
+    assert unread == {}, f"options no path reads: {unread}"

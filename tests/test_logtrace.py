@@ -14,6 +14,7 @@ from inertial.characters import (
     restrict_between,
     restrict_to,
     transport,
+    zero_character,
 )
 from inertial.errors import UserError
 from inertial.groups import catalog_group
@@ -21,7 +22,6 @@ from inertial.inertia import build_double_sectors, triple_sectors
 from inertial.logtrace import (
     age,
     dim_int,
-    eigen_characters,
     fw_check,
     invariants_char,
     log_restriction,
@@ -30,7 +30,7 @@ from inertial.logtrace import (
     v_identity_check,
 )
 
-from oracles import reference_obstruction
+from oracles import eigen_characters, reference_obstruction
 
 PAIRS = [
     ("cyclic(2)", "sl2"),
@@ -83,7 +83,8 @@ def test_log_trace_plus_inverse_is_moving_part():
         G, v = load(spec, rep)
         for g in range(G.n):
             lt = log_trace(v, g)
-            li = log_trace(v, G.inv[g], lt.sub)
+            li = log_trace(v, G.inv[g])
+            assert li.sub is lt.sub
             fixed = invariants_char(v, (g,), lt.sub)
             want = restrict_to(v, lt.sub) - fixed
             got = lt.char + li.char
@@ -121,11 +122,21 @@ def test_explicit_log_trace_value():
 
 
 def test_eigen_characters_sum_and_invariants():
+    # the reference split sums to V, has the invariants as its eigenvalue-1
+    # part, and weighted by k/o is the library's log trace
     for spec, rep in PAIRS:
         G, v = load(spec, rep)
         for g in range(G.n):
             dec = eigen_characters(v, g)
             Z = dec.sub
+            lt = log_trace(v, g)
+            assert lt.sub is Z
+            weighted = zero_character(Z.group)
+            for k, part in enumerate(dec.parts):
+                weighted = weighted + part * Fraction(k, dec.order)
+            assert lt.char == weighted, (
+                f"{spec}: log trace of {g} is not sum_k (k/o) V_k"
+            )
             total = None
             for part in dec.parts:
                 total = part if total is None else total + part
@@ -199,10 +210,11 @@ def test_representative_independence_spot():
 
 def test_fw_check_reports():
     G, v = load("quaternion8", "sl2")
-    for a in range(G.n):
-        rep = fw_check(v, (a, G.inv[a]))
+    for ms in [()] + [(a, G.inv[a]) for a in range(G.n)]:
+        rep = fw_check(v, ms)
         assert rep["holds"] and rep["integral"]
         assert rep["lhs"] >= rep["rhs"]
+    assert fw_check(v, ())["rhs"] == 0, "the empty tuple fixes all of V"
     try:
         fw_check(v, (1, 1, 1))
         raise AssertionError("tuple with non-trivial product accepted")
@@ -249,18 +261,18 @@ def test_memoized_results_equal_fresh_computations():
 def test_identity_family_splits_each_element_once(monkeypatch):
     G, v = load("symmetric(3)", "std")
     calls = []
-    real = logtrace.eigen_characters
+    real = logtrace.LogTraceClass
 
-    def counted(v, g, sub=None):
+    def counted(g, sub, char, rank):
         calls.append(g)
-        return real(v, g, sub)
+        return real(g, sub, char, rank)
 
-    monkeypatch.setattr(logtrace, "eigen_characters", counted)
+    monkeypatch.setattr(logtrace, "LogTraceClass", counted)
     for a in range(G.n):
         for b in range(G.n):
             for c in range(G.n):
                 assert v_identity_check(v, (a, b, c))["holds"]
-    assert len(calls) <= G.n, f"{len(calls)} eigen splits for {G.n} elements"
+    assert len(calls) <= G.n, f"{len(calls)} log traces for {G.n} elements"
 
 
 def test_warm_memo_still_refuses_unseen_bad_input():
@@ -271,11 +283,6 @@ def test_warm_memo_still_refuses_unseen_bad_input():
     for a in range(G.n):
         for b in range(G.n):
             twisted_pullback(v, (a, b))
-    try:
-        log_trace(v, s, G.subgroup(range(G.n)))
-        raise AssertionError("a non-centralizing subgroup was accepted")
-    except UserError:
-        pass
     try:
         log_restriction(v, (s, s, s))
         raise AssertionError("a tuple with non-trivial product was accepted")

@@ -1,10 +1,11 @@
+import io
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from inertial.characters import (
     zero_character,
 )
 from inertial.errors import TheoremViolation, UserError
+from inertial.cli import main
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import build_double_sectors, triple_sectors
 from inertial.logtrace import age, twisted_pullback
@@ -26,7 +28,6 @@ from inertial.rings import (
     chow_ring,
     eta_pairing,
     k_ring,
-    lusztig_ring,
     verify,
 )
 
@@ -218,12 +219,18 @@ def test_k_tables_stay_integral_and_chow_tables_rational():
 
 
 def test_lusztig_is_the_zero_rep_k_ring():
-    G = catalog_group("quaternion8")
-    a = lusztig_ring(G)
-    b = k_ring(G, zero_character(G))
-    assert a.labels == b.labels
-    assert a.table == b.table
-    assert a.identity_index == b.identity_index
+    # the lusztig command is k-ring with the zero character: the same
+    # artifact but for its command name
+    artifacts = []
+    for argv in (["lusztig", "--group", "catalog:quaternion8"],
+                 ["k-ring", "--group", "catalog:quaternion8", "--rep", "zero"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        artifacts.append(json.loads(out.getvalue()))
+    a, b = artifacts
+    assert (a.pop("command"), b.pop("command")) == ("lusztig", "k-ring")
+    assert a == b
 
 
 def test_k_identity_is_trivial_character_at_identity_sector():
@@ -635,7 +642,7 @@ def test_warm_group_shares_restriction_tables(monkeypatch):
     monkeypatch.setattr(rings, "transport", counted)
     K = k_ring(G, catalog_character(G, "std"))
     assert verify(K, ["multiproduct"]) == {"multiproduct": True}
-    assert lusztig_ring(G).dim == K.dim
+    assert k_ring(G, zero_character(G)).dim == K.dim
     assert calls == [], "a warm group rebuilt its restriction tables"
 
 
