@@ -22,9 +22,10 @@ class ClassFunction:
     first, then by ascending class size and smallest member).
 
     _memo holds what is derived from this class function and costly to
-    recompute: eigenvalue multiplicities, log traces, obstruction classes
-    and pullback tables (see logtrace), the K ring and per-sector normal
-    factors of chern, and a passed genuineness check (check_linearization).
+    recompute: eigenvalue multiplicities, fixed-space dimensions, log
+    traces, obstruction classes, fixed-space characters and pullback tables
+    (see logtrace), the K ring and per-sector normal factors of chern, and
+    a passed genuineness check (check_linearization).
     An entry is stored only after every exact check on its input has
     passed, and it lives and dies with this object.
     """
@@ -615,7 +616,12 @@ def lambda_minus_one_dual(v):
 
 
 def invariant_dimension(v, sub):
-    """dim of the sub-fixed subspace: (1/|H|) sum_{h in H} v(h)."""
+    """dim of the sub-fixed subspace: (1/|H|) sum_{h in H} v(h).  Memoized
+    on v per subgroup, once the value is an integer."""
+    key = ("invariant_dimension", sub)
+    cached = v._memo.get(key)
+    if cached is not None:
+        return cached
     total = ZERO
     for h in sub.elements:
         total = total + v.value(h)
@@ -624,7 +630,8 @@ def invariant_dimension(v, sub):
         raise TheoremViolation(
             "fixed-space dimension came out as %r, not an integer" % q
         )
-    return int(q)
+    dim = v._memo[key] = int(q)
+    return dim
 
 
 # -- catalog representations ------------------------------------------------------

@@ -19,25 +19,16 @@ from .groups import (
     catalog_group,
     group_from_permutations,
 )
-from .characters import (
-    ClassFunction,
-    character_table,
-    trivial_character,
-    zero_character,
-    catalog_character,
-    assert_genuine_character,
+from .inertia import (
+    DOUBLE_SECTOR_CAP,
+    build_double_sectors,
+    build_sectors,
+    triple_sectors,
 )
-from .logtrace import age, log_trace, twisted_pullback, fw_check, v_identity_check
-from .inertia import build_sectors, build_double_sectors, DOUBLE_SECTOR_CAP
-from .rings import (
-    GradedAlgebra,
-    chow_ring,
-    k_ring,
-    eta_pairing,
-    verify,
-    algebra_from_json,
-)
-from .chern import orbifold_chern, star_T, support_project
+
+# The character, log-trace, ring and Chern layers are imported by the
+# handlers that run them, so a command compiles and loads only the layers
+# it uses.
 
 
 def _bounded_int(literal):
@@ -154,6 +145,9 @@ _CATALOG_REPS = ("trivial", "zero", "regular", "sl2", "std")
 
 
 def load_rep(spec, group):
+    from .characters import (
+        ClassFunction, assert_genuine_character, catalog_character)
+
     spec = spec.strip()
     if spec.startswith("catalog:"):
         return catalog_character(group, spec[len("catalog:"):])
@@ -187,6 +181,8 @@ def load_rep(spec, group):
 def check_chartable(group, path):
     """Refuse a user-supplied character table unless its rows are the
     irreducible characters of the group, in any order."""
+    from .characters import ClassFunction, character_table
+
     data = _read_json_spec(path, "character table")
     rows = data.get("table")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -230,6 +226,8 @@ def cmd_group_info(G, v, args):
 
 
 def cmd_chartable(G, v, args):
+    from .characters import character_table
+
     if args.chartable_file:
         check_chartable(G, args.chartable_file)
     table = character_table(G)
@@ -246,6 +244,8 @@ def cmd_chartable(G, v, args):
 
 
 def cmd_age(G, v, args):
+    from .logtrace import age
+
     x = G.element_from_string(args.element)
     return {
         "command": "age",
@@ -256,6 +256,8 @@ def cmd_age(G, v, args):
 
 
 def cmd_logtrace(G, v, args):
+    from .logtrace import log_trace
+
     x = G.element_from_string(args.element)
     lt = log_trace(v, x)
     return {
@@ -270,6 +272,8 @@ def cmd_logtrace(G, v, args):
 
 
 def cmd_obstruction(G, v, args):
+    from .logtrace import twisted_pullback
+
     ms = tuple(G.element_from_string(t) for t in args.tuple.split(","))
     tc = twisted_pullback(v, ms)
     return {
@@ -284,8 +288,11 @@ def cmd_obstruction(G, v, args):
 
 
 def cmd_ring(G, v, args):
-    """chow-ring, k-ring and lusztig: the ring args.build makes, checked."""
-    alg = args.build(G, v)
+    """chow-ring, k-ring and lusztig (the K ring of the zero character):
+    the ring the command names, checked."""
+    from .rings import chow_ring, k_ring, verify
+
+    alg = (chow_ring if args.command == "chow-ring" else k_ring)(G, v)
     verify(alg, ["identity", "commutativity", "associativity", "grading"])
     out = alg.to_json()
     out["command"] = args.command
@@ -293,6 +300,8 @@ def cmd_ring(G, v, args):
 
 
 def cmd_eta(G, v, args):
+    from .rings import chow_ring, eta_pairing, k_ring
+
     alg = chow_ring(G, v) if args.mode == "chow" else k_ring(G, v)
     pairing = eta_pairing(alg)
     out = pairing.to_json()
@@ -302,6 +311,9 @@ def cmd_eta(G, v, args):
 
 
 def cmd_chern(G, v, args):
+    from .chern import orbifold_chern
+    from .rings import k_ring
+
     K = k_ring(G, v)
     vectors = [
         [_frac(c) for c in orbifold_chern(K, {i: Fraction(1)})]
@@ -318,6 +330,10 @@ def cmd_chern(G, v, args):
 def cmd_star_t(G, v, args):
     """The transplanted product on the class-supported delta functions; the
     identity-class delta, index 0, is its unit."""
+    from .characters import trivial_character
+    from .chern import star_T, support_project
+    from .rings import GradedAlgebra, verify
+
     r = len(G.conjugacy_classes())
     one = trivial_character(G)
     deltas = [support_project(one, i) for i in range(r)]
@@ -353,6 +369,9 @@ _VERIFY_FLAGS = (
 
 
 def _verify_rings(G, v, names):
+    from .chern import orbifold_chern
+    from .rings import chow_ring, k_ring, verify
+
     report = {}
     ring_checks = [n for n in
                    ("identity", "commutativity", "associativity", "grading",
@@ -380,6 +399,14 @@ def _verify_rings(G, v, names):
 
 
 def _verify_tuples(G, v, names):
+    """The checks over tuples of elements.  The identity family is checked
+    on one triple per class of simultaneous conjugation: conjugation moves
+    every log trace, fixed-space character and obstruction class of a triple
+    onto those of its conjugate, so the identities hold on a whole class or
+    on none of it.  "triples" still counts element triples, the class sizes
+    |G| / |Z(m)|, and they must add up to |G|^3."""
+    from .logtrace import fw_check, twisted_pullback, v_identity_check
+
     report = {}
     if "nonnegativity" in names:
         ok = True
@@ -408,12 +435,14 @@ def _verify_tuples(G, v, names):
     if "v_identities" in names:
         ok = True
         count = 0
-        for a in range(G.n):
-            for b in range(G.n):
-                for c in range(G.n):
-                    rep = v_identity_check(v, (a, b, c))
-                    count += 1
-                    ok = ok and rep["holds"]
+        for cls in triple_sectors(G):
+            rep = v_identity_check(v, cls.rep)
+            count += G.n // cls.centralizer.order
+            ok = ok and rep["holds"]
+        if count != G.n ** 3:
+            raise TheoremViolation(
+                "triple classes cover %d triples, not |G|^3 = %d"
+                % (count, G.n ** 3))
         report["v_identities"] = {"triples": count, "holds": ok}
     return report
 
@@ -433,6 +462,8 @@ def verify_algebra(args):
     no group; verify without --algebra needs --group."""
     if not args.algebra:
         raise UserError("verify needs --group (or --algebra FILE)")
+    from .rings import algebra_from_json, verify
+
     data = _read_json_spec(args.algebra, "algebra")
     alg = algebra_from_json(data)
     names = []
@@ -524,12 +555,9 @@ def build_parser():
     add("age", cmd_age, rep="required", element=True)
     add("logtrace", cmd_logtrace, rep="required", element=True)
     add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)
-    add("chow-ring", cmd_ring, rep="required", double=True).set_defaults(
-        build=chow_ring)
-    add("k-ring", cmd_ring, rep="required", double=True).set_defaults(
-        build=k_ring)
-    add("lusztig", cmd_ring, rep="zero", double=True).set_defaults(
-        build=k_ring)
+    add("chow-ring", cmd_ring, rep="required", double=True)
+    add("k-ring", cmd_ring, rep="required", double=True)
+    add("lusztig", cmd_ring, rep="zero", double=True)
     p = add("eta", cmd_eta, rep="optional", double=True)
     p.add_argument("--mode", choices=("chow", "k"), default="chow")
     add("chern", cmd_chern, rep="required", double=True)
@@ -547,11 +575,14 @@ def load(args):
     """The group and character a command reads, as add() declared them:
     G under --max-order; v from --rep, the zero character where --rep is
     optional and not given or where the command takes none, or None; and
-    the pair classes of G under --max-double."""
+    the pair classes of G under --max-double.  A given --rep is always
+    read, so an empty one is refused like any other unreadable spec."""
     G = load_group(args.group, args.max_order)
     v = None
     if args.character == "zero" or (args.character == "optional"
-                                    and not args.rep):
+                                    and args.rep is None):
+        from .characters import zero_character
+
         v = zero_character(G)
     elif args.character:
         v = load_rep(args.rep, G)

@@ -139,7 +139,8 @@ def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
     if group.n ** 3 > cap:
         raise UserError(
             "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
-            "so the multiproduct check cannot run on this group"
+            "so neither the multiproduct check nor the identity family "
+            "(--v-identities) can run on this group"
             % (cap, group.n ** 3)
         )
     cached = group._memo.get("triples")

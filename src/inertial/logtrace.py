@@ -10,10 +10,11 @@ commute, so V pulls back along Z x H -> G, (z, h) -> zh, to one integer
 table (pullback_columns); the class is derived from log traces and from
 that table, and the two must agree exactly on every call that builds one.
 
-Log traces, obstruction classes and pullback tables are memoized on the
-character (ClassFunction._memo), keyed by element, by tuple and by
-("pullback", Z, H): each distinct input is computed and checked once per
-character, and only a result that passed every check is stored.
+Log traces, obstruction classes, fixed-space characters and pullback
+tables are memoized on the character (ClassFunction._memo), keyed by
+element, by tuple, by ("invariants", H, Z) and by ("pullback", Z, H): each
+distinct input is computed and checked once per character, and only a
+result that passed every check is stored.
 """
 
 from fractions import Fraction
@@ -120,12 +121,19 @@ def invariants_char(v, ms, sub):
     """Character on sub of the fixed space of the subgroup generated by ms.
 
     Value at z: (1/|H|) sum_{h in H} v(hz), H = <ms>.  Every element of sub
-    must centralize every m_i.
+    must centralize every m_i.  Memoized on v under ("invariants", H, sub):
+    sub centralizes the generators of H exactly when it centralizes H, so
+    an entry, stored only after that check passed, answers every tuple
+    generating H.
     """
     G = v.group
+    H = G.generated(ms)
+    key = ("invariants", H, sub)
+    cached = v._memo.get(key)
+    if cached is not None:
+        return cached
     for m in ms:
         _check_centralizes(G, sub, m)
-    H = G.generated(ms)
     scale = Fraction(1, H.order)
     vals = []
     for rep in sub.group.class_reps():
@@ -134,7 +142,8 @@ def invariants_char(v, ms, sub):
         for h in H.elements:
             total = total + v.value(G.op(h, zp))
         vals.append(total * scale)
-    return ClassFunction(sub.group, vals)
+    fixed = v._memo[key] = ClassFunction(sub.group, vals)
+    return fixed
 
 
 def pullback_columns(v, Z, H):

@@ -20,7 +20,9 @@ Fraction coefficients and finds the minimal conductor by the Galois-fixed
 test and a linear solve, where the library descends by cached integer
 tables.  The triple-check references compare (e_i e_j) e_k one triple at a
 time with GradedAlgebra.mul on basis vectors, where the library compares
-whole rows of packed integer products for each pair (i, j).
+whole rows of packed integer products for each pair (i, j).  The
+identity-family reference checks every element triple, where the CLI
+checks one triple per class of simultaneous conjugation.
 """
 
 import cmath
@@ -44,7 +46,8 @@ from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
 from inertial.errors import TheoremViolation
 from inertial.chern import support_project
 from inertial.inertia import build_double_sectors, build_sectors
-from inertial.logtrace import age, invariants_char, twisted_pullback
+from inertial.logtrace import (
+    age, invariants_char, twisted_pullback, v_identity_check)
 
 
 def brute_identity(table):
@@ -356,6 +359,15 @@ def resolve_diag_class(group, elements):
             members.append(img)
     rep = min(members)
     return Orbit(rep, group.centralizer(*rep), members)
+
+
+def reference_v_identities(v, triples=None):
+    """The identity family's report on every element triple of v's group,
+    or on the given triples, keyed by triple: the per-element scan that one
+    check per triple class replaced."""
+    if triples is None:
+        triples = itertools.product(range(v.group.n), repeat=3)
+    return {t: v_identity_check(v, t) for t in triples}
 
 
 def _sector_map(table, inv, classes, x):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,12 +11,19 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from inertial import characters, chern, cli, inertia
-from inertial.characters import assert_genuine_character, lambda_minus_one_dual
+from inertial.characters import (
+    ClassFunction,
+    assert_genuine_character,
+    catalog_character,
+    lambda_minus_one_dual,
+)
 from inertial.cli import main
 from inertial.cyclotomic import root_of_unity
 from inertial.errors import UserError
 from inertial.groups import catalog_group
-from inertial.inertia import build_double_sectors
+from inertial.inertia import build_double_sectors, triple_sectors
+from inertial.logtrace import v_identity_check
+from oracles import reference_v_identities, resolve_diag_class
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -411,11 +419,17 @@ CHERN = {"chern --group catalog:symmetric(3) --rep std": {
     "exit": 0,
     "sha256": "1e1f05a5167f316867937837e58bfb08d919ca196e9c5780b2f89a22115a2333"}}
 
+# nor the identity family on symmetric(4): these bytes come from a check of
+# all 13,824 element triples, which one check per triple class must repeat
+OUTLIER = {"verify --group catalog:symmetric(4) --rep std --all": {
+    "exit": 0,
+    "sha256": "536d1b7715ac5f224f2a20ceaa8d9ed970e37dfec952415fea34cf0c653d401d"}}
+
 
 def test_artifacts_match_benchmark_references():
     with open(os.path.join(ROOT, "perfbench", "refs.json")) as fh:
-        refs = dict(json.load(fh)["commands"], **CHERN)
-    for key in PINNED + tuple(CHERN):
+        refs = dict(json.load(fh)["commands"], **CHERN, **OUTLIER)
+    for key in PINNED + tuple(CHERN) + tuple(OUTLIER):
         proc = run_process(key.split(" "))
         got = {"exit": proc.returncode,
                "sha256": hashlib.sha256(proc.stdout).hexdigest()}
@@ -510,6 +524,7 @@ BAD_REPS = (
     ("cyclic(2)", BIG_CONDUCTOR[-1]),
     ("cyclic(2)", '{"kind": "character", "values_by_class": ["1e10000000", "1"]}'),
     ("cyclic(2)", '{"kind": "character", "values_by_class": ["1/0", "1"]}'),
+    ("cyclic(2)", ""),
 )
 
 
@@ -564,3 +579,62 @@ def test_every_option_is_read(monkeypatch):
         if options - reads:
             unread[name] = sorted(options - reads)
     assert unread == {}, f"options no path reads: {unread}"
+
+
+def test_commands_import_only_the_layers_they_run():
+    script = """
+import json, sys
+from inertial.cli import main
+main(sys.argv[1:])
+sys.stderr.write(json.dumps(sorted(
+    name for name in ("characters", "chern", "logtrace", "rings")
+    if "inertial." + name in sys.modules)))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    for command, loaded in (("group-info", []), ("chartable", ["characters"])):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--group",
+             "catalog:symmetric(3)"], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == loaded, command
+
+
+# (group, rep, number of sampled element triples, None for all of them)
+V_IDENTITY_SCANS = (
+    ("symmetric(3)", "std", None),
+    ("quaternion8", "sl2", None),
+    ("cyclic(4)", "sl2", None),
+    ("dihedral(4)", "regular", None),
+    ("symmetric(4)", "std", 300),
+)
+
+
+def test_identity_family_per_class_matches_the_element_scan():
+    # every element triple's report equals its class representative's, so
+    # the class loop of verify --v-identities reports what the scan would
+    rng = random.Random(11)
+    for spec, rep, sample in V_IDENTITY_SCANS:
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        triples = None if sample is None else [
+            tuple(rng.randrange(G.n) for _ in range(3)) for _ in range(sample)]
+        # a fresh character, so the scan shares no memo with the classes
+        scan = reference_v_identities(ClassFunction(G, v.values), triples)
+        reps = {cls.rep: v_identity_check(v, cls.rep)
+                for cls in triple_sectors(G)}
+        for triple, report in scan.items():
+            rep_report = reps[resolve_diag_class(G, triple).rep]
+            assert report == rep_report, f"{spec}/{rep}: {triple}"
+        if sample is None:
+            holds = all(report["holds"] for report in scan.values())
+            assert cli._verify_tuples(G, v, {"v_identities"}) == {
+                "v_identities": {"triples": len(scan), "holds": holds}}
+
+
+def test_identity_family_beyond_the_triple_cap_is_a_user_error():
+    # 130^3 element triples exceed the cap on the triple classes it walks
+    G = catalog_group("cyclic(130)")
+    with pytest.raises(UserError, match="--v-identities"):
+        cli._verify_tuples(G, catalog_character(G, "zero"), {"v_identities"})

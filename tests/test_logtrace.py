@@ -152,11 +152,32 @@ def test_eigen_characters_sum_and_invariants():
 def test_invariants_char_needs_centralizing_subgroup():
     G, v = load("symmetric(3)", "std")
     s = G.element_from_string("s1")
-    try:
-        invariants_char(v, (s,), G.subgroup(range(G.n)))
-        raise AssertionError("whole group does not centralize a transposition")
-    except UserError:
-        pass
+    # the memo entry for <s1> on its centralizer answers every tuple that
+    # generates <s1>, and never a subgroup that failed the check, cold or warm
+    first = invariants_char(v, (s,), G.centralizer(s))
+    assert invariants_char(v, (s, s), G.centralizer(s)) is first
+    for _ in range(2):
+        try:
+            invariants_char(v, (s,), G.subgroup(range(G.n)))
+            raise AssertionError(
+                "whole group does not centralize a transposition")
+        except UserError:
+            pass
+
+
+def test_obstruction_classes_move_with_conjugation():
+    # conjugating a tuple by g moves its class onto the conjugated
+    # centralizer; transporting back by g^-1 gives the class of the tuple
+    for spec, rep in (("symmetric(3)", "std"), ("quaternion8", "sl2")):
+        G, v = load(spec, rep)
+        for cls in triple_sectors(G):
+            ms = cls.rep + (G.inv[G.prod(cls.rep)],)
+            base = log_restriction(v, ms)
+            for g in range(G.n):
+                moved = log_restriction(v, tuple(G.conj(g, m) for m in ms))
+                char, sub = transport(moved.char, moved.sub, G.inv[g])
+                assert sub is base.sub and char == base.char, (
+                    f"{spec}/{rep}: class of {ms} conjugated by {g}")
 
 
 def test_twisted_pullback_closed_forms():

@@ -1,4 +1,5 @@
-"""Microbenchmark of the ring checks: milliseconds per table check.
+"""Microbenchmark of the checks: milliseconds per table check, and per
+run of the identity family's class loop.
 
     python3 tools/checks_microbench.py
 
@@ -12,6 +13,12 @@ group memos (character tables, tuple classes, restriction tables), so the
 figures are the check alone, not the first-call set-up.  Each figure is the
 best of REPEAT (5) timeit repeats, each repeat running the check long
 enough to take at least 0.2 s.
+
+The v_identities row times `verify --v-identities`'s loop, one
+v_identity_check per triple class, on symmetric(3)/std and
+symmetric(4)/std, after an untimed first run has filled the character's
+memos (obstruction classes, log traces, fixed-space characters), so it
+measures the restrictions and comparisons of the identities themselves.
 """
 
 import os
@@ -22,6 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from inertial.characters import catalog_character  # noqa: E402
+from inertial.cli import _verify_tuples  # noqa: E402
 from inertial.groups import catalog_group  # noqa: E402
 from inertial.rings import chow_ring, k_ring, verify  # noqa: E402
 
@@ -33,6 +41,7 @@ RINGS = (
 )
 CHECKS = ("identity", "commutativity", "associativity", "grading",
           "frobenius", "multiproduct")
+IDENTITY_PAIRS = (("symmetric(3)", "std"), ("symmetric(4)", "std"))
 REPEAT = 5
 
 
@@ -41,12 +50,11 @@ def _pair(group, rep):
     return G, catalog_character(G, rep)
 
 
-def per_check_ms(alg, name):
-    def check():
-        return verify(alg, [name])
-
-    if check() != {name: True}:
-        raise SystemExit("check %s fails" % name)
+def best_ms(check, expected):
+    """Milliseconds per call of check, after one untimed call that must
+    return expected."""
+    if check() != expected:
+        raise SystemExit("check fails: %r" % (check(),))
     timer = timeit.Timer(check)
     number, _ = timer.autorange()
     return min(timer.repeat(REPEAT, number)) / number * 1e3
@@ -57,10 +65,21 @@ def main():
           + " ".join("%13s" % name for name in CHECKS) + "   (ms per check)")
     for label, build in RINGS:
         alg = build()
-        times = ["%13.3f" % per_check_ms(alg, name)
+        times = ["%13.3f" % best_ms(lambda: verify(alg, [name]), {name: True})
                  if name != "frobenius" or alg.context["rep"].dim() == 0
                  else "%13s" % "-" for name in CHECKS]
         print("%-22s %4d " % (label, alg.dim) + " ".join(times))
+    print()
+    print("%-22s " % "identity family"
+          + " ".join("%20s" % ("%s/%s" % pair) for pair in IDENTITY_PAIRS)
+          + "   (ms per class loop)")
+    times = []
+    for group, rep in IDENTITY_PAIRS:
+        G, v = _pair(group, rep)
+        expected = {"v_identities": {"triples": G.n ** 3, "holds": True}}
+        times.append("%20.3f" % best_ms(
+            lambda: _verify_tuples(G, v, {"v_identities"}), expected))
+    print("%-22s " % "v_identities" + " ".join(times))
 
 
 if __name__ == "__main__":
