@@ -6,12 +6,14 @@ support over the conjugacy classes.  The identity-supported summand of each
 fixed-locus centralizer carries the inertial product; moving through the
 restriction map f^! (restrict, project, divide by the normal-bundle factor,
 untwist) and its inverse (twist, multiply, induce) transplants that product
-back onto class functions of G.
+back onto class functions of G.  Both maps are linear and work in the
+integral ring's own (sector, irreducible) coordinates: f^! is diagonal
+there, and the forward map is one class function of G per basis element.
 """
 
 from fractions import Fraction
 
-from .cyclotomic import ZERO
+from .cyclotomic import ZERO, cyc
 from .errors import UserError, TheoremViolation
 from .characters import (
     ClassFunction,
@@ -19,9 +21,9 @@ from .characters import (
     restrict_to,
     induce_from,
     lambda_minus_one_dual,
+    zero_character,
 )
 from .logtrace import invariants_char
-from .inertia import build_sectors
 from .rings import k_ring
 
 
@@ -55,123 +57,90 @@ def orbifold_chern(algebra, vec):
     if ctx is None or ctx.get("kind") != "k":
         raise UserError("the Chern map needs a freshly built integral ring")
     basis = ctx["kbasis"]
-    sectors = ctx["sectors"]
-    out = [Fraction(0)] * len(sectors.sectors)
+    out = [Fraction(0)] * len(ctx["sectors"].sectors)
     for idx, coeff in vec.items():
         s, t = basis.pairs[idx]
         deg = basis.tables[s][t].values[0].to_rational()
         if deg is None or deg.denominator != 1:
             raise TheoremViolation("irreducible degree %r is not an integer"
                                    % deg)
-        if isinstance(coeff, Fraction) or isinstance(coeff, int):
-            q = Fraction(coeff)
-        else:
-            q = coeff.to_rational()
-            if q is None:
-                raise UserError("rank of a non-rational coefficient is undefined")
+        q = cyc(coeff).to_rational()
+        if q is None:
+            raise UserError("rank of a non-rational coefficient is undefined")
         out[s] += q * deg
     return out
 
 
-def _normal_factor(v, sector):
-    """lambda_-1 of the dual normal class V - V^h at a sector, on Z(h); kept
-    in v's memo by sector index, so v must live on the sectors' group."""
-    key = ("normal_factor", sector.index)
-    if key not in v._memo:
-        Z = sector.centralizer
-        fixed = invariants_char(v, (sector.rep,), Z)
-        v._memo[key] = lambda_minus_one_dual(restrict_to(v, Z) - fixed)
-    return v._memo[key]
+def _k_maps(G, v):
+    """(K, scales, images) for v, built once and kept in v's memo: the
+    integral ring K, the normal factor's value at each sector element h_s,
+    and the forward image induce(t_{h_s^-1}(chi_t) * nf_s) of each basis
+    element (s, t), where nf_s is lambda_-1 of the dual of V - V^h on Z(h)."""
+    check_linearization(G, v)
+    entry = v._memo.get("k_maps")
+    if entry is not None:
+        return entry
+    K = k_ring(G, v)
+    scales, images = [], []
+    for s, table in zip(K.context["sectors"].sectors,
+                        K.context["kbasis"].tables):
+        Z = s.centralizer
+        h_local = Z.from_parent[s.rep]
+        if len(Z.group.conjugacy_classes()[Z.group.class_of(h_local)]) != 1:
+            raise TheoremViolation(
+                "a sector element must be central in its centralizer")
+        fixed = invariants_char(v, (s.rep,), Z)
+        nf = lambda_minus_one_dual(restrict_to(v, Z) - fixed)
+        scale = nf.value(h_local)
+        if scale.to_rational() == 0:
+            raise TheoremViolation(
+                "normal-bundle factor vanished at a sector element")
+        scales.append(scale)
+        h_inv = Z.group.inv[h_local]
+        images.extend(induce_from(mult_twist(chi, h_inv) * nf, Z)
+                      for chi in table)
+    entry = v._memo["k_maps"] = (K, scales, images)
+    return entry
 
 
 def f_shriek(alpha, G, v):
-    """Restriction to the fixed loci: per sector, restrict, project onto the
-    sector element's own class, divide by the normal factor's value there,
-    and untwist.  Components come back supported at the identity class."""
+    """Restriction to the fixed loci, in K-basis coordinates.  Restricting
+    to Z(h_s), projecting onto the class of h_s, dividing by the normal
+    factor and untwisting leaves the identity-supported component
+    alpha(h_s) / scale_s, whose coordinate at (s, t) is that value times
+    deg t / |Z_s|.  Zero coordinates are left out."""
     if alpha.group is not G:
         raise UserError("class function does not live on the given group")
-    check_linearization(G, v)
-    sectors = build_sectors(G)
-    out = []
-    for s in sectors.sectors:
-        Z = s.centralizer
-        h_local = Z.from_parent[s.rep]
-        cls = Z.group.class_of(h_local)
-        if len(Z.group.conjugacy_classes()[cls]) != 1:
-            raise TheoremViolation(
-                "a sector element must be central in its centralizer")
-        proj = support_project(restrict_to(alpha, Z), cls)
-        scale = _normal_factor(v, s).value(h_local)
-        if scale.to_rational() == 0:
-            raise TheoremViolation(
-                "normal-bundle factor vanished at a sector element"
-            )
-        comp = mult_twist(proj * scale.inverse(), h_local)
-        if any(val != ZERO for val in comp.values[1:]):
-            raise TheoremViolation("component not supported at the identity")
-        out.append(comp)
-    return out
-
-
-def push_twist(components, G, v):
-    """The forward map: per sector twist by the inverse element, multiply by
-    the normal factor, induce up to G, and sum."""
-    check_linearization(G, v)
-    sectors = build_sectors(G)
-    if len(components) != len(sectors.sectors):
-        raise UserError(
-            "expected one component per sector (%d)" % len(sectors.sectors)
-        )
-    total = None
-    for s, comp in zip(sectors.sectors, components):
-        Z = s.centralizer
-        if comp.group is not Z.group:
-            raise UserError("component %d lives on the wrong group" % s.index)
-        h_local = Z.from_parent[s.rep]
-        tcomp = mult_twist(comp, Z.group.inv[h_local])
-        ind = induce_from(tcomp * _normal_factor(v, s), Z)
-        total = ind if total is None else total + ind
-    return total
-
-
-def _expand_components(K, components):
-    """Coefficients over the (sector, irreducible) basis of a stack of
-    identity-supported components."""
+    K, scales, _ = _k_maps(G, v)
     basis = K.context["kbasis"]
-    sectors = K.context["sectors"]
     vec = {}
-    for s, comp in zip(sectors.sectors, components):
-        c = comp.values[0]
+    for s, table in zip(K.context["sectors"].sectors, basis.tables):
+        c = alpha.value(s.rep) * scales[s.index].inverse()
         if c == ZERO:
             continue
-        order = s.centralizer.order
-        for t, chi in enumerate(basis.tables[s.index]):
-            deg = chi.values[0].to_rational()
-            vec[basis.index(s.index, t)] = c * Fraction(deg, order)
+        for t, chi in enumerate(table):
+            vec[basis.index(s.index, t)] = c * Fraction(
+                chi.values[0].to_rational(), s.centralizer.order)
     return vec
+
+
+def push_twist(vec, G, v):
+    """The forward map on K-basis coordinates: per basis element (s, t),
+    twist chi_t by h_s^-1, multiply by the normal factor and induce up to
+    G; the images are built once per character and summed here."""
+    _, _, images = _k_maps(G, v)
+    total = zero_character(G)
+    for idx, c in vec.items():
+        if not 0 <= idx < len(images):
+            raise UserError("basis index %r out of range (%d elements)"
+                            % (idx, len(images)))
+        total = total + images[idx] * c
+    return total
 
 
 def star_T(alpha, beta, G, v):
     """Transplant of the inertial product onto class functions of G:
-    f_*t( f^!(alpha) * f^!(beta) ) through the integral ring's table.  The
-    ring is built once per character and kept in v's memo."""
-    check_linearization(G, v)
-    K = v._memo.get("k_ring")
-    if K is None:
-        K = v._memo["k_ring"] = k_ring(G, v)
-    basis = K.context["kbasis"]
-    sectors = K.context["sectors"]
-    prod = K.mul(_expand_components(K, f_shriek(alpha, G, v)),
-                 _expand_components(K, f_shriek(beta, G, v)))
-    components = []
-    for s in sectors.sectors:
-        table = basis.tables[s.index]
-        comp = ClassFunction(
-            s.centralizer.group, [ZERO] * len(table)
-        )
-        for t, chi in enumerate(table):
-            c = prod.get(basis.index(s.index, t), ZERO)
-            if c != ZERO:
-                comp = comp + chi * c
-        components.append(comp)
-    return push_twist(components, G, v)
+    f_*t( f^!(alpha) * f^!(beta) ) through the integral ring's table."""
+    K = _k_maps(G, v)[0]
+    return push_twist(K.mul(f_shriek(alpha, G, v), f_shriek(beta, G, v)),
+                      G, v)

@@ -23,6 +23,7 @@ from .inertia import (
     DOUBLE_SECTOR_CAP,
     build_double_sectors,
     build_sectors,
+    check_double_cap,
     triple_sectors,
 )
 
@@ -492,6 +493,8 @@ def cmd_verify(G, v, args):
                 "the Frobenius check needs the complete quotient (--rep zero)"
             )
         names.discard("frobenius")  # --all on a non-complete quotient
+    if names & {"multiproduct", "v_identities"}:
+        triple_sectors(G)  # refuses |G|^3 over its cap before any ring
     expanded = set(names)
     if "associativity" in names:
         expanded.update(("identity", "commutativity"))
@@ -575,7 +578,7 @@ def load(args):
     """The group and character a command reads, as add() declared them:
     G under --max-order; v from --rep, the zero character where --rep is
     optional and not given or where the command takes none, or None; and
-    the pair classes of G under --max-double.  A given --rep is always
+    |G| checked against --max-double.  A given --rep is always
     read, so an empty one is refused like any other unreadable spec."""
     G = load_group(args.group, args.max_order)
     v = None
@@ -587,7 +590,7 @@ def load(args):
     elif args.character:
         v = load_rep(args.rep, G)
     if args.double:
-        build_double_sectors(G, args.max_double)
+        check_double_cap(G, args.max_double)
     return G, v
 
 

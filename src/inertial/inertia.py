@@ -116,16 +116,19 @@ def _extend(group, classes):
     return tuple(out)
 
 
-def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
-    """The group's pair classes, enumerated once and kept on the group.
-
-    cap bounds |G| for this call, whether or not the classes are built yet;
-    None applies none (the ring builders, after their caller's bound)."""
+def check_double_cap(group, cap):
+    """Refuse pair classes above cap elements; None applies no cap."""
     if cap is not None and group.n > cap:
         raise UserError(
             "eager double-sector enumeration is capped at |G| <= %d "
             "(got %d); raise the cap explicitly to proceed" % (cap, group.n)
         )
+
+
+def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
+    """The group's pair classes, enumerated once and kept on the group;
+    cap bounds |G| for this call, whether or not they are built yet."""
+    check_double_cap(group, cap)
     cached = group._memo.get("doubles")
     if cached is None:
         cached = group._memo["doubles"] = _extend(group, sorted(

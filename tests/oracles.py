@@ -22,7 +22,11 @@ tables.  The triple-check references compare (e_i e_j) e_k one triple at a
 time with GradedAlgebra.mul on basis vectors, where the library compares
 whole rows of packed integer products for each pair (i, j).  The
 identity-family reference checks every element triple, where the CLI
-checks one triple per class of simultaneous conjugation.
+checks one triple per class of simultaneous conjugation.  The restriction
+f^! and the forward map act on one class function per sector (restrict,
+project, untwist; twist, induce), where the library works in the integral
+ring's coordinates, with f^! diagonal and one induced image per basis
+element.
 """
 
 import cmath
@@ -34,17 +38,20 @@ from typing import NamedTuple
 from inertial.characters import (
     ClassFunction,
     character_table,
+    check_linearization,
     decompose,
     induce_between,
+    induce_from,
     lambda_minus_one_dual,
     restrict_between,
+    restrict_to,
     transport,
     trivial_character,
     zero_character,
 )
 from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
-from inertial.errors import TheoremViolation
-from inertial.chern import support_project
+from inertial.errors import TheoremViolation, UserError
+from inertial.chern import mult_twist, support_project
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
     age, invariants_char, twisted_pullback, v_identity_check)
@@ -406,6 +413,88 @@ def reference_diag_classes(group, length):
 def support_components(alpha):
     """All support projections; they sum back to the input."""
     return [support_project(alpha, i) for i in range(len(alpha.values))]
+
+
+def reference_normal_factor(v, sector):
+    """lambda_-1 of the dual normal class V - V^h at a sector, on Z(h)."""
+    Z = sector.centralizer
+    fixed = invariants_char(v, (sector.rep,), Z)
+    return lambda_minus_one_dual(restrict_to(v, Z) - fixed)
+
+
+def reference_f_shriek(alpha, G, v):
+    """Restriction to the fixed loci: per sector, restrict, project onto the
+    sector element's own class, divide by the normal factor's value there,
+    and untwist.  Components come back supported at the identity class."""
+    if alpha.group is not G:
+        raise UserError("class function does not live on the given group")
+    check_linearization(G, v)
+    sectors = build_sectors(G)
+    out = []
+    for s in sectors.sectors:
+        Z = s.centralizer
+        h_local = Z.from_parent[s.rep]
+        cls = Z.group.class_of(h_local)
+        if len(Z.group.conjugacy_classes()[cls]) != 1:
+            raise TheoremViolation(
+                "a sector element must be central in its centralizer")
+        proj = support_project(restrict_to(alpha, Z), cls)
+        scale = reference_normal_factor(v, s).value(h_local)
+        if scale.to_rational() == 0:
+            raise TheoremViolation(
+                "normal-bundle factor vanished at a sector element"
+            )
+        comp = mult_twist(proj * scale.inverse(), h_local)
+        if any(val != ZERO for val in comp.values[1:]):
+            raise TheoremViolation("component not supported at the identity")
+        out.append(comp)
+    return out
+
+
+def reference_push_twist(components, G, v):
+    """The forward map: per sector twist by the inverse element, multiply by
+    the normal factor, induce up to G, and sum."""
+    check_linearization(G, v)
+    sectors = build_sectors(G)
+    if len(components) != len(sectors.sectors):
+        raise UserError(
+            "expected one component per sector (%d)" % len(sectors.sectors)
+        )
+    total = None
+    for s, comp in zip(sectors.sectors, components):
+        Z = s.centralizer
+        if comp.group is not Z.group:
+            raise UserError("component %d lives on the wrong group" % s.index)
+        h_local = Z.from_parent[s.rep]
+        tcomp = mult_twist(comp, Z.group.inv[h_local])
+        ind = induce_from(tcomp * reference_normal_factor(v, s), Z)
+        total = ind if total is None else total + ind
+    return total
+
+
+def expand_components(G, components):
+    """Coefficients over the (sector, irreducible) basis of the integral
+    ring of a stack of identity-supported components, in the ring's own
+    numbering: component s of value c at the identity is c times the
+    regular character of Z_s over |Z_s|, so (s, t) gets c deg t / |Z_s|."""
+    vec = {}
+    index = 0
+    for s, comp in zip(build_sectors(G).sectors, components):
+        c = comp.values[0]
+        order = s.centralizer.order
+        for chi in character_table(s.centralizer.group):
+            if c != ZERO:
+                vec[index] = c * Fraction(chi.values[0].to_rational(), order)
+            index += 1
+    return vec
+
+
+def basis_components(G, s, t):
+    """The stack of components of the basis element (s, t): the irreducible
+    chi_t of Z_s in sector s and zero elsewhere."""
+    return [character_table(sector.centralizer.group)[t] if sector.index == s
+            else zero_character(sector.centralizer.group)
+            for sector in build_sectors(G).sectors]
 
 
 # -- the scalar field --------------------------------------------------------

@@ -244,20 +244,17 @@ def test_criterion_10():
             back = push_twist(f_shriek(alpha, G, v), G, v)
             assert back == alpha, f"{spec}: restriction round trip moved {alpha.values}"
 
-        sectors = build_sectors(G).sectors
-        for s in sectors:
-            comps = []
-            for t in sectors:
-                rt = len(t.centralizer.group.conjugacy_classes())
-                vals = [
-                    1 if (t.index == s.index and c == 0) else 0 for c in range(rt)
-                ]
-                comps.append(ClassFunction(t.centralizer.group, vals))
-            forward = f_shriek(push_twist(comps, G, v), G, v)
-            for t, comp in zip(sectors, forward):
-                assert comp == comps[t.index], (
-                    f"{spec}: sector {t.index} component round trip failed"
-                )
+        # the identity-supported basis in K-basis coordinates: value 1 at the
+        # identity of Z_s is u_s = sum_t (deg t / |Z_s|) [s, t]
+        basis_k = k_ring(G, v).context["kbasis"]
+        for s in build_sectors(G).sectors:
+            u = {basis_k.index(s.index, t): Fraction(
+                     chi.values[0].to_rational(), s.centralizer.order)
+                 for t, chi in enumerate(basis_k.tables[s.index])}
+            forward = f_shriek(push_twist(u, G, v), G, v)
+            assert forward == u, (
+                f"{spec}: sector {s.index} identity-supported round trip failed"
+            )
 
         ident = support_project(trivial_character(G), 0)
         prods = {}

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from inertial.characters import (
     ClassFunction,
@@ -23,7 +26,13 @@ from inertial.errors import UserError
 from inertial.groups import catalog_group
 from inertial.inertia import build_sectors
 from inertial.rings import chow_ring, k_ring
-from oracles import support_components
+from oracles import (
+    basis_components,
+    expand_components,
+    reference_f_shriek,
+    reference_push_twist,
+    support_components,
+)
 
 
 def test_support_project_partition():
@@ -116,7 +125,7 @@ def test_f_shriek_z2_denominator():
     # order-2 element acting by -1 on the plane: the local scale is 4
     G = catalog_group("cyclic(2)")
     v = catalog_character(G, "sl2")
-    comps = f_shriek(trivial_character(G), G, v)
+    comps = reference_f_shriek(trivial_character(G), G, v)
     assert comps[0] == ClassFunction(G, [1, 0])
     assert comps[1] == ClassFunction(G, [Fraction(1, 4), 0])
 
@@ -126,7 +135,7 @@ def test_f_shriek_point_case():
     G = catalog_group("symmetric(3)")
     v = zero_character(G)
     chi = character_table(G)[2]
-    comps = f_shriek(chi, G, v)
+    comps = reference_f_shriek(chi, G, v)
     sectors = build_sectors(G)
     for s, comp in enumerate(comps):
         Z = sectors.sectors[s].centralizer
@@ -150,7 +159,7 @@ def test_mutual_inverse_round_trips():
         # forward-then-back on the indicator basis of CF(G)
         for c in range(r):
             alpha = ClassFunction(G, [1 if i == c else 0 for i in range(r)])
-            back = push_twist(f_shriek(alpha, G, v), G, v)
+            back = reference_push_twist(reference_f_shriek(alpha, G, v), G, v)
             assert back == alpha, f"{spec}/{rep}: push o shriek != id at {c}"
         # back-then-forward on the identity-supported component basis
         sectors = build_sectors(G)
@@ -161,11 +170,56 @@ def test_mutual_inverse_round_trips():
                 k = len(Z.group.conjugacy_classes())
                 vals = [1 if (t == s and i == 0) else 0 for i in range(k)]
                 comps.append(ClassFunction(Z.group, vals))
-            out = f_shriek(push_twist(comps, G, v), G, v)
+            out = reference_f_shriek(reference_push_twist(comps, G, v), G, v)
             for t in range(r):
                 assert out[t] == comps[t], (
                     f"{spec}/{rep}: shriek o push != id at sector {s}"
                 )
+
+
+# the pairs on which the coordinate maps are compared with the reference
+REFERENCE_PAIRS = (
+    ("symmetric(3)", "std"),
+    ("cyclic(4)", "sl2"),
+    ("quaternion8", "sl2"),
+    ("dihedral(4)", "regular"),
+)
+
+
+def test_f_shriek_coordinates_match_the_reference():
+    rng = random.Random(13)
+    for spec, rep in REFERENCE_PAIRS:
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        r = len(G.conjugacy_classes())
+        samples = [ClassFunction(G, [1 if i == c else 0 for i in range(r)])
+                   for c in range(r)]
+        samples.append(ClassFunction(G, [
+            cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(r)]))
+        for alpha in samples:
+            want = expand_components(G, reference_f_shriek(alpha, G, v))
+            assert f_shriek(alpha, G, v) == want, (
+                f"{spec}/{rep}: coordinates of {alpha.values} differ")
+
+
+def test_push_twist_matches_the_reference_on_basis_vectors():
+    for spec, rep in REFERENCE_PAIRS:
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        basis = k_ring(G, v).context["kbasis"]
+        for idx, (s, t) in enumerate(basis.pairs):
+            want = reference_push_twist(basis_components(G, s, t), G, v)
+            assert push_twist({idx: 1}, G, v) == want, (
+                f"{spec}/{rep}: forward image of basis element {(s, t)}")
+
+
+def test_push_twist_refuses_an_index_outside_the_basis():
+    G = catalog_group("cyclic(2)")
+    v = zero_character(G)
+    for idx in (-1, 4):
+        with pytest.raises(UserError, match="out of range"):
+            push_twist({idx: 1}, G, v)
 
 
 def test_star_t_z2_point_table():

@@ -1,5 +1,7 @@
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -412,12 +414,17 @@ PINNED = (
     "obstruction --group catalog:quaternion8 --rep sl2 --tuple 1,2",
     "star-t --group catalog:quaternion8 --rep sl2",
     "verify --group catalog:symmetric(3) --all",
+    "verify --group catalog:quaternion8 --rep sl2 --fw --nonnegativity --rr",
 )
 
-# no benchmark command runs chern, so its artifact is pinned here
+# no benchmark command runs chern or star-t beyond quaternion8, so these
+# artifacts are pinned here
 CHERN = {"chern --group catalog:symmetric(3) --rep std": {
     "exit": 0,
-    "sha256": "1e1f05a5167f316867937837e58bfb08d919ca196e9c5780b2f89a22115a2333"}}
+    "sha256": "1e1f05a5167f316867937837e58bfb08d919ca196e9c5780b2f89a22115a2333"},
+    "star-t --group catalog:symmetric(4) --rep std": {
+    "exit": 0,
+    "sha256": "8f61416443ff61461b217be1bef8639a31cacb8ab490d375c9994dce2ad05f72"}}
 
 # nor the identity family on symmetric(4): these bytes come from a check of
 # all 13,824 element triples, which one check per triple class must repeat
@@ -631,6 +638,54 @@ def test_identity_family_per_class_matches_the_element_scan():
             holds = all(report["holds"] for report in scan.values())
             assert cli._verify_tuples(G, v, {"v_identities"}) == {
                 "v_identities": {"triples": len(scan), "holds": holds}}
+
+
+def test_triple_cap_refuses_before_any_work():
+    # 128^3 and 130^3 element triples exceed the cap; the refusal comes
+    # before the rings or pair classes are built
+    for argv in (
+        ["verify", "--group", "catalog:dihedral(64)", "--multiproduct"],
+        ["verify", "--group", "catalog:cyclic(130)", "--v-identities"],
+    ):
+        proc = run_process(argv, timeout=5)
+        assert proc.returncode == 1 and proc.stdout == b"", proc.stderr
+        message = json.loads(proc.stderr)["error"]["message"]
+        assert message.startswith(
+            "eager triple-sector enumeration needs |G|^3 <= 2000000"), message
+        assert "(--v-identities) can run on this group" in message
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_probes_name_library_functions(tmp_path):
+    # a traced command exits 1 and writes no stats when a probe it counts
+    # names a function the library no longer has
+    tracer = _tracer()
+    names = [n for probes in tracer.CALLS.values() for n in probes]
+    for dotted in names + list(tracer.DISTINCT):
+        layer, *attrs = dotted.split(".")
+        assert layer in tracer.LAYERS, dotted
+        obj = importlib.import_module("inertial." + layer)
+        for attr in attrs:
+            assert hasattr(obj, attr), f"tracer probe {dotted} is gone"
+            obj = getattr(obj, attr)
+    argv = ["star-t", "--group", "catalog:cyclic(2)", "--rep", "zero"]
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    traced = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "tracer.py"),
+         str(stats), *argv], capture_output=True, env=env, cwd=ROOT)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == run_process(argv).stdout
+    assert json.loads(stats.read_text())["metrics"]["chern.star_T.calls"] == 4
 
 
 def test_identity_family_beyond_the_triple_cap_is_a_user_error():
