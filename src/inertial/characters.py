@@ -4,14 +4,15 @@ Character tables are computed by Dixon's method: the class-sum algebra is
 diagonalized over a prime field F_p with p = 1 mod exp(G), p > 2*sqrt(|G|),
 and the mod-p character values are lifted to exact cyclotomic numbers via
 the eigenvalue-multiplicity discrete Fourier transform.  Row orthogonality
-is checked exactly on every table before it is returned.
+is checked exactly on every table before it is returned.  Every sum over
+classes or group elements is one cyclotomic.linear_combination call.
 """
 
 import json
-from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import ONE, ZERO, cyc, root_of_unity
+from .cyclotomic import (
+    ONE, ZERO, Cyclotomic, cyc, linear_combination, root_of_unity)
 from .errors import TheoremViolation, UserError
 
 
@@ -33,7 +34,9 @@ class ClassFunction:
     __slots__ = ("group", "values", "_memo")
 
     def __init__(self, group, values):
-        values = tuple(cyc(v) for v in values)
+        values = tuple(values)
+        if not all(type(v) is Cyclotomic for v in values):
+            values = tuple(map(cyc, values))
         if len(values) != len(group.conjugacy_classes()):
             raise UserError(
                 "expected %d class values, got %d"
@@ -126,10 +129,8 @@ def inner_product(a, b):
     if a.group is not b.group:
         raise UserError("class functions live on different groups")
     g = a.group
-    total = ZERO
-    for members, av, bv in zip(g.conjugacy_classes(), a.values, b.values):
-        total = total + len(members) * av * bv.conjugate()
-    return total * Fraction(1, g.n)
+    return linear_combination(list(map(len, g.conjugacy_classes())),
+                              a.values, b.values, g.n, conjugate=True)
 
 
 # -- Dixon's method -----------------------------------------------------------
@@ -403,8 +404,7 @@ def character_table(group):
             o = group.order_of(g)
             wo = pow(w, e // o, p)
             inv_o = pow(o % p, p - 2, p)
-            val = ZERO
-            total_mult = 0
+            mults, roots = [], []
             for k in range(o):
                 acc = 0
                 for j in range(o):
@@ -414,13 +414,13 @@ def character_table(group):
                 if m > d:
                     raise TheoremViolation(
                         "eigenvalue multiplicity exceeds the degree")
-                total_mult += m
                 if m:
-                    val = val + m * root_of_unity(o, k)
-            if total_mult != d:
+                    mults.append(m)
+                    roots.append(root_of_unity(o, k))
+            if sum(mults) != d:
                 raise TheoremViolation(
                     "eigenvalue multiplicities do not sum to the degree")
-            values.append(val)
+            values.append(linear_combination(mults, roots))
         chars.append(ClassFunction(group, values))
 
     chars.sort(key=_char_sort_key)
@@ -451,15 +451,22 @@ def decompose(v):
 
     Returns (mults, genuine): mults are exact cyclotomics in table order;
     genuine is True when every one is a non-negative rational integer.
+    Memoized in the group's memo, keyed by the values, so each distinct
+    class function is decomposed once per group.
     """
-    table = character_table(v.group)
-    mults = [inner_product(v, chi) for chi in table]
-    genuine = True
-    for m in mults:
-        q = m.to_rational()
-        if q is None or q.denominator != 1 or q < 0:
-            genuine = False
-    return mults, genuine
+    key = ("decompose", v.values)
+    memo = v.group._memo
+    cached = memo.get(key)
+    if cached is None:
+        mults = tuple(inner_product(v, chi)
+                      for chi in character_table(v.group))
+        genuine = True
+        for m in mults:
+            q = m.to_rational()
+            if q is None or q.denominator != 1 or q < 0:
+                genuine = False
+        cached = memo[key] = mults, genuine
+    return cached
 
 
 def assert_genuine_character(v, what="class function"):
@@ -494,20 +501,27 @@ def restrict_to(v, sub):
 
 def induce_from(v, sub):
     """Induce a class function on sub.group up to sub.parent."""
-    G = sub.parent
     if v.group is not sub.group:
         raise UserError("class function does not live on the given subgroup")
-    scale = Fraction(1, sub.order)
+    return _induced(v, sub, sub.parent, range(sub.parent.n))
+
+
+def _induced(v, inner, K, elements):
+    """v induced from inner.group to K, a group whose element i is
+    elements[i] of inner's parent.  At g, (1/|H|) sum_{x in K} v(x^-1 g x)
+    is |C_K(g)|/|H| times the sum of v over the members of g's K-class
+    that lie in H = inner."""
+    class_of = inner.group._classes()[1]
     vals = []
-    for rep in G.class_reps():
-        total = ZERO
-        for x in range(G.n):
-            y = G.conj(G.inv[x], rep)
-            local = sub.from_parent.get(y)
+    for members in K.conjugacy_classes():
+        centralizer = K.n // len(members)
+        counts = [0] * len(v.values)
+        for y in members:
+            local = inner.from_parent.get(elements[y])
             if local is not None:
-                total = total + v.value(local)
-        vals.append(total * scale)
-    return ClassFunction(G, vals)
+                counts[class_of[local]] += centralizer
+        vals.append(linear_combination(counts, v.values, den=inner.order))
+    return ClassFunction(K, vals)
 
 
 def restrict_between(v, outer, inner):
@@ -529,19 +543,7 @@ def induce_between(v, inner, outer):
     subgroups of one parent group with inner contained in outer."""
     if v.group is not inner.group:
         raise UserError("class function does not live on the inner subgroup")
-    G = outer.parent
-    scale = Fraction(1, inner.order)
-    vals = []
-    for rep in outer.group.class_reps():
-        g_parent = outer.to_parent(rep)
-        total = ZERO
-        for x_parent in outer.elements:
-            y = G.conj(G.inv[x_parent], g_parent)
-            local = inner.from_parent.get(y)
-            if local is not None:
-                total = total + v.value(local)
-        vals.append(total * scale)
-    return ClassFunction(outer.group, vals)
+    return _induced(v, inner, outer.group, outer.elements)
 
 
 def transport(v, sub, h):
@@ -575,13 +577,13 @@ def eigen_multiplicities(v, x):
     g = v.group
     o = g.order_of(x)
     powers = [v.value(g.power(x, j)) for j in range(o)]
-    scale = Fraction(1, o)
+    roots = [root_of_unity(o, j) for j in range(o)]
+    ones = [1] * o
     mults = []
     for k in range(o):
-        total = ZERO
-        for j, pv in enumerate(powers):
-            total = total + pv * root_of_unity(o, (-j * k) % o)
-        m = (total * scale).to_rational()
+        m = linear_combination(ones, powers, [roots[j * k % o]
+                                              for j in range(o)],
+                               o, conjugate=True).to_rational()
         if m is None or m.denominator != 1 or m < 0:
             raise TheoremViolation(
                 "values on the cyclic group of element %d are not eigenvalue "
@@ -622,10 +624,11 @@ def invariant_dimension(v, sub):
     cached = v._memo.get(key)
     if cached is not None:
         return cached
-    total = ZERO
+    class_of = v.group._classes()[1]
+    counts = [0] * len(v.values)
     for h in sub.elements:
-        total = total + v.value(h)
-    q = (total * Fraction(1, sub.order)).to_rational()
+        counts[class_of[h]] += 1
+    q = linear_combination(counts, v.values, den=sub.order).to_rational()
     if q is None or q.denominator != 1:
         raise TheoremViolation(
             "fixed-space dimension came out as %r, not an integer" % q

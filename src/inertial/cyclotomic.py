@@ -14,7 +14,8 @@ order: a cached integer left inverse of the lift Q(zeta_d) -> Q(zeta_N)
 proposes coordinates at d, which are accepted only when they are integers
 and lift back to the input exactly.  A product by a rational and a Galois
 image keep the conductor (an automorphism maps each Q(zeta_d) onto itself),
-so they skip that search.
+so they skip that search.  linear_combination adds a whole sum of products
+in integers and canonicalizes once.
 """
 
 from fractions import Fraction
@@ -29,6 +30,7 @@ __all__ = [
     "euler_phi",
     "parse_rational",
     "root_of_unity",
+    "linear_combination",
     "cyc",
     "ZERO",
     "ONE",
@@ -209,6 +211,44 @@ def _reduced(n, nums, den):
     if g > 1:
         return Cyclotomic(n, tuple(c // g for c in nums), den // g)
     return Cyclotomic(n, tuple(nums), den)
+
+
+def linear_combination(coeffs, xs, ys=None, den=1, conjugate=False):
+    """sum_i coeffs[i] * xs[i] * ys[i] / den, exact; without ys the sum of
+    coeffs[i] * xs[i] / den.  With conjugate, each ys[i] enters as its
+    complex conjugate.  coeffs are ints, den is a positive int, and xs and
+    ys are sequences of Cyclotomics.
+
+    Each factor is lifted once to the common conductor N, as integer
+    multiples of powers of zeta_N in Z[x]/(x^N - 1), so a product is a sum
+    of shifted monomials and conjugation negates the exponents.  The
+    numerators are added over one common denominator, then reduced mod
+    Phi_N and canonicalized once, where a loop of + and * builds and
+    canonicalizes a Cyclotomic after every term.
+    """
+    if ys is None:
+        ys = [ONE] * len(xs)
+    n = lcm(*{x.conductor for x in xs}, *{y.conductor for y in ys})
+    d = lcm(*{x.den for x in xs}) * lcm(*{y.den for y in ys})
+    if n == 1:
+        return _reduced(1, [sum(c * x.nums[0] * y.nums[0]
+                                * (d // (x.den * y.den))
+                                for c, x, y in zip(coeffs, xs, ys))], d * den)
+    sign = -1 if conjugate else 1
+    acc = [0] * n
+    for c, x, y in zip(coeffs, xs, ys):
+        if not c:
+            continue
+        c *= d // (x.den * y.den)
+        step = n // x.conductor
+        xt = [(k * step, c * a) for k, a in enumerate(x.nums) if a]
+        step = sign * (n // y.conductor)
+        for k, b in enumerate(y.nums):
+            if b:
+                e = k * step
+                for i, a in xt:
+                    acc[(i + e) % n] += a * b
+    return _canonical(n, _reduce(n, acc), d * den)
 
 
 class Cyclotomic:

@@ -219,8 +219,15 @@ class FiniteGroup:
         return sub
 
     def generated(self, gens):
-        seen = _closure_under(self.table, list(gens))
-        return self.subgroup(x for x in range(self.n) if seen[x])
+        """The subgroup generated by gens, kept in the memo by the sorted
+        generator tuple."""
+        key = ("generated", tuple(sorted(set(gens))))
+        sub = self._memo.get(key)
+        if sub is None:
+            seen = _closure_under(self.table, key[1])
+            sub = self._memo[key] = self.subgroup(
+                x for x in range(self.n) if seen[x])
+        return sub
 
     def centralizer(self, *elems):
         t = self.table
@@ -377,7 +384,7 @@ def group_from_permutations(gens, names=None, label=None,
         nxt = []
         for p in frontier:
             for q in gens:
-                r = tuple(p[q[x]] for x in range(m))
+                r = tuple(map(p.__getitem__, q))
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -389,9 +396,8 @@ def group_from_permutations(gens, names=None, label=None,
             % (len(elems), max_order)
         )
     index = {p: i for i, p in enumerate(elems)}
-    table = [
-        tuple(index[tuple(p[q[x]] for x in range(m))] for q in elems) for p in elems
-    ]
+    table = [tuple(index[tuple(map(p.__getitem__, q))] for q in elems)
+             for p in elems]
     name_map = {}
     if names:
         for name, p in names.items():
@@ -489,9 +495,8 @@ def _symmetric(n):
         raise UserError("symmetric(n) is supported for n <= 6")
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
-    table = [
-        tuple(index[tuple(p[q[x]] for x in range(n))] for q in elems) for p in elems
-    ]
+    table = [tuple(index[tuple(map(p.__getitem__, q))] for q in elems)
+             for p in elems]
     names = {"e": 0}
     for i in range(1, n):
         p = list(range(n))

@@ -18,9 +18,12 @@ checked against the library's class enumeration, which extends shorter
 classes by centralizer orbits.  The scalar-field reference works on
 Fraction coefficients and finds the minimal conductor by the Galois-fixed
 test and a linear solve, where the library descends by cached integer
-tables.  The triple-check references compare (e_i e_j) e_k one triple at a
-time with GradedAlgebra.mul on basis vectors, where the library compares
-whole rows of packed integer products for each pair (i, j).  The
+tables.  The class-function sums (inner products, eigenvalue
+multiplicities, induction) are added one term at a time with + and *,
+where the library fuses each sum into one integer computation.  The
+triple-check references compare (e_i e_j) e_k one triple at a time with
+GradedAlgebra.mul on basis vectors, where the library compares whole rows
+of packed integer products for each pair (i, j).  The
 identity-family reference checks every element triple, where the CLI
 checks one triple per class of simultaneous conjugation.  The restriction
 f^! and the forward map act on one class function per sector (restrict,
@@ -229,6 +232,55 @@ def reference_multiproduct(alg, direct):
         lambda i, j, k: {t: c for t, c in direct.get((i, j, k), {}).items()
                          if c != 0},
     )
+
+
+def reference_linear_combination(coeffs, xs, ys=None, den=1,
+                                 conjugate=False):
+    """sum_i coeffs[i] * xs[i] * ys[i] / den one term at a time, with a
+    canonical Cyclotomic built by + and * after every term."""
+    total = ZERO
+    for i, (c, x) in enumerate(zip(coeffs, xs)):
+        if ys is not None:
+            x = x * (ys[i].conjugate() if conjugate else ys[i])
+        total = total + c * x
+    return total * Fraction(1, den)
+
+
+def reference_inner_product(a, b):
+    """(1/|G|) sum over classes of |C| a(C) conj(b(C)), term by term."""
+    g = a.group
+    total = ZERO
+    for members, av, bv in zip(g.conjugacy_classes(), a.values, b.values):
+        total = total + len(members) * av * bv.conjugate()
+    return total * Fraction(1, g.n)
+
+
+def reference_eigen_multiplicities(v, x):
+    """m_k = (1/o) sum_j v(x^j) zeta_o^(-jk), k = 0 .. o-1, term by term."""
+    g = v.group
+    o = g.order_of(x)
+    powers = [v.value(g.power(x, j)) for j in range(o)]
+    mults = []
+    for k in range(o):
+        total = ZERO
+        for j, pv in enumerate(powers):
+            total = total + pv * root_of_unity(o, (-j * k) % o)
+        mults.append((total * Fraction(1, o)).to_rational())
+    return tuple(mults)
+
+
+def reference_induce(v, sub):
+    """v induced to sub.parent: (1/|H|) sum over all x of v(x^-1 g x)."""
+    G = sub.parent
+    vals = []
+    for rep in G.class_reps():
+        total = ZERO
+        for x in range(G.n):
+            local = sub.from_parent.get(G.conj(G.inv[x], rep))
+            if local is not None:
+                total = total + v.value(local)
+        vals.append(total * Fraction(1, sub.order))
+    return ClassFunction(G, vals)
 
 
 class EigenDecomposition(NamedTuple):

@@ -22,10 +22,17 @@ from inertial.characters import (
     trivial_character,
     zero_character,
 )
-from inertial.cyclotomic import cyc
+from inertial.cyclotomic import ONE, ZERO, cyc
 from inertial.errors import UserError
 from inertial.groups import catalog_group
-from oracles import adams, dual, lambda_minus_one_dual_newton
+from oracles import (
+    adams,
+    dual,
+    lambda_minus_one_dual_newton,
+    reference_eigen_multiplicities,
+    reference_induce,
+    reference_inner_product,
+)
 
 TABLE_GROUPS = [
     "cyclic(2)",
@@ -95,6 +102,51 @@ def test_decompose_and_genuineness():
     ], "regular character must contain every irreducible deg-many times"
     bogus = ClassFunction(G, [3, 1, -2])
     assert not decompose(bogus)[1]
+
+
+def test_decompose_matches_the_per_term_reference():
+    # every product of two irreducibles, at conductors up to 24, which is
+    # where the fused sums descend; then a memo hit against a fresh run.
+    # On cyclic(24) the product is itself irreducible, which is checked in
+    # place of the slower per-term reference.
+    for spec in ("cyclic(8)", "cyclic(12)", "cyclic(24)", "dihedral(5)",
+                 "binary_dihedral(3)"):
+        G = catalog_group(spec)
+        table = character_table(G)
+        for i, a in enumerate(table):
+            for b in table[i:]:
+                prod = a * b
+                mults, genuine = decompose(prod)
+                assert genuine, f"{spec}: {prod} is a character"
+                if G.n == 24:
+                    want = [ZERO] * G.n
+                    want[table.index(prod)] = ONE
+                else:
+                    want = [reference_inner_product(prod, chi)
+                            for chi in table]
+                assert mults == tuple(want), spec
+        key = ("decompose", prod.values)
+        assert G._memo[key] == (mults, genuine)
+        again = ClassFunction(G, list(prod.values))
+        assert decompose(again) is G._memo[key], "a memo hit"
+        del G._memo[key]
+        assert decompose(again) == (mults, genuine), "a fresh run"
+
+
+def test_class_function_sums_match_the_per_term_reference():
+    for spec, rep in (("cyclic(8)", "sl2"), ("binary_dihedral(3)", "sl2"),
+                      ("quaternion8", "sl2"), ("symmetric(4)", "std")):
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        for x in range(G.n):
+            assert eigen_multiplicities(v, x) == (
+                reference_eigen_multiplicities(v, x)), f"{spec}: {x}"
+        for gens in ((1,), (G.n - 1,), (1, G.n - 1)):
+            H = G.generated(gens)
+            for chi in character_table(H.group):
+                assert induce_from(chi, H) == reference_induce(chi, H), spec
+        for a in character_table(G):
+            assert inner_product(v, a) == reference_inner_product(v, a)
 
 
 def test_frobenius_reciprocity_exhaustive():

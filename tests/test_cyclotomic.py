@@ -11,6 +11,7 @@ from inertial.cyclotomic import (
     Cyclotomic,
     cyc,
     cyclotomic_polynomial,
+    linear_combination,
     parse_rational,
     root_of_unity,
 )
@@ -21,6 +22,7 @@ from oracles import (
     coords_json,
     reference_canonical,
     reference_galois,
+    reference_linear_combination,
     reference_product,
     reference_root,
     reference_sum,
@@ -189,6 +191,67 @@ def test_field_matches_the_reference_canonical_form():
         for lhs, rhs in ((approx(z + w), approx(z) + approx(w)),
                          (approx(z * w), approx(z) * approx(w))):
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+def _element(rng, n):
+    """A seeded element of Q(zeta_n): a rational plus a few rational
+    multiples of n-th roots of unity."""
+    z = cyc(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 3)):
+        q = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        z = z + q * root_of_unity(n, rng.randrange(n))
+    return z
+
+
+def _same(z, ref):
+    assert (z.conductor, z.nums, z.den) == (
+        ref.conductor, ref.nums, ref.den), f"fused {z!r}, per term {ref!r}"
+
+
+def test_linear_combination_matches_the_per_term_loop():
+    # the fused kernel lands on the canonical form the per-term loop of +
+    # and * builds, at single and mixed conductors, with and without a
+    # second factor, conjugated or not
+    rng = random.Random(2024)
+    conductors = (1, 3, 4, 5, 8, 12, 15, 24)
+    for n in conductors:
+        for mixed in (False, True):
+            for _ in range(6):
+                size = rng.randint(1, 6)
+                orders = [rng.choice(conductors) if mixed else n
+                          for _ in range(2 * size)]
+                xs = [_element(rng, m) for m in orders[:size]]
+                ys = [_element(rng, m) for m in orders[size:]]
+                coeffs = [rng.randint(-5, 5) for _ in range(size)]
+                den = rng.randint(1, 7)
+                _same(linear_combination(coeffs, xs, den=den),
+                      reference_linear_combination(coeffs, xs, den=den))
+                for conj in (False, True):
+                    _same(linear_combination(coeffs, xs, ys, den, conj),
+                          reference_linear_combination(coeffs, xs, ys, den,
+                                                       conj))
+    # sums that descend: to the real subfield, to a smaller conductor, to
+    # a rational, and sums that cancel to zero
+    z8, z12, z15, z24 = (root_of_unity(n) for n in (8, 12, 15, 24))
+    cases = [
+        (([1, 1], [z8, z8.conjugate()]),
+         root_of_unity(8) + root_of_unity(8, -1)),
+        (([1], [z8], [z8]), root_of_unity(4)),
+        (([1, 1], [z12 ** 4, z12 ** 8]), cyc(-1)),
+        (([1, 1], [z15 ** 5, z15 ** 10]), cyc(-1)),
+        (([2], [z24 ** 3], [z24 ** 5]), 2 * root_of_unity(3)),
+        (([1, 1, 1], [z24, z8, z12], [z24, z8, z12], 3, True), cyc(1)),
+        (([3, -3], [z24 + z15, z15 + z24]), cyc(0)),
+        (([1, 1], [z8, z8], [z8 ** 3, z8 ** 7]), cyc(0)),
+        (([], []), cyc(0)),
+    ]
+    for args, want in cases:
+        got = linear_combination(*args)
+        _same(got, want)
+        _same(got, reference_linear_combination(*args))
+        assert coords(got) == reference_canonical(*coords(got))
+    assert root_of_unity(8) + root_of_unity(8, -1) != cyc(0)
+    assert linear_combination([1, -1], [z8, z8]).is_zero()
 
 
 def test_corrupted_descent_table_raises_under_optimize():

@@ -102,6 +102,37 @@ def test_generated_subgroup():
     assert G.generated((a, b)).order == 6
 
 
+def _brute_closure(table, gens):
+    elems = {0}
+    while True:
+        grown = elems | {table[x][g] for x in elems for g in gens}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+def test_generated_subgroup_memo():
+    G = catalog_group("alternating(5)")
+    for gens in ((1,), (1, 2), (5, 17), (3, 40, 41), ()):
+        sub = G.generated(gens)
+        assert sub.elements == _brute_closure(G.table, gens)
+        # any order or repetition of the generators is the same memo entry
+        again = G.generated(tuple(reversed(gens)) + gens)
+        assert again is sub
+        # a fresh closure, the memo entry dropped, gives the same object
+        del G._memo[("generated", tuple(sorted(set(gens))))]
+        assert G.generated(gens) is sub
+
+
+def test_symmetric_table_composes_permutations():
+    for n in (3, 4):
+        G = catalog_group("symmetric(%d)" % n)
+        perms = G.permutations
+        for a, p in enumerate(perms):
+            for b, q in enumerate(perms):
+                assert perms[G.op(a, b)] == tuple(p[q[x]] for x in range(n))
+
+
 def test_permutation_composition_convention():
     # (p*q)(x) = p(q(x)): with p = (01) and q = (12), p*q sends 1 -> 0
     G = group_from_permutations(

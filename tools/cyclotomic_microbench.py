@@ -9,8 +9,12 @@ it times a + b, a * b and a.conjugate() on two fixed elements of Q(zeta_n),
     a = sum_k (k + 2) zeta_n^k,    b = sum_k (-1)^k (2k + 1)/6 zeta_n^k,
 
 k = 0 .. n-1, one with integer and one with rational coefficients, both at
-conductor n.  Each figure is the best of REPEAT (5) timeit repeats, each
-repeat running the operation long enough to take at least 0.2 s.
+conductor n.  It also times a sum of R (8) products, sum_i (i + 1) a_i b_i
+with a_i = zeta_n^i a and b_i = zeta_n^(2i) b, two ways: fused by
+linear_combination, and term by term with + and * (a Cyclotomic built and
+canonicalized after every term).  Each figure is the best of REPEAT (5)
+timeit repeats, each repeat running the operation long enough to take at
+least 0.2 s.
 """
 
 import os
@@ -21,10 +25,12 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from inertial.cyclotomic import cyc, root_of_unity  # noqa: E402
+from inertial.cyclotomic import (  # noqa: E402
+    ZERO, cyc, linear_combination, root_of_unity)
 
 CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
 REPEAT = 5
+R = 8
 
 
 def operands(n):
@@ -37,6 +43,13 @@ def operands(n):
     return a, b
 
 
+def per_term(coeffs, xs, ys):
+    total = ZERO
+    for c, x, y in zip(coeffs, xs, ys):
+        total = total + c * x * y
+    return total
+
+
 def per_op_us(fn):
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
@@ -44,16 +57,25 @@ def per_op_us(fn):
 
 
 def main():
-    print("%9s %9s %9s %9s   (us per op)" % ("conductor", "add", "mul",
-                                            "conjugate"))
+    print("%9s %9s %9s %9s %11s %11s   (us per op)"
+          % ("conductor", "add", "mul", "conjugate", "sum%d fused" % R,
+             "sum%d loop" % R))
     for n in CONDUCTORS:
         a, b = operands(n)
         if a.conductor != n or b.conductor != n:
             raise SystemExit("operands at conductor %d came out at %d and %d"
                              % (n, a.conductor, b.conductor))
+        coeffs = list(range(1, R + 1))
+        xs = [root_of_unity(n, i) * a for i in range(R)]
+        ys = [root_of_unity(n, 2 * i) * b for i in range(R)]
+        if linear_combination(coeffs, xs, ys) != per_term(coeffs, xs, ys):
+            raise SystemExit("fused and per-term sums differ at conductor %d"
+                             % n)
         times = [per_op_us(fn)
-                 for fn in (lambda: a + b, lambda: a * b, a.conjugate)]
-        print("%9d %9.1f %9.1f %9.1f" % (n, *times))
+                 for fn in (lambda: a + b, lambda: a * b, a.conjugate,
+                            lambda: linear_combination(coeffs, xs, ys),
+                            lambda: per_term(coeffs, xs, ys))]
+        print("%9d %9.1f %9.1f %9.1f %11.1f %11.1f" % (n, *times))
 
 
 if __name__ == "__main__":
