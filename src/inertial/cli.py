@@ -8,11 +8,9 @@ violation.  All error paths print a structured JSON object to stderr.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import MAX_DIGITS, Cyclotomic, cyc, parse_rational
-from .errors import InertialError, UserError, TheoremViolation
+from .errors import MAX_DIGITS, InertialError, UserError, TheoremViolation
 from .groups import (
     MAX_TABLE_ORDER,
     FiniteGroup,
@@ -27,9 +25,9 @@ from .inertia import (
     triple_sectors,
 )
 
-# The character, log-trace, ring and Chern layers are imported by the
-# handlers that run them, so a command compiles and loads only the layers
-# it uses.
+# The scalar, character, log-trace, ring and Chern layers (and Fraction) are
+# imported by the functions that use them, so a command compiles and loads
+# only the layers it runs.
 
 
 def _bounded_int(literal):
@@ -119,6 +117,8 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
 
 def _parse_value(obj, group):
     """A character value of group from JSON input."""
+    from .cyclotomic import Cyclotomic, cyc, parse_rational
+
     if isinstance(obj, bool):
         raise UserError("character values must be numbers, not booleans")
     if isinstance(obj, int):
@@ -197,6 +197,8 @@ def check_chartable(group, path):
 
 
 def _frac(q):
+    from fractions import Fraction
+
     return str(Fraction(q))
 
 
@@ -312,6 +314,8 @@ def cmd_eta(G, v, args):
 
 
 def cmd_chern(G, v, args):
+    from fractions import Fraction
+
     from .chern import orbifold_chern
     from .rings import k_ring
 
@@ -331,6 +335,8 @@ def cmd_chern(G, v, args):
 def cmd_star_t(G, v, args):
     """The transplanted product on the class-supported delta functions; the
     identity-class delta, index 0, is its unit."""
+    from fractions import Fraction
+
     from .characters import trivial_character
     from .chern import star_T, support_project
     from .rings import GradedAlgebra, verify
@@ -370,21 +376,24 @@ _VERIFY_FLAGS = (
 
 
 def _verify_rings(G, v, names):
-    from .chern import orbifold_chern
-    from .rings import chow_ring, k_ring, verify
-
     report = {}
     ring_checks = [n for n in
                    ("identity", "commutativity", "associativity", "grading",
                     "frobenius", "multiproduct") if n in names]
     if not ring_checks and "rr" not in names:
         return report
+    from .rings import chow_ring, k_ring, verify
+
     chow = chow_ring(G, v)
     kr = k_ring(G, v)
     if ring_checks:
         report["chow"] = verify(chow, ring_checks)
         report["k"] = verify(kr, ring_checks)
     if "rr" in names:
+        from fractions import Fraction
+
+        from .chern import orbifold_chern
+
         chern = [{s: c for s, c in enumerate(orbifold_chern(kr, {i: 1})) if c}
                  for i in range(kr.dim)]
         ok = True
@@ -520,7 +529,19 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def build_parser():
+def _command_of(argv):
+    """The token argparse takes as the command: the first one of argv that
+    does not start with '-' (the top-level parser has no option taking a
+    value), or None."""
+    return next((a for a in argv if not a.startswith("-")), None)
+
+
+def build_parser(command=None):
+    """The CLI parser.  Every subcommand name is registered, so the top-level
+    help and the invalid-choice error list them all; with command given, only
+    that subcommand gets its options, since argparse parses no other one.
+    The parser of any argv that names command parses it as the full parser
+    does."""
     parser = _Parser(
         prog="inertial",
         description="Exact inertial products for finite quotients.",
@@ -532,8 +553,11 @@ def build_parser():
         """A subcommand and what it reads: --group and --max-order always;
         rep "required" or "optional" (zero by default) adds --rep, "zero"
         reads the zero character, None no character; double adds
-        --max-double, for a command that builds the pair classes."""
+        --max-double, for a command that builds the pair classes.  None
+        for a subcommand other than command."""
         p = sub.add_parser(name)
+        if command not in (None, name):
+            return None
         p.set_defaults(fn=fn, character=rep, double=double)
         p.add_argument("--group", required=(name != "verify"))
         if rep in ("required", "optional"):
@@ -551,10 +575,11 @@ def build_parser():
                            help="comma-separated element tokens, e.g. g,g")
         return p
 
-    p = add("group-info", cmd_group_info)
+    add("group-info", cmd_group_info)
     p = add("chartable", cmd_chartable)
-    p.add_argument("--chartable-file", default=None,
-                   help="validate and use this character table")
+    if p is not None:
+        p.add_argument("--chartable-file", default=None,
+                       help="validate and use this character table")
     add("age", cmd_age, rep="required", element=True)
     add("logtrace", cmd_logtrace, rep="required", element=True)
     add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)
@@ -562,15 +587,17 @@ def build_parser():
     add("k-ring", cmd_ring, rep="required", double=True)
     add("lusztig", cmd_ring, rep="zero", double=True)
     p = add("eta", cmd_eta, rep="optional", double=True)
-    p.add_argument("--mode", choices=("chow", "k"), default="chow")
+    if p is not None:
+        p.add_argument("--mode", choices=("chow", "k"), default="chow")
     add("chern", cmd_chern, rep="required", double=True)
     add("star-t", cmd_star_t, rep="required", double=True)
     p = add("verify", cmd_verify, rep="optional", double=True)
-    p.add_argument("--algebra", default=None,
-                   help="re-check a serialized ring JSON file")
-    p.add_argument("--all", action="store_true")
-    for flag in _VERIFY_FLAGS:
-        p.add_argument("--" + flag.replace("_", "-"), action="store_true")
+    if p is not None:
+        p.add_argument("--algebra", default=None,
+                       help="re-check a serialized ring JSON file")
+        p.add_argument("--all", action="store_true")
+        for flag in _VERIFY_FLAGS:
+            p.add_argument("--" + flag.replace("_", "-"), action="store_true")
     return parser
 
 
@@ -597,15 +624,20 @@ def load(args):
 def _emit(obj, path):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UserError("cannot write --out file %r: %s" % (path, exc))
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = build_parser(_command_of(argv)).parse_args(argv)
         if args.command == "verify" and (args.algebra or not args.group):
             obj, code = verify_algebra(args)
         else:

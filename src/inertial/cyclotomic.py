@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import TheoremViolation, UserError
+from .errors import MAX_DIGITS, TheoremViolation, UserError
 
 __all__ = [
     "Cyclotomic",
@@ -493,12 +493,6 @@ class Cyclotomic:
         den = lcm(*(c.denominator for c in coeffs))
         return _canonical(
             n, [c.numerator * (den // c.denominator) for c in coeffs], den)
-
-
-# Python's default limit on the digits int(str) accepts.  Fixed here, so the
-# bound on outside input does not change with how the interpreter is started
-# (PYTHONINTMAXSTRDIGITS=0 or -X int_max_str_digits=0 lift Python's own).
-MAX_DIGITS = 4300
 
 
 def parse_rational(value):

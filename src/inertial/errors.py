@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the library and the CLI.
+"""Exception hierarchy shared across the library and the CLI, and the bound
+on outside input.
 
 Each class maps to a process exit code so scripted callers can tell bad
 input apart from a failed verification or a broken mathematical invariant.
 """
+
+# Python's default limit on the digits int(str) accepts.  Fixed here, so the
+# bound on outside input does not change with how the interpreter is started
+# (PYTHONINTMAXSTRDIGITS=0 or -X int_max_str_digits=0 lift Python's own).
+MAX_DIGITS = 4300
 
 
 class InertialError(Exception):

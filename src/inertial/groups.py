@@ -10,9 +10,9 @@ import re
 from functools import lru_cache
 from itertools import permutations
 from math import lcm
+from operator import itemgetter
 
-from .cyclotomic import MAX_DIGITS
-from .errors import UserError
+from .errors import MAX_DIGITS, UserError
 
 MAX_TABLE_ORDER = 512
 
@@ -363,6 +363,17 @@ class Subgroup:
 # -- permutation input ------------------------------------------------------
 
 
+def _composition_table(elems, index):
+    """table[a][b] = index[p * q] for p = elems[a], q = elems[b], where
+    (p * q)(x) = p(q(x)): itemgetter(*q)(p) is that tuple, one getter per q.
+    On fewer than two points itemgetter would return a bare item, not a
+    tuple, and the only permutation is the identity."""
+    if len(elems[0]) < 2:
+        return [(0,)]
+    getters = [itemgetter(*q) for q in elems]
+    return [tuple([index[g(p)] for g in getters]) for p in elems]
+
+
 def group_from_permutations(gens, names=None, label=None,
                             max_order=MAX_TABLE_ORDER):
     """Close a set of permutations (tuples over 0..m-1) into a FiniteGroup.
@@ -396,8 +407,7 @@ def group_from_permutations(gens, names=None, label=None,
             % (len(elems), max_order)
         )
     index = {p: i for i, p in enumerate(elems)}
-    table = [tuple(index[tuple(map(p.__getitem__, q))] for q in elems)
-             for p in elems]
+    table = _composition_table(elems, index)
     name_map = {}
     if names:
         for name, p in names.items():
@@ -495,8 +505,7 @@ def _symmetric(n):
         raise UserError("symmetric(n) is supported for n <= 6")
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
-    table = [tuple(index[tuple(map(p.__getitem__, q))] for q in elems)
-             for p in elems]
+    table = _composition_table(elems, index)
     names = {"e": 0}
     for i in range(1, n):
         p = list(range(n))

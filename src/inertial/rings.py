@@ -7,6 +7,11 @@ contributions over diagonal classes of tuples: the ring is built from the
 double classes, and the multiproduct check applies the same routine to the
 triple classes.  Every evaluation map moves class functions through the
 stored alignment conjugators only.
+
+The table layer (GradedAlgebra, algebra_from_json, the checks, verify and
+PairingMatrix) needs no character theory, so the character and log-trace
+layers are imported by the builders that use them, after any memo lookup:
+reading back a serialized ring loads neither.
 """
 
 from fractions import Fraction
@@ -14,17 +19,6 @@ from math import lcm
 
 from .cyclotomic import parse_rational
 from .errors import TheoremViolation, UserError
-from .characters import (
-    character_table,
-    trivial_character,
-    check_linearization,
-    eigen_multiplicities,
-    transport,
-    restrict_between,
-    lambda_minus_one_dual,
-    invariant_dimension,
-)
-from .logtrace import age, int_coords, pullback_columns, twisted_pullback
 from .inertia import build_sectors, build_double_sectors, triple_sectors
 
 class GradedAlgebra:
@@ -156,6 +150,9 @@ def _chow_products(G, v, classes):
     {(input sectors): {output sector: Fraction}}, the input sectors read
     off cls.maps[:-1] and the output sector off cls.maps[-1].
     """
+    from .characters import invariant_dimension
+    from .logtrace import age
+
     out = {}
     for cls in classes:
         ms = cls.rep
@@ -174,6 +171,9 @@ def _chow_products(G, v, classes):
 
 def chow_ring(G, v):
     """The rational inertial product: one generator per sector, graded by age."""
+    from .characters import check_linearization
+    from .logtrace import age
+
     check_linearization(G, v)
     sectors = build_sectors(G)
     labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
@@ -192,6 +192,8 @@ class _KBasis:
     """Numbering of the (sector, irreducible-of-centralizer) basis."""
 
     def __init__(self, G, sectors):
+        from .characters import character_table
+
         self.offsets = []
         self.tables = []
         self.labels = []
@@ -213,6 +215,8 @@ class _KBasis:
 
 def _unit(H):
     """Index of the trivial character in H's table."""
+    from .characters import character_table, trivial_character
+
     return character_table(H).index(trivial_character(H))
 
 
@@ -247,6 +251,9 @@ def _fusion(H):
     n != 0 the multiplicity of irreducible k in the product of p and q."""
     fusion = H._memo.get("fusion")
     if fusion is None:
+        from .characters import character_table
+        from .logtrace import int_coords
+
         irr = character_table(H)
         fusion = H._memo["fusion"] = [
             [[(k, n) for k, n in enumerate(int_coords(a * b)) if n]
@@ -263,6 +270,9 @@ def _restriction(G, s, w, Zm):
     key = ("restriction", s, w, Zm)
     cached = G._memo.get(key)
     if cached is None:
+        from .characters import character_table, restrict_between, transport
+        from .logtrace import int_coords
+
         Zs = build_sectors(G).sectors[s].centralizer
         moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
         cached = G._memo[key] = moved[0][1], [
@@ -274,6 +284,9 @@ def _lambda_duals(H):
     """Coordinates of lambda_-1(rho^dual) for each irreducible rho of H,
     kept in H's memo."""
     if "lambda_duals" not in H._memo:
+        from .characters import character_table, lambda_minus_one_dual
+        from .logtrace import int_coords
+
         H._memo["lambda_duals"] = [int_coords(lambda_minus_one_dual(rho))
                                    for rho in character_table(H)]
     return H._memo["lambda_duals"]
@@ -298,6 +311,9 @@ def _k_products(G, v, basis, classes):
     (sector, conjugator, Z_m) serves both ends.  Returns
     {(input basis indices): {output basis index: int}}.
     """
+    from .characters import character_table, eigen_multiplicities
+    from .logtrace import pullback_columns, twisted_pullback
+
     out = {}
     for cls in classes:
         ms = cls.rep
@@ -341,6 +357,8 @@ def k_ring(G, v):
     """The inertial product on the sum of centralizer representation rings,
     built from the double classes by _k_products.  The table is integral;
     this is checked."""
+    from .characters import check_linearization
+
     check_linearization(G, v)
     sectors = build_sectors(G)
     basis = _KBasis(G, sectors)

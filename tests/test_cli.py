@@ -588,24 +588,83 @@ def test_every_option_is_read(monkeypatch):
     assert unread == {}, f"options no path reads: {unread}"
 
 
-def test_commands_import_only_the_layers_they_run():
+def test_commands_import_only_the_layers_they_run(tmp_path):
     script = """
 import json, sys
 from inertial.cli import main
-main(sys.argv[1:])
-sys.stderr.write(json.dumps(sorted(
-    name for name in ("characters", "chern", "logtrace", "rings")
-    if "inertial." + name in sys.modules)))
+code = main(sys.argv[1:])
+sys.stderr.write(json.dumps([code, sorted(
+    name for name in ("characters", "chern", "cyclotomic", "logtrace", "rings")
+    if "inertial." + name in sys.modules) + (
+    ["fractions"] if "fractions" in sys.modules else [])]))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    for command, loaded in (("group-info", []), ("chartable", ["characters"])):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, command, "--group",
-             "catalog:symmetric(3)"], capture_output=True, env=env)
+    artifact = str(tmp_path / "k.json")
+    k_ring = ["k-ring", "--group", "catalog:symmetric(3)", "--rep", "std"]
+    assert run_cli(k_ring + ["--out", artifact])[0] == 0
+    for argv, loaded in (
+        (["group-info", "--group", "catalog:symmetric(3)"], []),
+        (["chartable", "--group", "catalog:symmetric(3)"],
+         ["characters", "cyclotomic", "fractions"]),
+        (["verify", "--algebra", artifact, "--all"], ["cyclotomic", "rings",
+                                                      "fractions"]),
+        (k_ring, ["characters", "cyclotomic", "logtrace", "rings",
+                  "fractions"]),
+    ):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr) == loaded, command
+        assert json.loads(proc.stderr) == [0, loaded], argv[0]
+
+
+def _run_catching_exit(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exit on --help
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_of_one_subcommand_matches_the_full_parser(monkeypatch):
+    # main builds the options of the named subcommand only; every error and
+    # help text it prints, and every namespace it parses, must be the full
+    # parser's
+    cases = [
+        [], ["--help"], ["no-such-command"], ["-x"], ["--", "group-info"],
+        ["group-info"],
+        ["group-info", "--group", "catalog:cyclic(2)", "--bogus"],
+        ["eta", "--group", "catalog:cyclic(2)", "--mode", "x"],
+        ["-5", "group-info", "--group", "catalog:cyclic(2)"],
+    ] + [[name, "--help"] for name in sorted(NEEDS)]
+    lazy = [_run_catching_exit(argv) for argv in cases]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv, got in zip(cases, lazy):
+        want = _run_catching_exit(argv)
+        assert got == want, argv
+        assert got[0] in (0, 1), argv
+    for name in NEEDS:
+        argv = _argv(name)
+        assert vars(full(name).parse_args(argv)) == vars(
+            full().parse_args(argv)), name
+
+
+def test_unwritable_out_is_a_user_error(tmp_path):
+    argv = ["group-info", "--group", "catalog:cyclic(2)", "--out"]
+    _user_error(argv + [str(tmp_path / "missing" / "x.json")])
+    # a directory, under -O
+    proc = run_process(argv + [str(tmp_path)], "-O")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "UserError"
+    assert error["message"].startswith("cannot write --out file")
 
 
 # (group, rep, number of sampled element triples, None for all of them)
@@ -665,9 +724,13 @@ def _tracer():
 
 def test_tracer_probes_name_library_functions(tmp_path):
     # a traced command exits 1 and writes no stats when a probe it counts
-    # names a function the library no longer has
+    # names a function the library no longer has, and crashes when a
+    # private probe does
     tracer = _tracer()
     names = [n for probes in tracer.CALLS.values() for n in probes]
+    names += ["%s.%s" % (layer, dotted)
+              for layer, private in tracer.PRIVATE.items()
+              for dotted in private]
     for dotted in names + list(tracer.DISTINCT):
         layer, *attrs = dotted.split(".")
         assert layer in tracer.LAYERS, dotted
@@ -675,17 +738,32 @@ def test_tracer_probes_name_library_functions(tmp_path):
         for attr in attrs:
             assert hasattr(obj, attr), f"tracer probe {dotted} is gone"
             obj = getattr(obj, attr)
-    argv = ["star-t", "--group", "catalog:cyclic(2)", "--rep", "zero"]
-    stats = tmp_path / "stats.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    traced = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "tracer.py"),
-         str(stats), *argv], capture_output=True, env=env, cwd=ROOT)
-    assert traced.returncode == 0, traced.stderr
-    assert traced.stdout == run_process(argv).stdout
-    assert json.loads(stats.read_text())["metrics"]["chern.star_T.calls"] == 4
+
+    def traced(argv, stats):
+        # the probes rebind module attributes the code looks up as it runs,
+        # so the traced bytes are the plain command's
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "tracer.py"),
+             str(stats), *argv], capture_output=True, env=env, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        plain = run_process(argv)
+        assert plain.returncode == 0, plain.stderr
+        assert proc.stdout == plain.stdout, argv[0]
+        return json.loads(stats.read_text())["metrics"]
+
+    argv = ["star-t", "--group", "catalog:cyclic(2)", "--rep", "zero"]
+    assert traced(argv, tmp_path / "star.json")["chern.star_T.calls"] == 4
+    traced(["group-info", "--group", "catalog:symmetric(3)"],
+           tmp_path / "info.json")
+    artifact = str(tmp_path / "k.json")
+    assert run_cli(["k-ring", "--group", "catalog:quaternion8", "--rep", "sl2",
+                    "--out", artifact])[0] == 0
+    metrics = traced(["verify", "--algebra", artifact, "--all"],
+                     tmp_path / "verify.json")
+    assert metrics["rings.check.associativity_s"] > 0
 
 
 def test_identity_family_beyond_the_triple_cap_is_a_user_error():

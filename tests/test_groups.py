@@ -1,3 +1,4 @@
+from inertial.cli import load_group
 from inertial.errors import UserError
 from inertial.groups import FiniteGroup, catalog_group, group_from_permutations
 
@@ -124,13 +125,24 @@ def test_generated_subgroup_memo():
         assert G.generated(gens) is sub
 
 
+# a {"kind": "perm"} spec on 6 points: (0 1 2)(3 4) and (0 1), order 12
+PERM_SPEC = ('{"kind": "perm", '
+             '"generators": [[1, 2, 0, 4, 3, 5], [1, 0, 2, 3, 4, 5]]}')
+
+
 def test_symmetric_table_composes_permutations():
-    for n in (3, 4):
-        G = catalog_group("symmetric(%d)" % n)
+    # every table built from permutations against composition entry by
+    # entry, (p*q)(x) = p(q(x)), on fewer than two points too
+    groups = ([catalog_group("symmetric(%d)" % n) for n in range(1, 6)]
+              + [catalog_group("alternating(%d)" % n) for n in range(3, 6)]
+              + [load_group(PERM_SPEC)])
+    assert [G.n for G in groups] == [1, 2, 6, 24, 120, 3, 12, 60, 12]
+    for G in groups:
         perms = G.permutations
+        assert len(perms) == G.n, G.label
         for a, p in enumerate(perms):
             for b, q in enumerate(perms):
-                assert perms[G.op(a, b)] == tuple(p[q[x]] for x in range(n))
+                assert perms[G.op(a, b)] == tuple(p[x] for x in q), G.label
 
 
 def test_permutation_composition_convention():

@@ -634,12 +634,14 @@ def test_warm_group_shares_restriction_tables(monkeypatch):
     G = catalog_group("symmetric(3)")
     verify(k_ring(G, catalog_character(G, "std")), ["multiproduct"])
     calls = []
+    real = characters.transport
 
     def counted(*args):
         calls.append(args)
-        return characters.transport(*args)
+        return real(*args)
 
-    monkeypatch.setattr(rings, "transport", counted)
+    # the ring builders import transport from characters when they run
+    monkeypatch.setattr(characters, "transport", counted)
     K = k_ring(G, catalog_character(G, "std"))
     assert verify(K, ["multiproduct"]) == {"multiproduct": True}
     assert k_ring(G, zero_character(G)).dim == K.dim
@@ -654,12 +656,13 @@ def test_class_factors_take_lambda_once_per_irreducible(monkeypatch):
     G = FiniteGroup(C4.table)
     v = ClassFunction(G, catalog_character(C4, "sl2").values)
     calls = []
+    real = characters.lambda_minus_one_dual
 
     def counted(chi):
         calls.append(chi)
-        return characters.lambda_minus_one_dual(chi)
+        return real(chi)
 
-    monkeypatch.setattr(rings, "lambda_minus_one_dual", counted)
+    monkeypatch.setattr(characters, "lambda_minus_one_dual", counted)
     K = k_ring(G, v)
     assert verify(K, ["multiproduct"]) == {"multiproduct": True}
     centralizers = {cls.centralizer for cls in build_double_sectors(G)
