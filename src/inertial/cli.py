@@ -529,19 +529,7 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def _command_of(argv):
-    """The token argparse takes as the command: the first one of argv that
-    does not start with '-' (the top-level parser has no option taking a
-    value), or None."""
-    return next((a for a in argv if not a.startswith("-")), None)
-
-
-def build_parser(command=None):
-    """The CLI parser.  Every subcommand name is registered, so the top-level
-    help and the invalid-choice error list them all; with command given, only
-    that subcommand gets its options, since argparse parses no other one.
-    The parser of any argv that names command parses it as the full parser
-    does."""
+def build_parser():
     parser = _Parser(
         prog="inertial",
         description="Exact inertial products for finite quotients.",
@@ -553,11 +541,8 @@ def build_parser(command=None):
         """A subcommand and what it reads: --group and --max-order always;
         rep "required" or "optional" (zero by default) adds --rep, "zero"
         reads the zero character, None no character; double adds
-        --max-double, for a command that builds the pair classes.  None
-        for a subcommand other than command."""
+        --max-double, for a command that builds the pair classes."""
         p = sub.add_parser(name)
-        if command not in (None, name):
-            return None
         p.set_defaults(fn=fn, character=rep, double=double)
         p.add_argument("--group", required=(name != "verify"))
         if rep in ("required", "optional"):
@@ -575,11 +560,10 @@ def build_parser(command=None):
                            help="comma-separated element tokens, e.g. g,g")
         return p
 
-    add("group-info", cmd_group_info)
+    p = add("group-info", cmd_group_info)
     p = add("chartable", cmd_chartable)
-    if p is not None:
-        p.add_argument("--chartable-file", default=None,
-                       help="validate and use this character table")
+    p.add_argument("--chartable-file", default=None,
+                   help="validate and use this character table")
     add("age", cmd_age, rep="required", element=True)
     add("logtrace", cmd_logtrace, rep="required", element=True)
     add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)
@@ -587,17 +571,15 @@ def build_parser(command=None):
     add("k-ring", cmd_ring, rep="required", double=True)
     add("lusztig", cmd_ring, rep="zero", double=True)
     p = add("eta", cmd_eta, rep="optional", double=True)
-    if p is not None:
-        p.add_argument("--mode", choices=("chow", "k"), default="chow")
+    p.add_argument("--mode", choices=("chow", "k"), default="chow")
     add("chern", cmd_chern, rep="required", double=True)
     add("star-t", cmd_star_t, rep="required", double=True)
     p = add("verify", cmd_verify, rep="optional", double=True)
-    if p is not None:
-        p.add_argument("--algebra", default=None,
-                       help="re-check a serialized ring JSON file")
-        p.add_argument("--all", action="store_true")
-        for flag in _VERIFY_FLAGS:
-            p.add_argument("--" + flag.replace("_", "-"), action="store_true")
+    p.add_argument("--algebra", default=None,
+                   help="re-check a serialized ring JSON file")
+    p.add_argument("--all", action="store_true")
+    for flag in _VERIFY_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), action="store_true")
     return parser
 
 
@@ -635,9 +617,7 @@ def _emit(obj, path):
 
 def main(argv=None):
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        args = build_parser(_command_of(argv)).parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "verify" and (args.algebra or not args.group):
             obj, code = verify_algebra(args)
         else:

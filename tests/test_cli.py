@@ -619,42 +619,6 @@ sys.stderr.write(json.dumps([code, sorted(
         assert json.loads(proc.stderr) == [0, loaded], argv[0]
 
 
-def _run_catching_exit(argv):
-    """(exit code, stdout, stderr) of main(argv), argparse's exit on --help
-    included."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_parser_of_one_subcommand_matches_the_full_parser(monkeypatch):
-    # main builds the options of the named subcommand only; every error and
-    # help text it prints, and every namespace it parses, must be the full
-    # parser's
-    cases = [
-        [], ["--help"], ["no-such-command"], ["-x"], ["--", "group-info"],
-        ["group-info"],
-        ["group-info", "--group", "catalog:cyclic(2)", "--bogus"],
-        ["eta", "--group", "catalog:cyclic(2)", "--mode", "x"],
-        ["-5", "group-info", "--group", "catalog:cyclic(2)"],
-    ] + [[name, "--help"] for name in sorted(NEEDS)]
-    lazy = [_run_catching_exit(argv) for argv in cases]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    for argv, got in zip(cases, lazy):
-        want = _run_catching_exit(argv)
-        assert got == want, argv
-        assert got[0] in (0, 1), argv
-    for name in NEEDS:
-        argv = _argv(name)
-        assert vars(full(name).parse_args(argv)) == vars(
-            full().parse_args(argv)), name
-
-
 def test_unwritable_out_is_a_user_error(tmp_path):
     argv = ["group-info", "--group", "catalog:cyclic(2)", "--out"]
     _user_error(argv + [str(tmp_path / "missing" / "x.json")])
