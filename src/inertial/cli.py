@@ -7,15 +7,17 @@ violation.  All error paths print a structured JSON object to stderr.
 
 import argparse
 import json
+import os
 import sys
 from math import lcm
 
-from .errors import MAX_DIGITS, InertialError, UserError, TheoremViolation
-from .groups import (
+from .errors import (
+    MAX_DIGITS,
     MAX_TABLE_ORDER,
-    FiniteGroup,
-    catalog_group,
-    group_from_permutations,
+    InertialError,
+    TheoremViolation,
+    UserError,
+    parse_rational,
 )
 from .inertia import (
     DOUBLE_SECTOR_CAP,
@@ -25,9 +27,10 @@ from .inertia import (
     triple_sectors,
 )
 
-# The scalar, character, log-trace, ring and Chern layers (and Fraction) are
-# imported by the functions that use them, so a command compiles and loads
-# only the layers it runs.
+# The group, scalar, character, log-trace, ring and Chern layers (and
+# Fraction) are imported by the functions that use them, so a command
+# compiles and loads only the layers it runs: verify --algebra, which reads
+# no group, loads none of them but rings.
 
 
 def _bounded_int(literal):
@@ -81,6 +84,8 @@ def _spec_names(data, valid, what):
 
 def load_group(spec, max_order=MAX_TABLE_ORDER):
     """The group a --group spec names, refused above max_order elements."""
+    from .groups import FiniteGroup, catalog_group, group_from_permutations
+
     spec = spec.strip()
     if spec.startswith("catalog:"):
         return catalog_group(spec[len("catalog:"):], max_order)
@@ -117,7 +122,7 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
 
 def _parse_value(obj, group):
     """A character value of group from JSON input."""
-    from .cyclotomic import Cyclotomic, cyc, parse_rational
+    from .cyclotomic import Cyclotomic, cyc
 
     if isinstance(obj, bool):
         raise UserError("character values must be numbers, not booleans")
@@ -604,6 +609,8 @@ def load(args):
 
 
 def _emit(obj, path):
+    """Write the artifact to path, or to stdout and flush it, so a write
+    that fails is a UserError while main can still report it."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
         try:
@@ -612,7 +619,11 @@ def _emit(obj, path):
         except OSError as exc:
             raise UserError("cannot write --out file %r: %s" % (path, exc))
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise UserError("cannot write to stdout: %s" % exc)
 
 
 def main(argv=None):
@@ -639,5 +650,28 @@ def _emit_error(kind, message):
     )
 
 
+def run():
+    """Process entry of `python -m inertial` and the `inertial` script: exit
+    with main's code, skipping the interpreter's teardown.
+
+    The package registers no atexit handler and closes every file it opens
+    with `with`, and _emit has flushed stdout, so what is left is to flush
+    both streams.  A stdout flush fails only after _emit has reported the
+    same failure (exit 1), its bytes still buffered.  Under a profiler or a
+    tracer (cProfile, trace, a debugger), which report at exit, and on
+    SystemExit (--help, usage), the process exits normally.  main itself
+    returns, for callers in the same process.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

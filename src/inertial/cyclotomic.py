@@ -22,13 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import MAX_DIGITS, TheoremViolation, UserError
+from .errors import TheoremViolation, UserError, parse_rational
 
 __all__ = [
     "Cyclotomic",
     "cyclotomic_polynomial",
     "euler_phi",
-    "parse_rational",
     "root_of_unity",
     "linear_combination",
     "cyc",
@@ -493,25 +492,6 @@ class Cyclotomic:
         den = lcm(*(c.denominator for c in coeffs))
         return _canonical(
             n, [c.numerator * (den // c.denominator) for c in coeffs], den)
-
-
-def parse_rational(value):
-    """A number from outside input as a Fraction, in bounded time.
-
-    Strings are read as Fraction reads them, but a string longer than
-    MAX_DIGITS characters, or with a decimal exponent above MAX_DIGITS, is
-    refused with ValueError: Fraction("1e10000000") would build 10**10000000.
-    """
-    if isinstance(value, str):
-        if len(value) > MAX_DIGITS:
-            raise ValueError("number of %d characters exceeds %d"
-                             % (len(value), MAX_DIGITS))
-        _, e, exponent = value.lower().rpartition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "")
-        if e and digits.isdigit() and int(digits) > MAX_DIGITS:
-            raise ValueError("decimal exponent of %.40r exceeds %d"
-                             % (value, MAX_DIGITS))
-    return Fraction(value)
 
 
 def cyc(value):

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the library and the CLI, and the bound
-on outside input.
+"""Exception hierarchy shared across the library and the CLI, the bounds on
+outside input, and the bounded parser of outside numbers.
 
 Each class maps to a process exit code so scripted callers can tell bad
 input apart from a failed verification or a broken mathematical invariant.
@@ -9,6 +9,9 @@ input apart from a failed verification or a broken mathematical invariant.
 # bound on outside input does not change with how the interpreter is started
 # (PYTHONINTMAXSTRDIGITS=0 or -X int_max_str_digits=0 lift Python's own).
 MAX_DIGITS = 4300
+
+# The default cap on the order of a group whose table is built.
+MAX_TABLE_ORDER = 512
 
 
 class InertialError(Exception):
@@ -31,3 +34,24 @@ class TheoremViolation(InertialError):
     """
 
     exit_code = 3
+
+
+def parse_rational(value):
+    """A number from outside input as a Fraction, in bounded time.
+
+    Strings are read as Fraction reads them, but a string longer than
+    MAX_DIGITS characters, or with a decimal exponent above MAX_DIGITS, is
+    refused with ValueError: Fraction("1e10000000") would build 10**10000000.
+    """
+    from fractions import Fraction  # not loaded by commands that parse none
+
+    if isinstance(value, str):
+        if len(value) > MAX_DIGITS:
+            raise ValueError("number of %d characters exceeds %d"
+                             % (len(value), MAX_DIGITS))
+        _, e, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "")
+        if e and digits.isdigit() and int(digits) > MAX_DIGITS:
+            raise ValueError("decimal exponent of %.40r exceeds %d"
+                             % (value, MAX_DIGITS))
+    return Fraction(value)

@@ -12,9 +12,7 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .errors import MAX_DIGITS, UserError
-
-MAX_TABLE_ORDER = 512
+from .errors import MAX_DIGITS, MAX_TABLE_ORDER, UserError
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 

@@ -17,8 +17,7 @@ reading back a serialized ring loads neither.
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import parse_rational
-from .errors import TheoremViolation, UserError
+from .errors import TheoremViolation, UserError, parse_rational
 from .inertia import build_sectors, build_double_sectors, triple_sectors
 
 class GradedAlgebra:
@@ -280,16 +279,18 @@ def _restriction(G, s, w, Zm):
     return cached
 
 
-def _lambda_duals(H):
-    """Coordinates of lambda_-1(rho^dual) for each irreducible rho of H,
-    kept in H's memo."""
-    if "lambda_duals" not in H._memo:
+def _lambda_dual(H, rho):
+    """Coordinates of lambda_-1(rho^dual) for irreducible rho (an index
+    into H's table), kept in H's memo."""
+    key = ("lambda_dual", rho)
+    cached = H._memo.get(key)
+    if cached is None:
         from .characters import character_table, lambda_minus_one_dual
         from .logtrace import int_coords
 
-        H._memo["lambda_duals"] = [int_coords(lambda_minus_one_dual(rho))
-                                   for rho in character_table(H)]
-    return H._memo["lambda_duals"]
+        cached = H._memo[key] = int_coords(
+            lambda_minus_one_dual(character_table(H)[rho]))
+    return cached
 
 
 def _k_products(G, v, basis, classes):
@@ -305,10 +306,12 @@ def _k_products(G, v, basis, classes):
     H = <m> and col_E the pullback columns of (Z_m, H), the excess is
     sum_E (dim E^{prod} - [E trivial]) col_E, so W has non-negative integer
     coordinates w, and its factor is the product of lambda_-1(rho^dual)
-    taken w_rho times.  Products fold through the fusion tensor of Z_m, and
-    by Frobenius reciprocity induce-and-move is the transpose of
-    move-and-restrict from the product's sector.  One restriction table per
-    (sector, conjugator, Z_m) serves both ends.  Returns
+    taken w_rho times; a factor is computed only for a rho with w_rho > 0,
+    and only an E with a non-zero column adds to the excess.  Products fold
+    through the fusion tensor of Z_m, and by Frobenius reciprocity
+    induce-and-move is the transpose of move-and-restrict from the
+    product's sector.  One restriction table per (sector, conjugator, Z_m)
+    serves both ends.  Returns
     {(input basis indices): {output basis index: int}}.
     """
     from .characters import character_table, eigen_multiplicities
@@ -333,13 +336,17 @@ def _k_products(G, v, basis, classes):
         w, one = list(twisted_pullback(v, ms).mults), _unit(H.group)
         for e, (chi, col) in enumerate(zip(character_table(H.group),
                                            pullback_columns(v, Zm, H))):
-            n = eigen_multiplicities(chi, H.from_parent[prod])[0] - (e == one)
-            w = [a + n * c for a, c in zip(w, col)]
+            if any(col):
+                n = (eigen_multiplicities(chi, H.from_parent[prod])[0]
+                     - (e == one))
+                w = [a + n * c for a, c in zip(w, col)]
         factor = [0] * len(w)
         factor[_unit(Zm.group)] = 1
-        for lam, n in zip(_lambda_duals(Zm.group), w):
-            for _ in range(n):
-                factor = _fold(factor, lam, fusion)
+        for rho, n in enumerate(w):
+            if n > 0:
+                lam = _lambda_dual(Zm.group, rho)
+                for _ in range(n):
+                    factor = _fold(factor, lam, fusion)
         for ts, u in _folded(factor, coords, fusion):
             nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(

@@ -38,17 +38,30 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv, *flags, timeout=None):
-    """Run the CLI in a fresh interpreter started with the given flags."""
+def child_env():
+    """This environment with the package's sources on PYTHONPATH."""
     env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_process(argv, *flags, timeout=None, env=None, stdout=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter started with the given flags."""
     return subprocess.run(
         [sys.executable, *flags, "-m", "inertial", *argv],
-        capture_output=True, env=env, cwd=ROOT, timeout=timeout,
+        stdout=stdout, stderr=subprocess.PIPE, env=env or child_env(),
+        cwd=ROOT, timeout=timeout,
     )
+
+
+def buffered_env():
+    """child_env with stdout block-buffered, as it is by default when
+    redirected, so output the process fails to flush before it exits is
+    lost."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_group_info_success():
@@ -594,27 +607,25 @@ import json, sys
 from inertial.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(json.dumps([code, sorted(
-    name for name in ("characters", "chern", "cyclotomic", "logtrace", "rings")
+    name for name in ("characters", "chern", "cyclotomic", "groups",
+                      "logtrace", "rings")
     if "inertial." + name in sys.modules) + (
     ["fractions"] if "fractions" in sys.modules else [])]))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     artifact = str(tmp_path / "k.json")
     k_ring = ["k-ring", "--group", "catalog:symmetric(3)", "--rep", "std"]
     assert run_cli(k_ring + ["--out", artifact])[0] == 0
     for argv, loaded in (
-        (["group-info", "--group", "catalog:symmetric(3)"], []),
+        (["group-info", "--group", "catalog:symmetric(3)"], ["groups"]),
         (["chartable", "--group", "catalog:symmetric(3)"],
-         ["characters", "cyclotomic", "fractions"]),
-        (["verify", "--algebra", artifact, "--all"], ["cyclotomic", "rings",
-                                                      "fractions"]),
-        (k_ring, ["characters", "cyclotomic", "logtrace", "rings",
+         ["characters", "cyclotomic", "groups", "fractions"]),
+        # reading a table back needs no group and no scalar field
+        (["verify", "--algebra", artifact, "--all"], ["rings", "fractions"]),
+        (k_ring, ["characters", "cyclotomic", "groups", "logtrace", "rings",
                   "fractions"]),
     ):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
-                              capture_output=True, env=env)
+                              capture_output=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stderr) == [0, loaded], argv[0]
 
@@ -629,6 +640,86 @@ def test_unwritable_out_is_a_user_error(tmp_path):
     error = json.loads(proc.stderr)["error"]
     assert error["kind"] == "UserError"
     assert error["message"].startswith("cannot write --out file")
+
+
+def test_failed_stdout_write_is_a_user_error():
+    # /dev/full refuses every write: the artifact cannot reach stdout, which
+    # is an input error (exit 1, a JSON error on stderr), whether stdout is
+    # flushed per write or only at exit, and under -O
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = ["group-info", "--group", "catalog:cyclic(3)"]
+    for flags, env in (((), buffered_env()), (("-O",), buffered_env()),
+                       ((), dict(child_env(), PYTHONUNBUFFERED="1"))):
+        with open("/dev/full", "w") as full:
+            proc = run_process(argv, *flags, env=env, stdout=full)
+        assert proc.returncode == 1, (flags, proc.stderr)
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "UserError"
+        assert error["message"].startswith("cannot write to stdout")
+
+
+def test_process_exit_keeps_every_byte(tmp_path):
+    # the process ends without interpreter teardown: a 100 KB+ artifact
+    # still arrives whole, through a pipe and through --out
+    argv = ["k-ring", "--group", "catalog:symmetric(4)", "--rep", "std"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == "" and len(out) > 100_000
+    proc = run_process(argv, env=buffered_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, out.encode(), b"")
+    path = tmp_path / "k.json"
+    proc = run_process(argv + ["--out", str(path)], env=buffered_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_text() == out
+
+
+def test_process_exit_codes_and_errors_match_main():
+    # exit 0, 1 (a JSON error on stderr) and 2 (a failed check), each the
+    # same code and bytes in a process as from main in this one
+    failing = json.dumps({"basis": ["a"], "grading": ["0"], "table": []})
+    for argv, code in (
+            (["group-info", "--group", "catalog:cyclic(3)"], 0),
+            (["group-info", "--group", "catalog:sporadic(1)"], 1),
+            (["verify", "--algebra", failing, "--all"], 2)):
+        want = run_cli(argv)
+        assert want[0] == code
+        proc = run_process(argv, env=buffered_env())
+        assert (proc.returncode, proc.stdout.decode(),
+                proc.stderr.decode()) == want, argv
+
+
+def test_help_exits_normally(monkeypatch):
+    # --help ends through SystemExit, so argparse's own exit path prints
+    # the same usage text in a process as in this one
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    proc = run_process(["--help"], env=dict(buffered_env(), COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, out.getvalue().encode(), b"")
+
+
+def test_profiled_process_still_reports():
+    # under a profiler the process exits normally, so the profile prints
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "inertial", "group-info",
+         "--group", "catalog:cyclic(2)"],
+        capture_output=True, env=buffered_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert b"function calls" in proc.stdout
+
+
+def test_console_script_and_module_share_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["inertial"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is importlib.import_module("inertial.__main__").run
+    assert entry is cli.run
 
 
 # (group, rep, number of sampled element triples, None for all of them)

@@ -12,10 +12,9 @@ from inertial.cyclotomic import (
     cyc,
     cyclotomic_polynomial,
     linear_combination,
-    parse_rational,
     root_of_unity,
 )
-from inertial.errors import UserError
+from inertial.errors import UserError, parse_rational
 from oracles import (
     approx,
     coords,

@@ -21,7 +21,7 @@ from inertial.errors import TheoremViolation, UserError
 from inertial.cli import main
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import build_double_sectors, triple_sectors
-from inertial.logtrace import age, twisted_pullback
+from inertial.logtrace import age, int_coords, invariants_char, twisted_pullback
 from inertial.rings import (
     GradedAlgebra,
     algebra_from_json,
@@ -669,3 +669,36 @@ def test_class_factors_take_lambda_once_per_irreducible(monkeypatch):
                     + triple_sectors(G)}
     bound = sum(len(character_table(Z.group)) for Z in centralizers)
     assert 0 < len(calls) <= bound, f"{len(calls)} lambda_-1 calls, bound {bound}"
+
+
+def test_class_factors_only_for_the_irreducibles_they_use(monkeypatch):
+    calls = []
+    real = characters.lambda_minus_one_dual
+
+    def counted(chi):
+        calls.append((chi.group, character_table(chi.group).index(chi)))
+        return real(chi)
+
+    monkeypatch.setattr(characters, "lambda_minus_one_dual", counted)
+    S4 = catalog_group("symmetric(4)")
+    # fresh copies, so no group memo is warm; with V = 0 every class factor
+    # is 1 and takes no lambda_-1 at all
+    G = FiniteGroup(S4.table)
+    k_ring(G, zero_character(G))
+    assert calls == []
+    G = FiniteGroup(S4.table)
+    v = ClassFunction(G, catalog_character(S4, "std").values)
+    k_ring(G, v)
+    # one call per irreducible rho of a pair centralizer Z_m with w_rho > 0,
+    # w the coordinates of W = V(m) + V^{m1 m2} - V^{<m1, m2>}
+    used = set()
+    for cls in build_double_sectors(G):
+        Z = cls.centralizer
+        W = (twisted_pullback(v, cls.rep).char
+             + invariants_char(v, (G.prod(cls.rep),), Z)
+             - invariants_char(v, cls.rep, Z))
+        used.update((Z.group, rho) for rho, n in enumerate(int_coords(W))
+                    if n > 0)
+    assert len(calls) == len(set(calls)), "a lambda_-1 taken twice"
+    assert set(calls) == used
+    assert len(used) < sum(len(character_table(H)) for H in {H for H, _ in used})

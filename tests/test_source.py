@@ -87,3 +87,14 @@ def test_every_top_level_function_is_referenced():
             if uses[node.name] - own[node.name] == 0:
                 unreferenced.append(dotted)
     assert sorted(set(unreferenced) - UNCALLED_ALLOWED) == [], unreferenced
+
+
+def test_only_the_process_entry_skips_teardown():
+    # main returns its code to callers in the same process; only the
+    # process entry, cli.run, ends the process with os._exit
+    callers = {"%s.%s" % (name[:-3], fn.name)
+               for name, tree in _modules() for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Attribute) and node.attr == "_exit"
+                       for node in ast.walk(fn))}
+    assert callers == {"cli.run"}
