@@ -10,6 +10,7 @@ classes or group elements is one cyclotomic.linear_combination call.
 
 import json
 from math import isqrt
+from operator import mul
 
 from .cyclotomic import (
     ONE, ZERO, Cyclotomic, cyc, linear_combination, root_of_unity)
@@ -86,9 +87,6 @@ class ClassFunction:
         return ClassFunction(self.group, [a * cyc(other) for a in self.values])
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return ClassFunction(self.group, [a.conjugate() for a in self.values])
 
     def __eq__(self, other):
         return (
@@ -235,38 +233,39 @@ def _hessenberg_charpoly(M, p):
     return polys[n]
 
 
-def _kernel_basis(M, lam, p):
-    n = len(M)
-    A = [[(M[i][j] - (lam if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if A[i][c]:
-                piv = i
-                break
+def _rref(rows, p):
+    """Reduced row-echelon form of rows mod p: the nonzero reduced rows and
+    their pivot columns."""
+    A = list(rows)
+    pivots = []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         ipiv = pow(A[r][c], p - 2, p)
-        A[r] = [v * ipiv % p for v in A[r]]
-        for i in range(n):
+        Ar = A[r] = [v * ipiv % p for v in A[r]]
+        for i in range(len(A)):
             if i != r and A[i][c]:
                 f = A[i][c]
-                Ar = A[r]
                 A[i] = [(a - f * b) % p for a, b in zip(A[i], Ar)]
-        piv_cols.append(c)
-        r += 1
-    pivset = set(piv_cols)
+        pivots.append(c)
+    return A[:len(pivots)], pivots
+
+
+def _kernel_basis(M, lam, p):
+    """The kernel of M - lam mod p, one basis vector per free column."""
+    n = len(M)
+    R, pivots = _rref([[(x - (lam if i == j else 0)) % p
+                        for j, x in enumerate(row)]
+                       for i, row in enumerate(M)], p)
     basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
         v[free] = 1
-        for row_i, c in enumerate(piv_cols):
-            v[c] = (-A[row_i][free]) % p
+        for row, c in zip(R, pivots):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis
 
@@ -278,53 +277,21 @@ def _sqrt_mod(target, p):
     raise TheoremViolation("no square root mod p for a degree")
 
 
-def _matvec(M, v, p):
-    return [sum(row[k] * v[k] for k in range(len(v))) % p for row in M]
+def _split_subspace(M, rows, pivots, p):
+    """Split the span of rows, reduced with the given pivot columns, into
+    eigenspaces of M (which must preserve it), each reduced again.
 
-
-def _solve_in_basis(basis, images, p):
-    """Coordinates of each image vector in the span of `basis` (mod p)."""
-    r = len(basis[0])
-    s = len(basis)
-    t = len(images)
-    aug = [[basis[j][i] for j in range(s)] + [img[i] for img in images]
-           for i in range(r)]
-    piv_cols = []
-    row = 0
-    for c in range(s):
-        piv = None
-        for i in range(row, r):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise TheoremViolation("basis vectors are dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        ipiv = pow(aug[row][c], p - 2, p)
-        aug[row] = [v * ipiv % p for v in aug[row]]
-        for i in range(r):
-            if i != row and aug[i][c]:
-                f = aug[i][c]
-                Ar = aug[row]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], Ar)]
-        piv_cols.append(c)
-        row += 1
-    # coordinates: column c of the answer sits in the pivot rows
-    coords = [[aug[row_i][s + m] for m in range(t)] for row_i in range(s)]
-    # consistency: non-pivot rows must be all zero in the image columns
-    for i in range(s, r):
-        if any(aug[i][s + m] for m in range(t)):
+    A vector of the span is the sum of rows weighted by its entries at the
+    pivots, so those entries are the coordinates of each image."""
+    cols = list(zip(*rows))
+    free = sorted(set(range(len(M))) - set(pivots))
+    images = [[sum(map(mul, row, v)) % p for row in M] for v in rows]
+    for img in images:
+        coords = [img[k] for k in pivots]
+        if any((img[c] - sum(map(mul, coords, cols[c]))) % p for c in free):
             raise TheoremViolation(
                 "image left the subspace: class matrices do not commute?")
-    return coords  # coords[j][m]: coefficient of basis[j] in images[m]
-
-
-def _split_subspace(M, basis, p):
-    """Split span(basis) into eigenspaces of M (which must preserve it)."""
-    s = len(basis)
-    images = [_matvec(M, b, p) for b in basis]
-    coords = _solve_in_basis(basis, images, p)
-    A = [[coords[j][m] for m in range(s)] for j in range(s)]
+    A = [[img[k] for img in images] for k in pivots]
     charpoly = _hessenberg_charpoly(A, p)
     pieces = []
     for lam in range(p):
@@ -335,16 +302,9 @@ def _split_subspace(M, basis, p):
             continue
         kern = _kernel_basis(A, lam, p)
         if kern:
-            piece = []
-            for coord in kern:
-                vec = [0] * len(basis[0])
-                for j, cj in enumerate(coord):
-                    if cj:
-                        for idx in range(len(vec)):
-                            vec[idx] = (vec[idx] + cj * basis[j][idx]) % p
-                piece.append(vec)
-            pieces.append(piece)
-    if sum(len(piece) for piece in pieces) != s:
+            pieces.append(_rref([[sum(map(mul, coord, col)) % p
+                                  for col in cols] for coord in kern], p))
+    if sum(len(piece) for piece, _ in pieces) != len(rows):
         raise TheoremViolation("eigenspaces do not fill")
     return pieces
 
@@ -369,23 +329,25 @@ def character_table(group):
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
 
     # refine the common eigenspaces of the class-sum matrices until every
-    # subspace is a line; orthogonality mod p guarantees this terminates
-    subspaces = [[[1 if i == j else 0 for i in range(r)] for j in range(r)]]
+    # subspace, each in reduced row-echelon form with its pivot columns, is
+    # a line; orthogonality mod p guarantees this terminates
+    subspaces = [([[int(i == j) for i in range(r)] for j in range(r)],
+                  list(range(r)))]
     for i in range(1, r):
-        if all(len(s) == 1 for s in subspaces):
+        if all(len(rows) == 1 for rows, _ in subspaces):
             break
         Mi = _class_matrix(group, i, p)
         nxt = []
-        for s in subspaces:
-            if len(s) == 1:
-                nxt.append(s)
+        for rows, pivots in subspaces:
+            if len(rows) == 1:
+                nxt.append((rows, pivots))
             else:
-                nxt.extend(_split_subspace(Mi, s, p))
+                nxt.extend(_split_subspace(Mi, rows, pivots, p))
         subspaces = nxt
-    if any(len(s) != 1 for s in subspaces):
+    if any(len(rows) != 1 for rows, _ in subspaces):
         raise TheoremViolation(
             "class matrices failed to separate the irreducible characters")
-    vectors = [s[0] for s in subspaces]
+    vectors = [rows[0] for rows, _ in subspaces]
 
     chars = []
     for v in vectors:

@@ -82,6 +82,14 @@ def _spec_names(data, valid, what):
     return names
 
 
+def _spec_label(data):
+    """The optional "label" of a JSON group spec, which the artifacts echo."""
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise UserError('group "label" must be a string')
+    return label
+
+
 def load_group(spec, max_order=MAX_TABLE_ORDER):
     """The group a --group spec names, refused above max_order elements."""
     from .groups import FiniteGroup, catalog_group, group_from_permutations
@@ -103,7 +111,7 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
         n = len(table)
         names = _spec_names(data, lambda x: _int_list([x]) and 0 <= x < n,
                             "an element index below %d" % n)
-        return FiniteGroup(table, names=names, label=data.get("label"),
+        return FiniteGroup(table, names=names, label=_spec_label(data),
                            max_order=max_order)
     if kind == "perm":
         gens = data.get("generators")
@@ -112,7 +120,7 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
                             "integer permutations")
         names = _spec_names(data, _int_list, "a permutation")
         return group_from_permutations(
-            [tuple(p) for p in gens], names=names, label=data.get("label"),
+            [tuple(p) for p in gens], names=names, label=_spec_label(data),
             max_order=max_order,
         )
     raise UserError(
@@ -378,6 +386,9 @@ _VERIFY_FLAGS = (
     "associativity", "frobenius", "fw", "nonnegativity",
     "grading", "v_identities", "rr", "multiproduct",
 )
+# what verify --algebra cannot honor: a ring file has no group or character
+_ALGEBRA_REFUSES = ("group", "rep") + tuple(
+    flag for flag in _VERIFY_FLAGS if flag not in ("associativity", "grading"))
 
 
 def _verify_rings(G, v, names):
@@ -477,6 +488,12 @@ def verify_algebra(args):
     no group; verify without --algebra needs --group."""
     if not args.algebra:
         raise UserError("verify needs --group (or --algebra FILE)")
+    refused = ["--" + flag.replace("_", "-") for flag in _ALGEBRA_REFUSES
+               if getattr(args, flag) not in (None, False)]
+    if refused:
+        raise UserError(
+            "verify --algebra takes no %s: it re-checks a ring file with "
+            "--associativity, --grading or --all" % ", ".join(refused))
     from .rings import algebra_from_json, verify
 
     data = _read_json_spec(args.algebra, "algebra")
@@ -568,7 +585,8 @@ def build_parser():
     p = add("group-info", cmd_group_info)
     p = add("chartable", cmd_chartable)
     p.add_argument("--chartable-file", default=None,
-                   help="validate and use this character table")
+                   help="check this character table against the computed "
+                   "one (never used in its place)")
     add("age", cmd_age, rep="required", element=True)
     add("logtrace", cmd_logtrace, rep="required", element=True)
     add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)

@@ -432,6 +432,14 @@ def _cyclic(n):
     return g
 
 
+def _ab_table(m, mul):
+    """The table of the words a^k b^e (0 <= k < m, e = 0, 1) at index
+    k + m*e, where mul(k, e, l, f) is the word (k', e') of a^k b^e a^l b^f."""
+    words = [(k, e) for e in range(2) for k in range(m)]
+    return [[k2 + m * e2 for k2, e2 in (mul(k, e, l, f) for l, f in words)]
+            for k, e in words]
+
+
 def _dihedral(n):
     # elements r^k s^e  ->  index k + n*e
     def mul(k, e, l, f):
@@ -439,16 +447,8 @@ def _dihedral(n):
             return (k + l) % n, f
         return (k - l) % n, (e + f) % 2
 
-    order = 2 * n
-    table = [[0] * order for _ in range(order)]
-    for k in range(n):
-        for e in range(2):
-            for l in range(n):
-                for f in range(2):
-                    k2, e2 = mul(k, e, l, f)
-                    table[k + n * e][l + n * f] = k2 + n * e2
     names = {"e": 0, "r": 1 % n, "s": n}
-    g = FiniteGroup(table, names=names, label="dihedral(%d)" % n,
+    g = FiniteGroup(_ab_table(n, mul), names=names, label="dihedral(%d)" % n,
                     max_order=None)
     g.catalog = ("dihedral", n)
     return g
@@ -465,17 +465,9 @@ def _binary_dihedral(n, label=None):
         k2 = (k - l + (n if f == 1 else 0)) % m
         return k2, (e + f) % 2
 
-    order = 4 * n
-    table = [[0] * order for _ in range(order)]
-    for k in range(m):
-        for e in range(2):
-            for l in range(m):
-                for f in range(2):
-                    k2, e2 = mul(k, e, l, f)
-                    table[k + m * e][l + m * f] = k2 + m * e2
     names = {"e": 0, "a": 1, "b": m}
-    g = FiniteGroup(table, names=names, label=label or "binary_dihedral(%d)" % n,
-                    max_order=None)
+    g = FiniteGroup(_ab_table(m, mul), names=names,
+                    label=label or "binary_dihedral(%d)" % n, max_order=None)
     g.catalog = ("binary_dihedral", n)
     return g
 
@@ -486,7 +478,6 @@ def _quaternion8():
     g.names["i"] = g.names["a"]
     g.names["j"] = g.names["b"]
     g.names["k"] = g.op(g.names["a"], g.names["b"])
-    g.catalog = ("binary_dihedral", 2)
     return g
 
 
@@ -534,47 +525,38 @@ def _alternating(n):
     return g
 
 
-# group order per unit of n for the families whose table grows with n
-_FAMILY_ORDER = {"cyclic": 1, "dihedral": 2, "binary_dihedral": 4}
-
 _CATALOG_RE = re.compile(r"([a-z_0-9]+?)(?:\((\d+)\))?$")
+
+# kind -> (builder, group order per unit of n for the families whose table
+# grows linearly with n, 0 for the other families, None for a kind that
+# takes no n)
+_CATALOG = {
+    "cyclic": (_cyclic, 1),
+    "dihedral": (_dihedral, 2),
+    "symmetric": (_symmetric, 0),
+    "alternating": (_alternating, 0),
+    "binary_dihedral": (_binary_dihedral, 4),
+    "quaternion8": (_quaternion8, None),
+    "klein4": (_klein4, None),
+}
 
 
 @lru_cache(maxsize=None)
 def _catalog_cached(kind, n):
-    if kind == "cyclic":
-        if n is None or n < 1:
-            raise UserError("cyclic(n) needs n >= 1")
-        return _cyclic(n)
-    if kind == "dihedral":
-        if n is None or n < 1:
-            raise UserError("dihedral(n) needs n >= 1")
-        return _dihedral(n)
-    if kind == "symmetric":
-        if n is None or n < 1:
-            raise UserError("symmetric(n) needs n >= 1")
-        return _symmetric(n)
-    if kind == "alternating":
-        if n is None or n < 1:
-            raise UserError("alternating(n) needs n >= 1")
-        return _alternating(n)
-    if kind == "binary_dihedral":
-        if n is None or n < 1:
-            raise UserError("binary_dihedral(n) needs n >= 1")
-        return _binary_dihedral(n)
-    if kind == "quaternion8":
+    if kind not in _CATALOG:
+        raise UserError(
+            "unknown catalog group %r (available: cyclic(n), dihedral(n), "
+            "symmetric(n<=6), alternating(n<=6), quaternion8, "
+            "binary_dihedral(n), klein4)" % kind
+        )
+    build, per_n = _CATALOG[kind]
+    if per_n is None:
         if n is not None:
-            raise UserError("quaternion8 takes no parameter")
-        return _quaternion8()
-    if kind == "klein4":
-        if n is not None:
-            raise UserError("klein4 takes no parameter")
-        return _klein4()
-    raise UserError(
-        "unknown catalog group %r (available: cyclic(n), dihedral(n), "
-        "symmetric(n<=6), alternating(n<=6), quaternion8, binary_dihedral(n), "
-        "klein4)" % kind
-    )
+            raise UserError("%s takes no parameter" % kind)
+        return build()
+    if n is None or n < 1:
+        raise UserError("%s(n) needs n >= 1" % kind)
+    return build(n)
 
 
 def catalog_group(spec, max_order=MAX_TABLE_ORDER):
@@ -592,8 +574,9 @@ def catalog_group(spec, max_order=MAX_TABLE_ORDER):
     kind, n = m.group(1), m.group(2)
     n = int(n) if n is not None else None
     # refuse an oversized family member before its table is built
-    if kind in _FAMILY_ORDER and n is not None:
-        _check_order(_FAMILY_ORDER[kind] * n, max_order)
+    per_n = _CATALOG.get(kind, (None, None))[1]
+    if per_n and n is not None:
+        _check_order(per_n * n, max_order)
     g = _catalog_cached(kind, n)
     # the cap is checked outside the cache, so every call honors its own
     _check_order(g.n, max_order)

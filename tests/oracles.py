@@ -139,6 +139,36 @@ CLASSICAL_DEGREES = {
 }
 
 
+def closed_form_table(G):
+    """The irreducible characters of a cyclic, dihedral or Klein catalog
+    group from their closed forms, as a set of value tuples by class.
+
+    cyclic(n), element g^k at index k: chi_j(g^k) = zeta_n^(jk).
+    dihedral(n), r^k s^e at index k + n*e: the linear characters (-1)^e,
+    and for even n also (-1)^k and (-1)^(k+e); and for 0 < h < n/2,
+    rho_h(r^k) = zeta_n^(hk) + zeta_n^(-hk) and rho_h(r^k s) = 0.
+    klein4, elements 0..3 multiplied by xor: chi_m(x) = (-1)^|m & x|.
+    Nothing here runs Dixon's method or any other table computation.
+    """
+    kind, n = G.catalog
+    reps = G.class_reps()
+    if kind == "cyclic":
+        funcs = [lambda x, j=j: root_of_unity(n, j * x) for j in range(n)]
+    elif kind == "dihedral":
+        funcs = [lambda x, a=a, b=b: -ONE if (a * (x % n) + b * (x // n)) % 2
+                 else ONE
+                 for a in range(2 - n % 2) for b in (0, 1)]
+        funcs += [lambda x, h=h: ZERO if x >= n
+                  else root_of_unity(n, h * x) + root_of_unity(n, -h * x)
+                  for h in range(1, (n + 1) // 2)]
+    elif kind == "klein4":
+        funcs = [lambda x, m=m: -ONE if bin(m & x).count("1") % 2 else ONE
+                 for m in range(4)]
+    else:
+        raise ValueError("no closed form for %s" % G.label)
+    return {tuple(f(x) for x in reps) for f in funcs}
+
+
 def reference_k_table(G, v):
     """The integral product table of [V/G], one product of irreducibles at a time.
 

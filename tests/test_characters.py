@@ -27,6 +27,7 @@ from inertial.errors import UserError
 from inertial.groups import catalog_group
 from oracles import (
     adams,
+    closed_form_table,
     dual,
     lambda_minus_one_dual_newton,
     reference_eigen_multiplicities,
@@ -320,6 +321,29 @@ def test_class_function_validation():
         pass
 
 
+def test_tables_match_the_closed_forms():
+    # cyclic and dihedral groups up to n = 12, and the Klein group, against
+    # closed forms that share no code with Dixon's method
+    specs = (["cyclic(%d)" % n for n in range(1, 13)]
+             + ["dihedral(%d)" % n for n in range(1, 13)] + ["klein4"])
+    for spec in specs:
+        G = catalog_group(spec)
+        got = {chi.values for chi in character_table(G)}
+        assert got == closed_form_table(G), spec
+
+
+def _run_script(script, *flags):
+    """Run a Python script in a fresh interpreter with the given flags and
+    the package's sources on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, env=env)
+
+
 def test_dixon_lift_checks_survive_optimize():
     # assert statements vanish under -O; a wrong lifted value must still be
     # caught by the exact orthogonality check
@@ -334,13 +358,48 @@ characters.root_of_unity = (
     lambda o, k: real(o, k) + (1 if (o, k) == (3, 1) else 0))
 sys.exit(main(["chartable", "--group", "catalog:cyclic(3)"]))
 """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, env=env)
+    proc = _run_script(script, "-O")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == b""
     assert json.loads(proc.stderr)["error"]["kind"] == "TheoremViolation"
+
+
+def test_dixon_split_checks_raise_with_and_without_optimize():
+    # made-up class matrices over F_7 drive each check of the eigenspace
+    # split; under -O as well, each raises TheoremViolation
+    script = """
+import json
+from inertial import characters
+from inertial.errors import TheoremViolation
+from inertial.groups import FiniteGroup
+
+CASES = [
+    # x^2 + 1 has no root mod 7: the rotation has no eigenvector
+    (2, {1: [[0, 6], [1, 0]]}),
+    # M_1 splits F_7^3 into <e0> and <e1, e2>; M_2 sends e1 to e0
+    (3, {1: [[1, 0, 0], [0, 2, 0], [0, 0, 2]],
+         2: [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}),
+    # the identity splits nothing
+    (2, {1: [[1, 0], [0, 1]]}),
+]
+characters._dixon_prime = lambda order, exponent: 7
+messages = []
+for n, matrices in CASES:
+    characters._class_matrix = (
+        lambda group, i, p: [row[:] for row in matrices[i]])
+    G = FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    try:
+        characters.character_table(G)
+        messages.append(None)
+    except TheoremViolation as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+    for flags in ((), ("-O",)):
+        proc = _run_script(script, *flags)
+        assert proc.returncode == 0, proc.stderr
+        fill, left, separate = json.loads(proc.stdout)
+        assert fill == "eigenspaces do not fill", flags
+        assert left.startswith("image left the subspace"), flags
+        assert separate == ("class matrices failed to separate the "
+                            "irreducible characters"), flags

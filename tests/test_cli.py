@@ -125,6 +125,11 @@ def test_user_errors_exit_1():
         ["group-info", "--group",
          '{"kind": "table", "table": [[0, 1], [1, 0]], "names": {"g": 9}}'],
         ["group-info", "--group", '{"kind": "perm", "generators": 5}'],
+        # a label is echoed into the artifact, so only a string is taken
+        ["group-info", "--group",
+         '{"kind": "table", "table": [[0]], "label": [1, 2]}'],
+        ["group-info", "--group",
+         '{"kind": "perm", "generators": [[1, 0]], "label": 5}'],
         ["age", "--group", "catalog:symmetric(3)", "--rep",
          '{"kind": "catalog_rep"}', "--element", "s1"],
         # numbers whose parsing would grow with their size: a conductor
@@ -239,6 +244,62 @@ def test_verify_algebra_round_trip(tmp_path):
     report = json.loads(out)
     assert report["holds"] is False
     assert report["checks"]["associativity"] is False
+
+
+def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
+    # a ring file carries no group or character: a check that needs them,
+    # or --group and --rep themselves, must not pass without running
+    ring_path = str(tmp_path / "ring.json")
+    code, _, _ = run_cli(["chow-ring", "--group", "catalog:cyclic(2)",
+                          "--rep", "zero", "--out", ring_path])
+    assert code == 0
+    base = ["verify", "--algebra", ring_path, "--associativity"]
+    refused = [["--frobenius"], ["--fw"], ["--nonnegativity"],
+               ["--v-identities"], ["--rr"], ["--multiproduct"],
+               ["--group", "catalog:cyclic(2)"], ["--rep", "zero"]]
+    for extra in refused:
+        code, out, err = run_cli(base + extra)
+        assert code == 1, extra
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("verify --algebra takes no %s:" % extra[0]), \
+            message
+    code, out, err = run_cli(base + ["--multiproduct", "--v-identities"])
+    assert code == 1
+    assert "--v-identities, --multiproduct" in json.loads(err)["error"]["message"]
+    code, out, _ = run_cli(base + ["--grading"])
+    assert code == 0
+    assert sorted(json.loads(out)["checks"]) == [
+        "associativity", "commutativity", "grading", "identity"]
+
+
+def test_catalog_refusals_exit_1_with_their_messages():
+    unknown = ("unknown catalog group 'foo' (available: cyclic(n), "
+               "dihedral(n), symmetric(n<=6), alternating(n<=6), quaternion8, "
+               "binary_dihedral(n), klein4)")
+    cases = {
+        "cyclic(0)": "cyclic(n) needs n >= 1",
+        "cyclic": "cyclic(n) needs n >= 1",
+        "dihedral(0)": "dihedral(n) needs n >= 1",
+        "symmetric(0)": "symmetric(n) needs n >= 1",
+        "alternating": "alternating(n) needs n >= 1",
+        "binary_dihedral": "binary_dihedral(n) needs n >= 1",
+        "quaternion8(2)": "quaternion8 takes no parameter",
+        "klein4(1)": "klein4 takes no parameter",
+        "symmetric(7)": "symmetric(n) is supported for n <= 6",
+        "alternating(7)": "alternating(n) is supported for n <= 6",
+        "foo(3)": unknown,
+        "dihedral(300)": "group order 600 exceeds the supported maximum 512",
+        "binary_dihedral(129)":
+            "group order 516 exceeds the supported maximum 512",
+        "cyclic(-1)": "cannot parse catalog group name 'cyclic(-1)'",
+    }
+    for spec, message in cases.items():
+        code, out, err = run_cli(["group-info", "--group", "catalog:" + spec])
+        assert code == 1, spec
+        assert out == ""
+        assert json.loads(err)["error"] == {"kind": "UserError",
+                                            "message": message}, spec
 
 
 def test_verify_group_mode():
