@@ -349,6 +349,16 @@ def character_table(group):
             "class matrices failed to separate the irreducible characters")
     vectors = [rows[0] for rows, _ in subspaces]
 
+    # per class representative g of order o, what the lift of every
+    # irreducible reads: the classes of g^j, the powers of w^(e/o) and 1/o,
+    # all mod p
+    lifts = []
+    for g in reps:
+        o = group.order_of(g)
+        wo = pow(w, e // o, p)
+        lifts.append((o, [group.class_of(group.power(g, j)) for j in range(o)],
+                      [pow(wo, j, p) for j in range(o)], pow(o % p, p - 2, p)))
+
     chars = []
     for v in vectors:
         if v[0] % p == 0:
@@ -362,17 +372,12 @@ def character_table(group):
         d = _sqrt_mod(d2, p)
         tvals = [d * omega[i] % p * inv_sizes[i] % p for i in range(r)]
         values = []
-        for i, g in enumerate(reps):
-            o = group.order_of(g)
-            wo = pow(w, e // o, p)
-            inv_o = pow(o % p, p - 2, p)
+        for o, power_classes, wo_powers, inv_o in lifts:
             mults, roots = [], []
             for k in range(o):
-                acc = 0
-                for j in range(o):
-                    acc = (acc + tvals[group.class_of(group.power(g, j))]
-                           * pow(wo, (-j * k) % o, p)) % p
-                m = acc * inv_o % p
+                acc = sum(tvals[c] * wo_powers[-j * k % o]
+                          for j, c in enumerate(power_classes))
+                m = acc % p * inv_o % p
                 if m > d:
                     raise TheoremViolation(
                         "eigenvalue multiplicity exceeds the degree")

@@ -7,8 +7,8 @@ fixed-locus centralizer carries the inertial product; moving through the
 restriction map f^! (restrict, project, divide by the normal-bundle factor,
 untwist) and its inverse (twist, multiply, induce) transplants that product
 back onto class functions of G.  Both maps are linear and work in the
-integral ring's own (sector, irreducible) coordinates: f^! is diagonal
-there, and the forward map is one class function of G per basis element.
+(sector, irreducible) coordinates of G's K basis (rings.k_basis): f^! is
+diagonal there, and the forward map is one class function of G per element.
 """
 
 from fractions import Fraction
@@ -23,8 +23,9 @@ from .characters import (
     lambda_minus_one_dual,
     zero_character,
 )
+from .inertia import build_sectors
 from .logtrace import invariants_char
-from .rings import k_ring
+from .rings import k_basis, k_ring
 
 
 def support_project(alpha, class_index):
@@ -46,18 +47,15 @@ def mult_twist(alpha, h):
     return ClassFunction(g, vals)
 
 
-def orbifold_chern(algebra, vec):
+def orbifold_chern(G, vec):
     """Per-sector rank vector of an element of the representation-ring basis.
 
     For a point or a linear quotient the degree-0 shadow is exact: each
     sector contributes the rank of its component.  vec is a sparse dict over
-    the basis of an integral inertial ring.
+    G's K basis, which every integral inertial ring of G shares.
     """
-    ctx = algebra.context
-    if ctx is None or ctx.get("kind") != "k":
-        raise UserError("the Chern map needs a freshly built integral ring")
-    basis = ctx["kbasis"]
-    out = [Fraction(0)] * len(ctx["sectors"].sectors)
+    basis = k_basis(G)
+    out = [Fraction(0)] * len(basis.tables)
     for idx, coeff in vec.items():
         s, t = basis.pairs[idx]
         deg = basis.tables[s][t].values[0].to_rational()
@@ -82,8 +80,7 @@ def _k_maps(G, v):
         return entry
     K = k_ring(G, v)
     scales, images = [], []
-    for s, table in zip(K.context["sectors"].sectors,
-                        K.context["kbasis"].tables):
+    for s, table in zip(build_sectors(G).sectors, k_basis(G).tables):
         Z = s.centralizer
         h_local = Z.from_parent[s.rep]
         if len(Z.group.conjugacy_classes()[Z.group.class_of(h_local)]) != 1:
@@ -111,10 +108,10 @@ def f_shriek(alpha, G, v):
     deg t / |Z_s|.  Zero coordinates are left out."""
     if alpha.group is not G:
         raise UserError("class function does not live on the given group")
-    K, scales, _ = _k_maps(G, v)
-    basis = K.context["kbasis"]
+    scales = _k_maps(G, v)[1]
+    basis = k_basis(G)
     vec = {}
-    for s, table in zip(K.context["sectors"].sectors, basis.tables):
+    for s, table in zip(build_sectors(G).sectors, basis.tables):
         c = alpha.value(s.rep) * scales[s.index].inverse()
         if c == ZERO:
             continue

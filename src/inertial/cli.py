@@ -316,11 +316,9 @@ def cmd_ring(G, v, args):
 
 
 def cmd_eta(G, v, args):
-    from .rings import chow_ring, eta_pairing, k_ring
+    from .rings import eta_pairing
 
-    alg = chow_ring(G, v) if args.mode == "chow" else k_ring(G, v)
-    pairing = eta_pairing(alg)
-    out = pairing.to_json()
+    out = eta_pairing(G, v, args.mode).to_json()
     out["command"] = "eta"
     out["mode"] = args.mode
     return out, 0
@@ -330,17 +328,17 @@ def cmd_chern(G, v, args):
     from fractions import Fraction
 
     from .chern import orbifold_chern
-    from .rings import k_ring
+    from .rings import k_basis
 
-    K = k_ring(G, v)
+    basis = k_basis(G)
     vectors = [
-        [_frac(c) for c in orbifold_chern(K, {i: Fraction(1)})]
-        for i in range(K.dim)
+        [_frac(c) for c in orbifold_chern(G, {i: Fraction(1)})]
+        for i in range(basis.size)
     ]
     return {
         "command": "chern",
-        "basis": K.labels,
-        "sectors": [s.rep for s in K.context["sectors"].sectors],
+        "basis": basis.labels,
+        "sectors": [s.rep for s in build_sectors(G).sectors],
         "vectors": vectors,
     }, 0
 
@@ -387,7 +385,7 @@ _VERIFY_FLAGS = (
     "grading", "v_identities", "rr", "multiproduct",
 )
 # what verify --algebra cannot honor: a ring file has no group or character
-_ALGEBRA_REFUSES = ("group", "rep") + tuple(
+_ALGEBRA_REFUSES = ("group", "rep", "max_order", "max_double") + tuple(
     flag for flag in _VERIFY_FLAGS if flag not in ("associativity", "grading"))
 
 
@@ -410,12 +408,12 @@ def _verify_rings(G, v, names):
 
         from .chern import orbifold_chern
 
-        chern = [{s: c for s, c in enumerate(orbifold_chern(kr, {i: 1})) if c}
+        chern = [{s: c for s, c in enumerate(orbifold_chern(G, {i: 1})) if c}
                  for i in range(kr.dim)]
         ok = True
         for i in range(kr.dim):
             for j in range(kr.dim):
-                lhs = orbifold_chern(kr, kr.table.get((i, j), {}))
+                lhs = orbifold_chern(G, kr.table.get((i, j), {}))
                 rhs_vec = chow.mul(chern[i], chern[j])
                 rhs = [rhs_vec.get(s, Fraction(0)) for s in range(chow.dim)]
                 if lhs != rhs:
@@ -425,12 +423,14 @@ def _verify_rings(G, v, names):
 
 
 def _verify_tuples(G, v, names):
-    """The checks over tuples of elements.  The identity family is checked
-    on one triple per class of simultaneous conjugation: conjugation moves
-    every log trace, fixed-space character and obstruction class of a triple
-    onto those of its conjugate, so the identities hold on a whole class or
-    on none of it.  "triples" still counts element triples, the class sizes
-    |G| / |Z(m)|, and they must add up to |G|^3."""
+    """The checks over tuples of elements, each run on one tuple per class
+    of simultaneous conjugation: conjugation moves every age, log trace,
+    fixed space and obstruction class of a tuple onto those of its
+    conjugate, so a check holds on a whole class or on none of it.  The
+    counts are still of element tuples, the class sizes |G| / |Z(m)|: the
+    age-sum bound's pairs (s, s^-1) and triples (a, b, (ab)^-1), one per
+    sector and one per pair class, must add up to |G| + |G|^2, and the
+    identity family's triples to |G|^3."""
     from .logtrace import fw_check, twisted_pullback, v_identity_check
 
     report = {}
@@ -447,16 +447,18 @@ def _verify_tuples(G, v, names):
     if "fw" in names:
         ok = True
         count = 0
-        for a in range(G.n):
-            inv_a = G.inv[a]
-            rep = fw_check(v, (a, inv_a))
-            count += 1
+        classes = [((s.rep, G.inv[s.rep]), s.centralizer)
+                   for s in build_sectors(G).sectors]
+        classes += [(cls.rep + (G.inv[G.prod(cls.rep)],), cls.centralizer)
+                    for cls in build_double_sectors(G, None)]
+        for ms, Z in classes:
+            rep = fw_check(v, ms)
+            count += G.n // Z.order
             ok = ok and rep["holds"]
-            for b in range(G.n):
-                c = G.inv[G.op(a, b)]
-                rep = fw_check(v, (a, b, c))
-                count += 1
-                ok = ok and rep["holds"]
+        if count != G.n + G.n ** 2:
+            raise TheoremViolation(
+                "sector and pair classes cover %d tuples, not |G| + |G|^2 = %d"
+                % (count, G.n + G.n ** 2))
         report["fw"] = {"tuples": count, "holds": ok}
     if "v_identities" in names:
         ok = True
@@ -489,7 +491,8 @@ def verify_algebra(args):
     if not args.algebra:
         raise UserError("verify needs --group (or --algebra FILE)")
     refused = ["--" + flag.replace("_", "-") for flag in _ALGEBRA_REFUSES
-               if getattr(args, flag) not in (None, False)]
+               if getattr(args, flag) is not None
+               and getattr(args, flag) is not False]
     if refused:
         raise UserError(
             "verify --algebra takes no %s: it re-checks a ring file with "
@@ -563,16 +566,21 @@ def build_parser():
         """A subcommand and what it reads: --group and --max-order always;
         rep "required" or "optional" (zero by default) adds --rep, "zero"
         reads the zero character, None no character; double adds
-        --max-double, for a command that builds the pair classes."""
+        --max-double, for a command that builds the pair classes.  verify
+        defaults both caps to None, so that --algebra can refuse them, and
+        load applies the same defaults."""
         p = sub.add_parser(name)
+        unset = name == "verify"
         p.set_defaults(fn=fn, character=rep, double=double)
         p.add_argument("--group", required=(name != "verify"))
         if rep in ("required", "optional"):
             p.add_argument("--rep", required=(rep == "required"))
-        p.add_argument("--max-order", type=int, default=MAX_TABLE_ORDER,
+        p.add_argument("--max-order", type=int,
+                       default=None if unset else MAX_TABLE_ORDER,
                        help="override the group size cap (default 512)")
         if double:
-            p.add_argument("--max-double", type=int, default=DOUBLE_SECTOR_CAP,
+            p.add_argument("--max-double", type=int,
+                           default=None if unset else DOUBLE_SECTOR_CAP,
                            help="override the double-sector cap (default 200)")
         p.add_argument("--out", default=None, help="write the artifact here")
         if element:
@@ -610,9 +618,11 @@ def load(args):
     """The group and character a command reads, as add() declared them:
     G under --max-order; v from --rep, the zero character where --rep is
     optional and not given or where the command takes none, or None; and
-    |G| checked against --max-double.  A given --rep is always
-    read, so an empty one is refused like any other unreadable spec."""
-    G = load_group(args.group, args.max_order)
+    |G| checked against --max-double, each cap at its default when unset.
+    A given --rep is always read, so an empty one is refused like any other
+    unreadable spec."""
+    G = load_group(args.group, MAX_TABLE_ORDER if args.max_order is None
+                   else args.max_order)
     v = None
     if args.character == "zero" or (args.character == "optional"
                                     and args.rep is None):
@@ -622,7 +632,8 @@ def load(args):
     elif args.character:
         v = load_rep(args.rep, G)
     if args.double:
-        check_double_cap(G, args.max_double)
+        check_double_cap(G, DOUBLE_SECTOR_CAP if args.max_double is None
+                         else args.max_double)
     return G, v
 
 

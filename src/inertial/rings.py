@@ -11,7 +11,8 @@ stored alignment conjugators only.
 The table layer (GradedAlgebra, algebra_from_json, the checks, verify and
 PairingMatrix) needs no character theory, so the character and log-trace
 layers are imported by the builders that use them, after any memo lookup:
-reading back a serialized ring loads neither.
+reading back a serialized ring loads neither.  The K basis, like the sector
+index it numbers, is group state (k_basis); a ring's context holds its inputs.
 """
 
 from fractions import Fraction
@@ -23,9 +24,9 @@ from .inertia import build_sectors, build_double_sectors, triple_sectors
 class GradedAlgebra:
     """Finite-dimensional algebra with labeled basis, rational grading and
     sparse structure constants, kept as given (int in the integral rings,
-    Fraction in the rational ones).  context carries the build inputs (group,
-    character, kind, sector data) and is not serialized; an algebra parsed
-    back from JSON has context None and supports only the table-level checks.
+    Fraction in the rational ones).  context carries the build inputs
+    {"kind", "group", "rep"} and is not serialized; an algebra parsed back
+    from JSON has context None and supports only the table-level checks.
     """
 
     def __init__(self, labels, grading, table, scalar, identity_index,
@@ -168,6 +169,11 @@ def _chow_products(G, v, classes):
     return out
 
 
+def _chow_labels(G):
+    """One label per sector, the basis of the rational ring."""
+    return ["x[%s]" % G.element_label(s.rep) for s in build_sectors(G).sectors]
+
+
 def chow_ring(G, v):
     """The rational inertial product: one generator per sector, graded by age."""
     from .characters import check_linearization
@@ -175,13 +181,12 @@ def chow_ring(G, v):
 
     check_linearization(G, v)
     sectors = build_sectors(G)
-    labels = ["x[%s]" % G.element_label(s.rep) for s in sectors.sectors]
     grading = [age(v, s.rep) for s in sectors.sectors]
     table = _chow_products(G, v, build_double_sectors(G, None))
     if sectors.sectors[0].rep != 0:
         raise TheoremViolation("the identity sector must come first")
-    context = {"kind": "chow", "group": G, "rep": v, "sectors": sectors}
-    return GradedAlgebra(labels, grading, table, "rational", 0, context)
+    return GradedAlgebra(_chow_labels(G), grading, table, "rational", 0,
+                         {"kind": "chow", "group": G, "rep": v})
 
 
 # -- the integral product on centralizer representation rings -------------------
@@ -190,7 +195,7 @@ def chow_ring(G, v):
 class _KBasis:
     """Numbering of the (sector, irreducible-of-centralizer) basis."""
 
-    def __init__(self, G, sectors):
+    def __init__(self, G):
         from .characters import character_table
 
         self.offsets = []
@@ -198,7 +203,7 @@ class _KBasis:
         self.labels = []
         self.pairs = []
         off = 0
-        for s in sectors.sectors:
+        for s in build_sectors(G).sectors:
             table = character_table(s.centralizer.group)
             self.offsets.append(off)
             self.tables.append(table)
@@ -210,6 +215,14 @@ class _KBasis:
 
     def index(self, sector, t):
         return self.offsets[sector] + t
+
+
+def k_basis(G):
+    """G's K basis, a function of its table alone, kept in G's memo."""
+    basis = G._memo.get("kbasis")
+    if basis is None:
+        basis = G._memo["kbasis"] = _KBasis(G)
+    return basis
 
 
 def _unit(H):
@@ -293,7 +306,7 @@ def _lambda_dual(H, rho):
     return cached
 
 
-def _k_products(G, v, basis, classes):
+def _k_products(G, v, classes):
     """Structure constants of the integral product summed over diagonal classes.
 
     For a class of tuples m with centralizer Z_m: move each input sector's
@@ -317,6 +330,7 @@ def _k_products(G, v, basis, classes):
     from .characters import character_table, eigen_multiplicities
     from .logtrace import pullback_columns, twisted_pullback
 
+    basis = k_basis(G)
     out = {}
     for cls in classes:
         ms = cls.rep
@@ -367,16 +381,11 @@ def k_ring(G, v):
     from .characters import check_linearization
 
     check_linearization(G, v)
-    sectors = build_sectors(G)
-    basis = _KBasis(G, sectors)
-    table = _k_products(G, v, basis, build_double_sectors(G, None))
-    context = {
-        "kind": "k", "group": G, "rep": v,
-        "sectors": sectors, "kbasis": basis,
-    }
+    basis = k_basis(G)
+    table = _k_products(G, v, build_double_sectors(G, None))
     return GradedAlgebra(
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
-        basis.index(0, _unit(G)), context,
+        basis.index(0, _unit(G)), {"kind": "k", "group": G, "rep": v},
     )
 
 
@@ -400,53 +409,52 @@ class PairingMatrix:
         }
 
 
-def eta_pairing(algebra):
-    """The Poincare pairing of a complete (V = 0) quotient.
+def eta_pairing(G, v, kind):
+    """The Poincare pairing of the complete (V = 0) quotient [V/G], on the
+    basis of its rational ring (kind "chow") or of its integral ring.
 
     Sectors pair only with their inverse classes.  On fundamental classes
-    the value is 1 over the centralizer order; on representation classes it
-    is the invariant multiplicity of the product after moving the second
-    argument to the first centralizer through the inversion, read off the
-    restriction table of the inverse sector and the fusion tensor.
+    the value is 1 over the centralizer order.  On representation classes
+    it is the invariant multiplicity of chi_t1 times the second argument
+    moved to the first centralizer through the inversion: the coordinate of
+    the dual of t1 in the inverse sector's restriction row.
     """
-    ctx = algebra.context
-    if ctx is None:
-        raise UserError("pairing needs a freshly built ring, not a parsed table")
-    if ctx["rep"].dim() != 0:
+    if v.dim() != 0:
         raise UserError(
             "the pairing is only defined for the complete quotient (V = 0)"
         )
-    G = ctx["group"]
-    sectors = ctx["sectors"]
+    from .characters import ClassFunction, check_linearization
+
+    check_linearization(G, v)
+    sectors = build_sectors(G)
     sigma = sectors.sigma
-    n = algebra.dim
-    matrix = [[0] * n for _ in range(n)]
-    if ctx["kind"] == "chow":
+    if kind == "chow":
+        labels = _chow_labels(G)
+        matrix = [[0] * len(labels) for _ in labels]
         for i, s in enumerate(sectors.sectors):
             matrix[i][sigma[i]] = Fraction(1, s.centralizer.order)
-    elif ctx["kind"] == "k":
-        basis = ctx["kbasis"]
-        for si, s in enumerate(sectors.sectors):
-            sj = sigma[si]
-            Zi = s.centralizer
-            # move the inverse sector's irreducibles onto Z(ri) through a
-            # conjugator sending its representative to ri^-1
-            w = G.witness(G.inv[s.rep])
-            moved, rows = _restriction(G, sj, w, Zi)
-            if moved is not Zi:
-                raise TheoremViolation(
-                    "moving the centralizer of sector %d by %d misses "
-                    "the centralizer of sector %d" % (sj, w, si))
-            one = _unit(Zi.group)
-            for t1, products in enumerate(_fusion(Zi.group)):
-                bi = basis.index(si, t1)
-                for t2, row in enumerate(rows):
-                    matrix[bi][basis.index(sj, t2)] = sum(
-                        row[q] * c for q, terms in enumerate(products)
-                        for k, c in terms if k == one)
-    else:
-        raise UserError("no pairing for algebra kind %r" % ctx["kind"])
-    return PairingMatrix(algebra.labels, matrix)
+        return PairingMatrix(labels, matrix)
+    basis = k_basis(G)
+    matrix = [[0] * basis.size for _ in range(basis.size)]
+    for si, s in enumerate(sectors.sectors):
+        sj = sigma[si]
+        Zi = s.centralizer
+        # move the inverse sector's irreducibles onto Z(ri) through a
+        # conjugator sending its representative to ri^-1
+        w = G.witness(G.inv[s.rep])
+        moved, rows = _restriction(G, sj, w, Zi)
+        if moved is not Zi:
+            raise TheoremViolation(
+                "moving the centralizer of sector %d by %d misses "
+                "the centralizer of sector %d" % (sj, w, si))
+        H, table = Zi.group, basis.tables[si]
+        where = {chi: t for t, chi in enumerate(table)}
+        for t1, chi in enumerate(table):
+            dual = where[ClassFunction(H, [
+                chi.values[H.inverse_class(c)] for c in range(len(table))])]
+            for t2, row in enumerate(rows):
+                matrix[basis.index(si, t1)][basis.index(sj, t2)] = row[dual]
+    return PairingMatrix(basis.labels, matrix)
 
 
 # -- verification ----------------------------------------------------------------
@@ -571,7 +579,8 @@ def _check_associativity(alg):
 def _check_frobenius(alg):
     """eta(e_i e_j, e_k) == eta(e_i, e_j e_k): the associator with the
     pairing in place of the packed products, each side one number."""
-    eta = eta_pairing(alg).matrix
+    ctx = alg.context
+    eta = eta_pairing(ctx["group"], ctx["rep"], ctx["kind"]).matrix
     rows = [[(k, x) for k, x in enumerate(row) if x] for row in eta]
     return _associator_failure(alg.dim, alg.table, rows) is None
 
@@ -585,12 +594,8 @@ def _check_multiproduct(alg):
     ctx = alg.context
     G, v = ctx["group"], ctx["rep"]
     triples = triple_sectors(G)
-    if ctx["kind"] == "chow":
-        direct = _chow_products(G, v, triples)
-    elif ctx["kind"] == "k":
-        direct = _k_products(G, v, ctx["kbasis"], triples)
-    else:
-        raise UserError("no triple-product rule for kind %r" % ctx["kind"])
+    direct = (_chow_products if ctx["kind"] == "chow"
+              else _k_products)(G, v, triples)
     n = alg.dim
     D, table = _scaled_table(alg)
     D2 = D * D

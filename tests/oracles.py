@@ -57,7 +57,8 @@ from inertial.errors import TheoremViolation, UserError
 from inertial.chern import mult_twist, support_project
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
-    age, invariants_char, twisted_pullback, v_identity_check)
+    age, fw_check, invariants_char, twisted_pullback, v_identity_check)
+from inertial.rings import _fusion, _restriction, _unit, k_basis
 
 
 def brute_identity(table):
@@ -222,6 +223,28 @@ def reference_k_table(G, v):
     return {key: {k: c for k, c in row.items() if c != 0}
             for key, row in table.items()
             if any(c != 0 for c in row.values())}
+
+
+def reference_k_pairing(G):
+    """The pairing matrix of the complete quotient [pt/G] on G's K basis,
+    from the fusion rows: eta((s, t1), (s^-1, t2)) sums over the
+    irreducibles q of Z_s the coordinate q of t2's row, moved from the
+    inverse sector and restricted, times the multiplicity of the trivial
+    irreducible in t1 * q."""
+    sectors = build_sectors(G)
+    basis = k_basis(G)
+    matrix = [[0] * basis.size for _ in range(basis.size)]
+    for si, s in enumerate(sectors.sectors):
+        sj = sectors.sigma[si]
+        Z = s.centralizer
+        rows = _restriction(G, sj, G.witness(G.inv[s.rep]), Z)[1]
+        one = _unit(Z.group)
+        for t1, products in enumerate(_fusion(Z.group)):
+            for t2, row in enumerate(rows):
+                matrix[basis.index(si, t1)][basis.index(sj, t2)] = sum(
+                    row[q] * c for q, terms in enumerate(products)
+                    for k, c in terms if k == one)
+    return matrix
 
 
 def _first_failing_triple(alg, left, right):
@@ -457,6 +480,22 @@ def reference_v_identities(v, triples=None):
     if triples is None:
         triples = itertools.product(range(v.group.n), repeat=3)
     return {t: v_identity_check(v, t) for t in triples}
+
+
+def reference_fw(v):
+    """verify --fw's report from every element pair (a, a^-1) and triple
+    (a, b, (ab)^-1) of v's group: the per-element scan that one check per
+    sector and per pair class replaced."""
+    G = v.group
+    ok = True
+    count = 0
+    for a in range(G.n):
+        ok = fw_check(v, (a, G.inv[a]))["holds"] and ok
+        count += 1
+        for b in range(G.n):
+            ok = fw_check(v, (a, b, G.inv[G.op(a, b)]))["holds"] and ok
+            count += 1
+    return {"tuples": count, "holds": ok}
 
 
 def _sector_map(table, inv, classes, x):

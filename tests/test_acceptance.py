@@ -23,7 +23,7 @@ from inertial.cyclotomic import cyc
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import fw_check, twisted_pullback, v_identity_check
-from inertial.rings import chow_ring, eta_pairing, k_ring, verify
+from inertial.rings import chow_ring, eta_pairing, k_basis, k_ring, verify
 
 from oracles import CLASSICAL_DEGREES, class_sum_constants
 from test_cli import run_cli
@@ -161,7 +161,7 @@ def test_criterion_06():
         classes, constants = class_sum_constants(G.table)
         lookup = {frozenset(members): k for k, members in enumerate(classes)}
         to_oracle = []
-        for s in algebra.context["sectors"].sectors:
+        for s in build_sectors(G).sectors:
             members = G.conjugacy_classes()[G.class_of(s.rep)]
             to_oracle.append(lookup[frozenset(members)])
         back = {k: i for i, k in enumerate(to_oracle)}
@@ -178,7 +178,7 @@ def test_criterion_06():
     G = catalog_group("symmetric(3)")
     algebra = chow_ring(G, zero_character(G))
     sector_of = {
-        G.class_of(s.rep): s.index for s in algebra.context["sectors"].sectors
+        G.class_of(s.rep): s.index for s in build_sectors(G).sectors
     }
     i = sector_of[G.class_of(G.element_from_string("s1"))]
     k3 = sector_of[G.class_of(G.element_from_string("s1*s2"))]
@@ -191,7 +191,7 @@ def test_criterion_07():
     algebra = k_ring(G, zero_character(G))
     assert algebra.dim == 8, f"fusion basis has {algebra.dim} elements"
     per_sector = {}
-    for s, _ in algebra.context["kbasis"].pairs:
+    for s, _ in k_basis(G).pairs:
         per_sector[s] = per_sector.get(s, 0) + 1
     assert sorted(per_sector.values()) == [2, 3, 3], f"sector sizes {per_sector}"
     for (i, j), terms in algebra.table.items():
@@ -211,7 +211,7 @@ def test_criterion_08():
             assert report["frobenius"] is True, (
                 f"{spec}: {builder.__name__} pairing is not Frobenius"
             )
-        eta = eta_pairing(chow_ring(G, v))
+        eta = eta_pairing(G, v, "chow")
         assert eta.matrix[0][0] == Fraction(1, G.n), (
             f"{spec}: eta(1, 1) = {eta.matrix[0][0]}, want 1/{G.n}"
         )
@@ -220,11 +220,12 @@ def test_criterion_08():
 def test_criterion_09():
     for spec, repname in PAIRS:
         chow, kk = rings_for(spec, repname)
-        images = [orbifold_chern(kk, {i: 1}) for i in range(kk.dim)]
+        G = catalog_group(spec)
+        images = [orbifold_chern(G, {i: 1}) for i in range(kk.dim)]
         for i in range(kk.dim):
             va = {s: c for s, c in enumerate(images[i]) if c != 0}
             for j in range(kk.dim):
-                lhs = orbifold_chern(kk, kk.table.get((i, j), {}))
+                lhs = orbifold_chern(G, kk.table.get((i, j), {}))
                 vb = {s: c for s, c in enumerate(images[j]) if c != 0}
                 prod = chow.mul(va, vb)
                 rhs = [prod.get(s, Fraction(0)) for s in range(chow.dim)]
@@ -246,7 +247,7 @@ def test_criterion_10():
 
         # the identity-supported basis in K-basis coordinates: value 1 at the
         # identity of Z_s is u_s = sum_t (deg t / |Z_s|) [s, t]
-        basis_k = k_ring(G, v).context["kbasis"]
+        basis_k = k_basis(G)
         for s in build_sectors(G).sectors:
             u = {basis_k.index(s.index, t): Fraction(
                      chi.values[0].to_rational(), s.centralizer.order)

@@ -24,7 +24,7 @@ from inertial.characters import (
 )
 from inertial.cyclotomic import ONE, ZERO, cyc
 from inertial.errors import UserError
-from inertial.groups import catalog_group
+from inertial.groups import FiniteGroup, catalog_group
 from oracles import (
     adams,
     closed_form_table,
@@ -403,3 +403,24 @@ print(json.dumps(messages))
         assert left.startswith("image left the subspace"), flags
         assert separate == ("class matrices failed to separate the "
                             "irreducible characters"), flags
+
+
+def test_lift_reads_each_power_once_per_class(monkeypatch):
+    # the lift of the character values computes the classes of g^j once
+    # per class representative g, for every irreducible at once: at most
+    # sum_g o(g) powers, 301 on cyclic(24), where a lift per irreducible
+    # and per k takes 133,608
+    calls = []
+    real = FiniteGroup.power
+
+    def counted(self, a, k):
+        calls.append((a, k))
+        return real(self, a, k)
+
+    G = FiniteGroup(catalog_group("cyclic(24)").table)
+    bound = sum(G.order_of(g) for g in G.class_reps())
+    assert bound == 301
+    monkeypatch.setattr(FiniteGroup, "power", counted)
+    table = character_table(G)
+    assert len(table) == 24
+    assert 0 < len(calls) <= bound

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from inertial import characters, chern, cli, inertia
+from inertial import characters, chern, cli, inertia, rings
 from inertial.characters import (
     ClassFunction,
     assert_genuine_character,
@@ -21,11 +21,11 @@ from inertial.characters import (
 )
 from inertial.cli import main
 from inertial.cyclotomic import root_of_unity
-from inertial.errors import UserError
+from inertial.errors import TheoremViolation, UserError
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors, triple_sectors
 from inertial.logtrace import v_identity_check
-from oracles import reference_v_identities, resolve_diag_class
+from oracles import reference_fw, reference_v_identities, resolve_diag_class
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -256,7 +256,9 @@ def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
     base = ["verify", "--algebra", ring_path, "--associativity"]
     refused = [["--frobenius"], ["--fw"], ["--nonnegativity"],
                ["--v-identities"], ["--rr"], ["--multiproduct"],
-               ["--group", "catalog:cyclic(2)"], ["--rep", "zero"]]
+               ["--group", "catalog:cyclic(2)"], ["--rep", "zero"],
+               ["--max-order", "1"], ["--max-double", "1"],
+               ["--max-order", "0"]]
     for extra in refused:
         code, out, err = run_cli(base + extra)
         assert code == 1, extra
@@ -264,6 +266,10 @@ def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
         message = json.loads(err)["error"]["message"]
         assert message.startswith("verify --algebra takes no %s:" % extra[0]), \
             message
+    code, out, err = run_cli(base + ["--all", "--max-order", "1",
+                                     "--max-double", "1"])
+    assert code == 1
+    assert "--max-order, --max-double" in json.loads(err)["error"]["message"]
     code, out, err = run_cli(base + ["--multiproduct", "--v-identities"])
     assert code == 1
     assert "--v-identities, --multiproduct" in json.loads(err)["error"]["message"]
@@ -515,6 +521,47 @@ def test_artifacts_match_benchmark_references():
         got = {"exit": proc.returncode,
                "sha256": hashlib.sha256(proc.stdout).hexdigest()}
         assert got == refs[key], f"{key}: artifact changed"
+
+
+# eta and chern read the sectors, the K basis and the restriction tables
+# only; these bytes come from the commands when they built the whole ring
+NO_PRODUCTS = {
+    "eta --group catalog:quaternion8 --mode k":
+    "e6bce627870c1f8b7a5f543a8f02b278dfc417cebacef2c56f258d83fff9c215",
+    "eta --group catalog:quaternion8 --mode chow":
+    "4899290c88e207186885957434a0e3c7d3938746a71e86c3fd28762c695149ba",
+    "eta --group catalog:symmetric(4) --mode k":
+    "51fddf339dd76ccf9797bf2dc80f84d3a3950844c75a6643e8f7cf59f19d5adf",
+    "eta --group catalog:symmetric(4) --mode chow":
+    "c5934a5827e540187e9a09dd867f1a1e39403ce9e75ed34a36ff79d83499260a",
+    "chern --group catalog:symmetric(4) --rep std":
+    "1391f02a1834c03b251320a28f807dafd299393e504fc0fd6f17c8e957144e87",
+    "chern --group catalog:quaternion8 --rep sl2":
+    "1dd8c418711463ba5a2ce02264d7a27c8482665c84bb3986facf163295515d73",
+}
+
+
+def test_eta_and_chern_build_no_product_table(monkeypatch):
+    def refused(*args):
+        raise RuntimeError("a product table or pair class was built")
+
+    monkeypatch.setattr(rings, "_k_products", refused)
+    monkeypatch.setattr(rings, "_chow_products", refused)
+    for module in (inertia, rings, cli):
+        monkeypatch.setattr(module, "build_double_sectors", refused)
+    for key, digest in NO_PRODUCTS.items():
+        code, out, err = run_cli(key.split(" "))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    # a non-zero V is refused before the K basis is read
+    monkeypatch.setattr(rings, "k_basis", refused)
+    code, out, err = run_cli(["eta", "--group", "catalog:symmetric(5)",
+                              "--rep", "std", "--mode", "k"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "UserError",
+        "message": "the pairing is only defined for the complete quotient "
+                   "(V = 0)"}
 
 
 def test_logtrace_command():
@@ -813,6 +860,26 @@ def test_identity_family_per_class_matches_the_element_scan():
             holds = all(report["holds"] for report in scan.values())
             assert cli._verify_tuples(G, v, {"v_identities"}) == {
                 "v_identities": {"triples": len(scan), "holds": holds}}
+
+
+def test_fw_per_class_matches_the_element_scan(monkeypatch):
+    # verify --fw checks one tuple per sector and pair class and reports
+    # what the scan over every element pair and triple reports
+    for spec, rep in (("symmetric(3)", "zero"), ("symmetric(3)", "std"),
+                      ("cyclic(4)", "sl2"), ("quaternion8", "sl2"),
+                      ("symmetric(4)", "std")):
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        # a fresh character, so the scan shares no memo with the classes
+        want = reference_fw(ClassFunction(G, v.values))
+        assert cli._verify_tuples(G, v, {"fw"}) == {"fw": want}, spec
+    # classes that miss some tuples are an internal error, not a count
+    real = cli.build_double_sectors
+    monkeypatch.setattr(cli, "build_double_sectors",
+                        lambda G, cap: real(G, cap)[1:])
+    G = catalog_group("symmetric(3)")
+    with pytest.raises(TheoremViolation, match=r"\|G\| \+ \|G\|\^2 = 42"):
+        cli._verify_tuples(G, catalog_character(G, "std"), {"fw"})
 
 
 def test_triple_cap_refuses_before_any_work():

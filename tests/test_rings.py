@@ -18,15 +18,17 @@ from inertial.characters import (
     zero_character,
 )
 from inertial.errors import TheoremViolation, UserError
+from inertial.chern import orbifold_chern
 from inertial.cli import main
 from inertial.groups import FiniteGroup, catalog_group
-from inertial.inertia import build_double_sectors, triple_sectors
+from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
 from inertial.logtrace import age, int_coords, invariants_char, twisted_pullback
 from inertial.rings import (
     GradedAlgebra,
     algebra_from_json,
     chow_ring,
     eta_pairing,
+    k_basis,
     k_ring,
     verify,
 )
@@ -35,6 +37,7 @@ from oracles import (
     class_sum_constants,
     reference_associativity,
     reference_frobenius,
+    reference_k_pairing,
     reference_k_table,
     reference_multiproduct,
 )
@@ -142,7 +145,7 @@ def test_chow_grading_is_age():
     v = catalog_character(G, "sl2")
     alg = chow_ring(G, v)
     for idx, g in enumerate(alg.grading):
-        rep = alg.context["sectors"].sectors[idx].rep
+        rep = build_sectors(G).sectors[idx].rep
         assert g == age(v, rep)
 
 
@@ -236,7 +239,7 @@ def test_lusztig_is_the_zero_rep_k_ring():
 def test_k_identity_is_trivial_character_at_identity_sector():
     G = catalog_group("symmetric(3)")
     alg = k_ring(G, zero_character(G))
-    basis = alg.context["kbasis"]
+    basis = k_basis(G)
     sector, t = basis.pairs[alg.identity_index]
     assert sector == 0
     assert character_table(G)[t] == trivial_character(G)
@@ -262,12 +265,12 @@ def test_obstruction_data_symmetry_under_rotation_and_swap():
 def test_eta_pairing_chow():
     G = catalog_group("symmetric(3)")
     alg = chow_ring(G, zero_character(G))
-    eta = eta_pairing(alg)
+    eta = eta_pairing(G, zero_character(G), "chow")
     assert eta.matrix[0][0] == Fraction(1, 6), "eta(1,1) must be 1/|G|"
     s = G.class_of(G.element_from_string("s1"))
     assert eta.matrix[s][s] == Fraction(1, 2)
     c3 = G.class_of(G.element_from_string("s1*s2"))
-    sigma = alg.context["sectors"].sigma
+    sigma = build_sectors(G).sigma
     assert eta.matrix[c3][sigma[c3]] == Fraction(1, 3)
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -278,8 +281,8 @@ def test_eta_pairing_chow():
 def test_eta_pairing_k_mode_z2():
     G = catalog_group("cyclic(2)")
     alg = k_ring(G, zero_character(G))
-    eta = eta_pairing(alg)
-    basis = alg.context["kbasis"]
+    eta = eta_pairing(G, zero_character(G), "k")
+    basis = k_basis(G)
     chars = character_table(G)
     sign = next(
         t for t, chi in enumerate(chars) if chi != trivial_character(G)
@@ -292,11 +295,53 @@ def test_eta_pairing_k_mode_z2():
             assert eta.matrix[i][j] == eta.matrix[j][i]
 
 
+# every catalog group of order at most 24
+SMALL_CATALOG = tuple(
+    ["cyclic(%d)" % n for n in range(1, 25)]
+    + ["dihedral(%d)" % n for n in range(1, 13)]
+    + ["binary_dihedral(%d)" % n for n in range(1, 7)]
+    + ["symmetric(%d)" % n for n in range(1, 5)]
+    + ["alternating(%d)" % n for n in range(1, 5)]
+    + ["quaternion8", "klein4"])
+
+
+def test_dual_index_pairing_matches_the_fusion_rows():
+    # the coordinate of the dual irreducible in each restriction row is the
+    # invariant multiplicity the fusion rows give
+    for spec in SMALL_CATALOG:
+        G = catalog_group(spec)
+        assert G.n <= 24
+        eta = eta_pairing(G, zero_character(G), "k")
+        assert eta.matrix == reference_k_pairing(G), spec
+
+
+def test_k_basis_is_built_once_per_group(monkeypatch):
+    # the K basis is group state: the ring, the pairing and the Chern map
+    # of one group share one, and each group has its own
+    built = []
+    real = rings._KBasis
+
+    def counted(G):
+        built.append(G)
+        return real(G)
+
+    monkeypatch.setattr(rings, "_KBasis", counted)
+    groups = [FiniteGroup(catalog_group(spec).table)
+              for spec in ("symmetric(3)", "quaternion8")]
+    for G in groups:
+        v = zero_character(G)
+        K = k_ring(G, v)
+        eta_pairing(G, v, "k")
+        orbifold_chern(G, {K.identity_index: 1})
+        assert rings.k_basis(G).labels == K.labels
+    assert built == groups
+
+
 def test_eta_rejects_linear_reps():
     G = catalog_group("cyclic(2)")
     alg = chow_ring(G, catalog_character(G, "sl2"))
     try:
-        eta_pairing(alg)
+        eta_pairing(G, catalog_character(G, "sl2"), "chow")
         raise AssertionError("pairing must require a point quotient")
     except UserError:
         pass
@@ -346,7 +391,7 @@ def _direct(alg):
     G, v = ctx["group"], ctx["rep"]
     if ctx["kind"] == "chow":
         return rings._chow_products(G, v, triple_sectors(G))
-    return rings._k_products(G, v, ctx["kbasis"], triple_sectors(G))
+    return rings._k_products(G, v, triple_sectors(G))
 
 
 def _references(alg, direct, eta, names=TRIPLE_CHECKS):
@@ -366,7 +411,7 @@ def _mismatches(alg, direct, eta, names=TRIPLE_CHECKS):
     fixed = {"_chow_products": lambda *args: direct,
              "_k_products": lambda *args: direct,
              "triple_sectors": lambda G: None,
-             "eta_pairing": lambda algebra: SimpleNamespace(matrix=eta)}
+             "eta_pairing": lambda *args: SimpleNamespace(matrix=eta)}
     out = []
     with _patched(**fixed):
         for name, ref in _references(alg, direct, eta, names).items():
@@ -396,7 +441,8 @@ def test_packed_checks_match_the_per_triple_reference():
         v = catalog_character(G, rep)
         for build in (chow_ring, k_ring):
             alg = build(G, v)
-            eta = eta_pairing(alg).matrix if v.dim() == 0 else None
+            eta = (eta_pairing(G, v, alg.context["kind"]).matrix
+                   if v.dim() == 0 else None)
             for name, ref in _references(alg, _direct(alg), eta).items():
                 assert ref is None, f"{spec}/{rep}: reference {name} fails"
                 assert _packed_failure(alg, name) == (True, None), (
@@ -445,7 +491,8 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
     # corruption of the Chow and K rings
     for build in (chow_ring, k_ring):
         alg = build(G, zero_character(G))
-        direct, eta = _direct(alg), eta_pairing(alg).matrix
+        direct = _direct(alg)
+        eta = eta_pairing(G, zero_character(G), alg.context["kind"]).matrix
         for bad in _corruptions(alg):
             assert _mismatches(bad, direct, eta,
                                ("frobenius", "multiproduct")) == [], (

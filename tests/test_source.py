@@ -98,3 +98,15 @@ def test_only_the_process_entry_skips_teardown():
                and any(isinstance(node, ast.Attribute) and node.attr == "_exit"
                        for node in ast.walk(fn))}
     assert callers == {"cli.run"}
+
+
+def test_only_rings_reads_a_ring_context():
+    # a ring's context holds its build inputs, and group state (the sectors,
+    # the K basis) lives in the group's memo: no other module reads it off
+    # a ring, so that state cannot drift back onto the ring
+    readers = sorted({"%s:%d" % (name, node.lineno)
+                      for name, tree in _modules() if name != "rings.py"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "context"})
+    assert readers == [], readers
