@@ -19,18 +19,16 @@ from .errors import (
     UserError,
     parse_rational,
 )
-from .inertia import (
-    DOUBLE_SECTOR_CAP,
-    build_double_sectors,
-    build_sectors,
-    check_double_cap,
-    triple_sectors,
-)
+from .inertia import build_double_sectors, build_sectors, triple_sectors
 
 # The group, scalar, character, log-trace, ring and Chern layers (and
 # Fraction) are imported by the functions that use them, so a command
 # compiles and loads only the layers it runs: verify --algebra, which reads
 # no group, loads none of them but rings.
+
+# The default cap on |G| of the commands that build pair classes or number
+# the K basis (the character table of every centralizer).
+PAIR_CLASS_ORDER = 200
 
 
 def _bounded_int(literal):
@@ -318,7 +316,7 @@ def cmd_ring(G, v, args):
 def cmd_eta(G, v, args):
     from .rings import eta_pairing
 
-    out = eta_pairing(G, v, args.mode).to_json()
+    out = eta_pairing(G, args.mode).to_json()
     out["command"] = "eta"
     out["mode"] = args.mode
     return out, 0
@@ -385,7 +383,7 @@ _VERIFY_FLAGS = (
     "grading", "v_identities", "rr", "multiproduct",
 )
 # what verify --algebra cannot honor: a ring file has no group or character
-_ALGEBRA_REFUSES = ("group", "rep", "max_order", "max_double") + tuple(
+_ALGEBRA_REFUSES = ("group", "rep", "max_order") + tuple(
     flag for flag in _VERIFY_FLAGS if flag not in ("associativity", "grading"))
 
 
@@ -437,7 +435,7 @@ def _verify_tuples(G, v, names):
     if "nonnegativity" in names:
         ok = True
         count = 0
-        for cls in build_double_sectors(G, None):
+        for cls in build_double_sectors(G):
             tc = twisted_pullback(v, cls.rep)
             count += 1
             for m in tc.mults:
@@ -450,7 +448,7 @@ def _verify_tuples(G, v, names):
         classes = [((s.rep, G.inv[s.rep]), s.centralizer)
                    for s in build_sectors(G).sectors]
         classes += [(cls.rep + (G.inv[G.prod(cls.rep)],), cls.centralizer)
-                    for cls in build_double_sectors(G, None)]
+                    for cls in build_double_sectors(G)]
         for ms, Z in classes:
             rep = fw_check(v, ms)
             count += G.n // Z.order
@@ -561,27 +559,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, rep=None, double=False, element=False,
+    def add(name, fn, rep=None, cap=MAX_TABLE_ORDER, element=False,
             tuple_arg=False):
         """A subcommand and what it reads: --group and --max-order always;
         rep "required" or "optional" (zero by default) adds --rep, "zero"
-        reads the zero character, None no character; double adds
-        --max-double, for a command that builds the pair classes.  verify
-        defaults both caps to None, so that --algebra can refuse them, and
-        load applies the same defaults."""
+        reads the zero character, None no character; cap is the command's
+        |G| cap, which load applies when --max-order is not given (so that
+        verify --algebra can refuse a given one)."""
         p = sub.add_parser(name)
-        unset = name == "verify"
-        p.set_defaults(fn=fn, character=rep, double=double)
+        p.set_defaults(fn=fn, character=rep, cap=cap)
         p.add_argument("--group", required=(name != "verify"))
         if rep in ("required", "optional"):
             p.add_argument("--rep", required=(rep == "required"))
-        p.add_argument("--max-order", type=int,
-                       default=None if unset else MAX_TABLE_ORDER,
-                       help="override the group size cap (default 512)")
-        if double:
-            p.add_argument("--max-double", type=int,
-                           default=None if unset else DOUBLE_SECTOR_CAP,
-                           help="override the double-sector cap (default 200)")
+        p.add_argument("--max-order", type=int, default=None,
+                       help="override the group size cap (default %d)" % cap)
         p.add_argument("--out", default=None, help="write the artifact here")
         if element:
             p.add_argument("--element", required=True)
@@ -598,14 +589,14 @@ def build_parser():
     add("age", cmd_age, rep="required", element=True)
     add("logtrace", cmd_logtrace, rep="required", element=True)
     add("obstruction", cmd_obstruction, rep="required", tuple_arg=True)
-    add("chow-ring", cmd_ring, rep="required", double=True)
-    add("k-ring", cmd_ring, rep="required", double=True)
-    add("lusztig", cmd_ring, rep="zero", double=True)
-    p = add("eta", cmd_eta, rep="optional", double=True)
+    add("chow-ring", cmd_ring, rep="required", cap=PAIR_CLASS_ORDER)
+    add("k-ring", cmd_ring, rep="required", cap=PAIR_CLASS_ORDER)
+    add("lusztig", cmd_ring, rep="zero", cap=PAIR_CLASS_ORDER)
+    p = add("eta", cmd_eta, cap=PAIR_CLASS_ORDER)
     p.add_argument("--mode", choices=("chow", "k"), default="chow")
-    add("chern", cmd_chern, rep="required", double=True)
-    add("star-t", cmd_star_t, rep="required", double=True)
-    p = add("verify", cmd_verify, rep="optional", double=True)
+    add("chern", cmd_chern, cap=PAIR_CLASS_ORDER)
+    add("star-t", cmd_star_t, rep="required", cap=PAIR_CLASS_ORDER)
+    p = add("verify", cmd_verify, rep="optional", cap=PAIR_CLASS_ORDER)
     p.add_argument("--algebra", default=None,
                    help="re-check a serialized ring JSON file")
     p.add_argument("--all", action="store_true")
@@ -616,13 +607,14 @@ def build_parser():
 
 def load(args):
     """The group and character a command reads, as add() declared them:
-    G under --max-order; v from --rep, the zero character where --rep is
-    optional and not given or where the command takes none, or None; and
-    |G| checked against --max-double, each cap at its default when unset.
-    A given --rep is always read, so an empty one is refused like any other
-    unreadable spec."""
-    G = load_group(args.group, MAX_TABLE_ORDER if args.max_order is None
-                   else args.max_order)
+    G under --max-order, or under the command's cap when it is not given;
+    v from --rep, the zero character where --rep is optional and not given
+    or where the command takes none, or None.  A given --rep is always
+    read, so an empty one is refused like any other unreadable spec."""
+    cap = args.cap if args.max_order is None else args.max_order
+    if cap < 1:
+        raise UserError("--max-order must be at least 1 (got %d)" % cap)
+    G = load_group(args.group, cap)
     v = None
     if args.character == "zero" or (args.character == "optional"
                                     and args.rep is None):
@@ -631,9 +623,6 @@ def load(args):
         v = zero_character(G)
     elif args.character:
         v = load_rep(args.rep, G)
-    if args.double:
-        check_double_cap(G, DOUBLE_SECTOR_CAP if args.max_double is None
-                         else args.max_double)
     return G, v
 
 

@@ -2,7 +2,9 @@
 
 Single sectors are the conjugacy classes of G in canonical order.  Double
 and triple sectors are the classes of pairs and triples under simultaneous
-conjugation, enumerated eagerly up to a size cap.  Each is built from the
+conjugation, enumerated eagerly: the triples only while |G|^3 is under a
+cap, the pairs for any group the caller loaded (the CLI caps |G| at load,
+lower for the commands that build them).  Each is built from the
 classes one entry shorter: for a class with lex-least representative t and
 centralizer Z, the tuples of the class that start with t are (t, z x z^-1)
 for z in Z, so every Z-orbit of G gives one longer class, represented by
@@ -21,7 +23,6 @@ arbitrary and move class functions only through transport.
 
 from .errors import TheoremViolation, UserError
 
-DOUBLE_SECTOR_CAP = 200
 TRIPLE_TUPLE_CAP = 2_000_000
 
 
@@ -116,19 +117,8 @@ def _extend(group, classes):
     return tuple(out)
 
 
-def check_double_cap(group, cap):
-    """Refuse pair classes above cap elements; None applies no cap."""
-    if cap is not None and group.n > cap:
-        raise UserError(
-            "eager double-sector enumeration is capped at |G| <= %d "
-            "(got %d); raise the cap explicitly to proceed" % (cap, group.n)
-        )
-
-
-def build_double_sectors(group, cap=DOUBLE_SECTOR_CAP):
-    """The group's pair classes, enumerated once and kept on the group;
-    cap bounds |G| for this call, whether or not they are built yet."""
-    check_double_cap(group, cap)
+def build_double_sectors(group):
+    """The group's pair classes, enumerated once and kept on the group."""
     cached = group._memo.get("doubles")
     if cached is None:
         cached = group._memo["doubles"] = _extend(group, sorted(
@@ -150,5 +140,5 @@ def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
     if cached is None:
         cached = group._memo["triples"] = _extend(group, (
             (cls.rep, cls.centralizer)
-            for cls in build_double_sectors(group, None)))
+            for cls in build_double_sectors(group)))
     return cached

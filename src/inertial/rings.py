@@ -182,7 +182,7 @@ def chow_ring(G, v):
     check_linearization(G, v)
     sectors = build_sectors(G)
     grading = [age(v, s.rep) for s in sectors.sectors]
-    table = _chow_products(G, v, build_double_sectors(G, None))
+    table = _chow_products(G, v, build_double_sectors(G))
     if sectors.sectors[0].rep != 0:
         raise TheoremViolation("the identity sector must come first")
     return GradedAlgebra(_chow_labels(G), grading, table, "rational", 0,
@@ -382,7 +382,7 @@ def k_ring(G, v):
 
     check_linearization(G, v)
     basis = k_basis(G)
-    table = _k_products(G, v, build_double_sectors(G, None))
+    table = _k_products(G, v, build_double_sectors(G))
     return GradedAlgebra(
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
         basis.index(0, _unit(G)), {"kind": "k", "group": G, "rep": v},
@@ -409,9 +409,9 @@ class PairingMatrix:
         }
 
 
-def eta_pairing(G, v, kind):
-    """The Poincare pairing of the complete (V = 0) quotient [V/G], on the
-    basis of its rational ring (kind "chow") or of its integral ring.
+def eta_pairing(G, kind):
+    """The Poincare pairing of the complete quotient [pt/G], on the basis
+    of its rational ring (kind "chow") or of its integral ring.
 
     Sectors pair only with their inverse classes.  On fundamental classes
     the value is 1 over the centralizer order.  On representation classes
@@ -419,13 +419,8 @@ def eta_pairing(G, v, kind):
     moved to the first centralizer through the inversion: the coordinate of
     the dual of t1 in the inverse sector's restriction row.
     """
-    if v.dim() != 0:
-        raise UserError(
-            "the pairing is only defined for the complete quotient (V = 0)"
-        )
-    from .characters import ClassFunction, check_linearization
+    from .characters import ClassFunction
 
-    check_linearization(G, v)
     sectors = build_sectors(G)
     sigma = sectors.sigma
     if kind == "chow":
@@ -580,7 +575,11 @@ def _check_frobenius(alg):
     """eta(e_i e_j, e_k) == eta(e_i, e_j e_k): the associator with the
     pairing in place of the packed products, each side one number."""
     ctx = alg.context
-    eta = eta_pairing(ctx["group"], ctx["rep"], ctx["kind"]).matrix
+    if ctx["rep"].dim() != 0:
+        raise UserError(
+            "the pairing is only defined for the complete quotient (V = 0)"
+        )
+    eta = eta_pairing(ctx["group"], ctx["kind"]).matrix
     rows = [[(k, x) for k, x in enumerate(row) if x] for row in eta]
     return _associator_failure(alg.dim, alg.table, rows) is None
 

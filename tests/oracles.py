@@ -225,6 +225,63 @@ def reference_k_table(G, v):
             if any(c != 0 for c in row.values())}
 
 
+def toric_character(G, weights):
+    """V = L_1 + ... + L_r on cyclic(n), where g^k (index k) acts on L_i
+    by zeta_n^(a_i k) for the integer weights (a_1, ..., a_r)."""
+    n = G.n
+    return ClassFunction(G, [sum((root_of_unity(n, a * x) for a in weights),
+                                 ZERO) for x in G.class_reps()])
+
+
+def toric_products(G, weights):
+    """The Chow and K tables of the toric quotient [V/G], V =
+    toric_character(G, weights), from the closed forms of Borisov, Chen and
+    Smith (Chow) and Borisov and Horja (K), with no log trace, obstruction
+    class or restriction.
+
+    G is cyclic(n) with g^k at index k, and c_i(g^k) = (a_i k mod n) / n in
+    [0, 1) is the weight of g^k on L_i.  Characters are exponents,
+    chi_b(g^k) = zeta_n^(bk), so L_i = chi_(a_i) and L_i^-1 = chi_(-a_i).
+    Chow: x_g x_h = x_gh when c_i(g) + c_i(h) < 1 for every i, else 0.
+    K: e_(g,chi) e_(h,psi) = e_(gh, chi psi prod_i (1 - L_i^-1)), the
+    product over the i with c_i(g) + c_i(h) >= 1: above 1 the obstruction
+    bundle, at exactly 1 the excess bundle.  Keys and numbering follow the
+    library's bases: sector of g^k its class, and in the K basis index
+    n * sector + the position of chi_b in character_table(G), matched by
+    its values only.
+    """
+    kind, n = G.catalog
+    if kind != "cyclic":
+        raise ValueError("no toric closed form for %s" % G.label)
+    reps = G.class_reps()
+    position = {tuple(chi.values): t
+                for t, chi in enumerate(character_table(G))}
+    irr = [position[tuple(root_of_unity(n, b * x) for x in reps)]
+           for b in range(n)]
+    sector = [G.class_of(k) for k in range(n)]
+    chow, k_table = {}, {}
+    for g, h in itertools.product(range(n), repeat=2):
+        gh = (g + h) % n
+        over = [a for a in weights if a * g % n + a * h % n >= n]
+        if not over:
+            chow[(sector[g], sector[h])] = {sector[gh]: 1}
+        factor = {0: 1}  # exponent b -> coefficient of chi_b
+        for a in over:
+            times = dict(factor)
+            for b, m in factor.items():
+                times[(b - a) % n] = times.get((b - a) % n, 0) - m
+            factor = times
+        for x, y in itertools.product(range(n), repeat=2):
+            row = {}
+            for b, m in factor.items():
+                t = n * sector[gh] + irr[(x + y + b) % n]
+                row[t] = row.get(t, 0) + m
+            row = {t: m for t, m in row.items() if m}
+            if row:
+                k_table[(n * sector[g] + irr[x], n * sector[h] + irr[y])] = row
+    return chow, k_table
+
+
 def reference_k_pairing(G):
     """The pairing matrix of the complete quotient [pt/G] on G's K basis,
     from the fusion rows: eta((s, t1), (s^-1, t2)) sums over the

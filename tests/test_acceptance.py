@@ -211,7 +211,7 @@ def test_criterion_08():
             assert report["frobenius"] is True, (
                 f"{spec}: {builder.__name__} pairing is not Frobenius"
             )
-        eta = eta_pairing(G, v, "chow")
+        eta = eta_pairing(G, "chow")
         assert eta.matrix[0][0] == Fraction(1, G.n), (
             f"{spec}: eta(1, 1) = {eta.matrix[0][0]}, want 1/{G.n}"
         )

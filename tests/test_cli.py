@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from inertial import characters, chern, cli, inertia, rings
+from inertial import characters, chern, cli, groups, inertia, rings
 from inertial.characters import (
     ClassFunction,
     assert_genuine_character,
@@ -146,6 +146,10 @@ def test_user_errors_exit_1():
         HUGE_POWER,
         ["group-info", "--group", "catalog:cyclic(%s)" % HUGE],
         DEEP_JSON,
+        # a cap below 1 is refused as a bad option, not as a group too big
+        ["group-info", "--group", "catalog:cyclic(3)", "--max-order", "-1"],
+        ["chow-ring", "--group", "catalog:cyclic(3)", "--rep", "zero",
+         "--max-order", "0"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -154,6 +158,8 @@ def test_user_errors_exit_1():
         body = json.loads(err)
         assert body["error"]["kind"] == "UserError"
         assert isinstance(body["error"]["message"], str)
+        if "--max-order" in argv:
+            assert body["error"]["message"].startswith("--max-order "), argv
 
 
 def test_oversized_numbers_exit_1_promptly_under_optimize(tmp_path):
@@ -257,8 +263,7 @@ def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
     refused = [["--frobenius"], ["--fw"], ["--nonnegativity"],
                ["--v-identities"], ["--rr"], ["--multiproduct"],
                ["--group", "catalog:cyclic(2)"], ["--rep", "zero"],
-               ["--max-order", "1"], ["--max-double", "1"],
-               ["--max-order", "0"]]
+               ["--max-order", "1"], ["--max-order", "0"]]
     for extra in refused:
         code, out, err = run_cli(base + extra)
         assert code == 1, extra
@@ -266,10 +271,11 @@ def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
         message = json.loads(err)["error"]["message"]
         assert message.startswith("verify --algebra takes no %s:" % extra[0]), \
             message
-    code, out, err = run_cli(base + ["--all", "--max-order", "1",
-                                     "--max-double", "1"])
+    code, out, err = run_cli(base + ["--all", "--max-order", "1"])
     assert code == 1
-    assert "--max-order, --max-double" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == (
+        "verify --algebra takes no --max-order: it re-checks a ring file "
+        "with --associativity, --grading or --all")
     code, out, err = run_cli(base + ["--multiproduct", "--v-identities"])
     assert code == 1
     assert "--v-identities, --multiproduct" in json.loads(err)["error"]["message"]
@@ -379,9 +385,7 @@ def test_lusztig_and_chern_commands():
     code, out, _ = run_cli(["lusztig", "--group", "catalog:symmetric(3)"])
     assert code == 0
     assert len(json.loads(out)["basis"]) == 8
-    code, out, _ = run_cli(
-        ["chern", "--group", "catalog:symmetric(3)", "--rep", "std"]
-    )
+    code, out, _ = run_cli(["chern", "--group", "catalog:symmetric(3)"])
     assert code == 0
     obj = json.loads(out)
     assert len(obj["vectors"]) == len(obj["basis"])
@@ -415,7 +419,7 @@ def test_max_order_raises_the_cap_for_catalog_families():
         assert "exceed" in json.loads(err)["error"]["message"]
 
 
-def test_max_double_builds_the_index_once(monkeypatch):
+def test_max_order_builds_the_index_once(monkeypatch):
     built = []
     extend = inertia._extend
 
@@ -427,36 +431,46 @@ def test_max_double_builds_the_index_once(monkeypatch):
     # a permutation group is built anew by every call, so nothing is cached
     s4 = '{"kind": "perm", "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}'
     code, _, err = run_cli(["chow-ring", "--group", s4, "--rep", "trivial",
-                            "--max-double", "100"])
+                            "--max-order", "100"])
     assert code == 0, err
-    assert len(built) == 1, "--max-double built the double sectors twice"
+    assert len(built) == 1, "--max-order built the double sectors twice"
 
 
-def test_max_double_applies_to_a_cached_index():
+def test_max_order_applies_to_a_cached_index():
     G = catalog_group("symmetric(4)")
     build_double_sectors(G)
     argv = ["chow-ring", "--group", "catalog:symmetric(4)", "--rep", "std"]
-    code, _, err = run_cli(argv + ["--max-double", "20"])
+    code, _, err = run_cli(argv + ["--max-order", "20"])
     assert code == 1
-    assert "capped" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == (
+        "group order 24 exceeds the supported maximum 20")
     code, _, _ = run_cli(argv)
     assert code == 0
-    try:
-        build_double_sectors(G, cap=10)
-        raise AssertionError("cap ignored once the index was cached")
-    except UserError:
-        pass
 
 
-def test_max_double_raises_the_cap():
+def test_max_order_raises_the_pair_class_cap():
     argv = ["chow-ring", "--group", "catalog:alternating(6)", "--rep",
             "trivial"]
-    code, out, err = run_cli(argv + ["--max-double", "400"])
+    code, out, err = run_cli(argv + ["--max-order", "400"])
     assert code == 0, err
     assert len(json.loads(out)["basis"]) == 7
     code, _, err = run_cli(argv)
     assert code == 1
-    assert "capped" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == (
+        "group order 360 exceeds the supported maximum 200")
+
+
+def test_pair_class_cap_refuses_before_the_table_is_built(monkeypatch):
+    def refused(n):
+        raise RuntimeError("the table of cyclic(%d) was built" % n)
+
+    monkeypatch.setitem(groups._CATALOG, "cyclic", (refused, 1))
+    code, out, err = run_cli(["k-ring", "--group", "catalog:cyclic(201)",
+                              "--rep", "zero"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "UserError",
+        "message": "group order 201 exceeds the supported maximum 200"}
 
 
 def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):
@@ -499,7 +513,7 @@ PINNED = (
 
 # no benchmark command runs chern or star-t beyond quaternion8, so these
 # artifacts are pinned here
-CHERN = {"chern --group catalog:symmetric(3) --rep std": {
+CHERN = {"chern --group catalog:symmetric(3)": {
     "exit": 0,
     "sha256": "1e1f05a5167f316867937837e58bfb08d919ca196e9c5780b2f89a22115a2333"},
     "star-t --group catalog:symmetric(4) --rep std": {
@@ -534,9 +548,9 @@ NO_PRODUCTS = {
     "51fddf339dd76ccf9797bf2dc80f84d3a3950844c75a6643e8f7cf59f19d5adf",
     "eta --group catalog:symmetric(4) --mode chow":
     "c5934a5827e540187e9a09dd867f1a1e39403ce9e75ed34a36ff79d83499260a",
-    "chern --group catalog:symmetric(4) --rep std":
+    "chern --group catalog:symmetric(4)":
     "1391f02a1834c03b251320a28f807dafd299393e504fc0fd6f17c8e957144e87",
-    "chern --group catalog:quaternion8 --rep sl2":
+    "chern --group catalog:quaternion8":
     "1dd8c418711463ba5a2ce02264d7a27c8482665c84bb3986facf163295515d73",
 }
 
@@ -553,15 +567,16 @@ def test_eta_and_chern_build_no_product_table(monkeypatch):
         code, out, err = run_cli(key.split(" "))
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
-    # a non-zero V is refused before the K basis is read
+    # neither takes a character: a --rep is a usage error, refused before
+    # the K basis is read
     monkeypatch.setattr(rings, "k_basis", refused)
-    code, out, err = run_cli(["eta", "--group", "catalog:symmetric(5)",
-                              "--rep", "std", "--mode", "k"])
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == {
-        "kind": "UserError",
-        "message": "the pairing is only defined for the complete quotient "
-                   "(V = 0)"}
+    for command in ("eta", "chern"):
+        code, out, err = run_cli([command, "--group", "catalog:symmetric(5)",
+                                  "--rep", "std"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "UserError",
+            "message": "unrecognized arguments: --rep std"}
 
 
 def test_logtrace_command():
@@ -633,8 +648,8 @@ NEEDS = {
     "chow-ring": [], "k-ring": [], "lusztig": [], "eta": [], "chern": [],
     "star-t": [], "verify": ["--fw"],
 }
-TAKES_REP = ("age", "logtrace", "obstruction", "chow-ring", "k-ring", "eta",
-             "chern", "star-t", "verify")
+TAKES_REP = ("age", "logtrace", "obstruction", "chow-ring", "k-ring",
+             "star-t", "verify")
 BAD_GROUPS = (
     "catalog:sporadic(1)",
     '{"kind": "nonsense"}',
@@ -662,10 +677,12 @@ def _argv(command, group="catalog:cyclic(2)", rep="zero"):
             *(["--rep", rep] if command in TAKES_REP else []), *NEEDS[command]]
 
 
-def test_max_double_only_where_pair_classes_are_built():
-    for command in ("group-info", "chartable", "age", "logtrace",
-                    "obstruction"):
+def test_removed_options_are_usage_errors():
+    # --max-order is the one size cap, and eta and chern read no character
+    for command in NEEDS:
         _user_error(_argv(command) + ["--max-double", "5"])
+    for command in ("eta", "chern"):
+        _user_error(_argv(command) + ["--rep", "zero"])
 
 
 @pytest.mark.parametrize("command", sorted(NEEDS))
@@ -875,8 +892,7 @@ def test_fw_per_class_matches_the_element_scan(monkeypatch):
         assert cli._verify_tuples(G, v, {"fw"}) == {"fw": want}, spec
     # classes that miss some tuples are an internal error, not a count
     real = cli.build_double_sectors
-    monkeypatch.setattr(cli, "build_double_sectors",
-                        lambda G, cap: real(G, cap)[1:])
+    monkeypatch.setattr(cli, "build_double_sectors", lambda G: real(G)[1:])
     G = catalog_group("symmetric(3)")
     with pytest.raises(TheoremViolation, match=r"\|G\| \+ \|G\|\^2 = 42"):
         cli._verify_tuples(G, catalog_character(G, "std"), {"fw"})

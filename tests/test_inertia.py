@@ -247,26 +247,15 @@ def test_relabeling_invariance():
         assert len(images) == len(dh)
 
 
-def test_double_cap_enforced():
-    G = catalog_group("symmetric(4)")
-    try:
-        build_double_sectors(G, cap=10)
-        raise AssertionError("cap should have been enforced")
-    except UserError:
-        pass
-
-
 def test_caps_hold_for_cached_indices():
-    # the indices are kept on the group; a later call's cap still applies
+    # the triple index is kept on the group; a later call's cap still applies
     G = catalog_group("symmetric(3)")
     assert triple_sectors(G) is triple_sectors(G, cap=216)
-    assert build_double_sectors(G) is build_double_sectors(G, cap=6)
-    for build, cap in ((build_double_sectors, 5), (triple_sectors, 215)):
-        try:
-            build(G, cap=cap)
-            raise AssertionError(f"{build.__name__} ignored cap {cap}")
-        except UserError:
-            pass
+    try:
+        triple_sectors(G, cap=215)
+        raise AssertionError("triple_sectors ignored cap 215")
+    except UserError:
+        pass
 
 
 def test_resolve_matches_eager_enumeration():

@@ -40,6 +40,8 @@ from oracles import (
     reference_k_pairing,
     reference_k_table,
     reference_multiproduct,
+    toric_character,
+    toric_products,
 )
 
 ALL_CHECKS = ["identity", "commutativity", "associativity", "grading"]
@@ -265,7 +267,7 @@ def test_obstruction_data_symmetry_under_rotation_and_swap():
 def test_eta_pairing_chow():
     G = catalog_group("symmetric(3)")
     alg = chow_ring(G, zero_character(G))
-    eta = eta_pairing(G, zero_character(G), "chow")
+    eta = eta_pairing(G, "chow")
     assert eta.matrix[0][0] == Fraction(1, 6), "eta(1,1) must be 1/|G|"
     s = G.class_of(G.element_from_string("s1"))
     assert eta.matrix[s][s] == Fraction(1, 2)
@@ -281,7 +283,7 @@ def test_eta_pairing_chow():
 def test_eta_pairing_k_mode_z2():
     G = catalog_group("cyclic(2)")
     alg = k_ring(G, zero_character(G))
-    eta = eta_pairing(G, zero_character(G), "k")
+    eta = eta_pairing(G, "k")
     basis = k_basis(G)
     chars = character_table(G)
     sign = next(
@@ -311,8 +313,28 @@ def test_dual_index_pairing_matches_the_fusion_rows():
     for spec in SMALL_CATALOG:
         G = catalog_group(spec)
         assert G.n <= 24
-        eta = eta_pairing(G, zero_character(G), "k")
+        eta = eta_pairing(G, "k")
         assert eta.matrix == reference_k_pairing(G), spec
+
+
+# cyclic(n) acting on V = L_1 + ... + L_r with weights (a_1, .., a_r)
+TORIC = (("cyclic(2)", (1,)), ("cyclic(3)", (1,)), ("cyclic(4)", (1, 3)),
+         ("cyclic(5)", (1, 2)), ("cyclic(6)", (1, 5)), ("cyclic(6)", (1, 1, 4)),
+         ("cyclic(4)", (1, 1, 1, 1)), ("cyclic(7)", (1, 2, 4)))
+
+
+def test_toric_closed_forms_match_the_rings():
+    # the closed forms of the toric quotient share no code with the log
+    # traces, pullback columns, restriction tables or fusion tensors; on
+    # (4; 1, 3) and (6; 1, 5) V is sl2, and K pins lambda_-1 of the dual
+    for spec, weights in TORIC:
+        G = catalog_group(spec)
+        v = toric_character(G, weights)
+        if sorted(a % G.n for a in weights) == [1, G.n - 1]:
+            assert v == catalog_character(G, "sl2"), spec
+        chow, k = toric_products(G, weights)
+        assert chow_ring(G, v).table == chow, (spec, weights)
+        assert k_ring(G, v).table == k, (spec, weights)
 
 
 def test_k_basis_is_built_once_per_group(monkeypatch):
@@ -331,20 +353,23 @@ def test_k_basis_is_built_once_per_group(monkeypatch):
     for G in groups:
         v = zero_character(G)
         K = k_ring(G, v)
-        eta_pairing(G, v, "k")
+        eta_pairing(G, "k")
         orbifold_chern(G, {K.identity_index: 1})
         assert rings.k_basis(G).labels == K.labels
     assert built == groups
 
 
 def test_eta_rejects_linear_reps():
+    # the pairing is defined on the complete quotient only, so the Frobenius
+    # check refuses a ring with V != 0
     G = catalog_group("cyclic(2)")
     alg = chow_ring(G, catalog_character(G, "sl2"))
     try:
-        eta_pairing(G, catalog_character(G, "sl2"), "chow")
+        verify(alg, ["frobenius"])
         raise AssertionError("pairing must require a point quotient")
-    except UserError:
-        pass
+    except UserError as exc:
+        assert str(exc) == (
+            "the pairing is only defined for the complete quotient (V = 0)")
 
 
 def test_frobenius_through_verify():
@@ -441,7 +466,7 @@ def test_packed_checks_match_the_per_triple_reference():
         v = catalog_character(G, rep)
         for build in (chow_ring, k_ring):
             alg = build(G, v)
-            eta = (eta_pairing(G, v, alg.context["kind"]).matrix
+            eta = (eta_pairing(G, alg.context["kind"]).matrix
                    if v.dim() == 0 else None)
             for name, ref in _references(alg, _direct(alg), eta).items():
                 assert ref is None, f"{spec}/{rep}: reference {name} fails"
@@ -492,14 +517,20 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
     for build in (chow_ring, k_ring):
         alg = build(G, zero_character(G))
         direct = _direct(alg)
-        eta = eta_pairing(G, zero_character(G), alg.context["kind"]).matrix
+        eta = eta_pairing(G, alg.context["kind"]).matrix
         for bad in _corruptions(alg):
             assert _mismatches(bad, direct, eta,
                                ("frobenius", "multiproduct")) == [], (
                 build.__name__)
 
 
-# Seeded tables for the packing width: each kind of coefficient once.
+# Seeded tables for the packing width: each kind of coefficient once.  The
+# build context of every synthetic table is the complete quotient of the
+# trivial group, so the Frobenius check takes it; _mismatches fixes the
+# pairing and the triple products it would read.
+_TRIVIAL = catalog_group("cyclic(1)")
+_SYNTHETIC = {"kind": "chow", "group": _TRIVIAL,
+              "rep": zero_character(_TRIVIAL)}
 _COEFFICIENTS = {
     "negative": lambda rnd: rnd.choice((-3, -2, -1, 1, 2, 3)),
     "rational": lambda rnd: Fraction(rnd.choice((-7, -2, 1, 3, 5)),
@@ -544,8 +575,7 @@ def _width_cases(seed):
                                      for _ in range(2)])):
             n = 1 + max(max(key) for key in table)
             alg = GradedAlgebra(["e%d" % i for i in range(n)], [0] * n,
-                                table, "rational", 0,
-                                {"kind": "chow", "group": None, "rep": None})
+                                table, "rational", 0, _SYNTHETIC)
             direct = {(i, j, k): alg.mul(alg.table.get((i, j), {}), {k: 1})
                       for i, j, k in itertools.product(range(n), repeat=3)}
             lam = [coeff(rnd) for _ in range(n)]
@@ -584,7 +614,7 @@ def _carry_case():
     table = {(0, 0): {1: 1, 2: 1}, (1, 0): {1: 1}, (2, 0): {1: 1},
              (0, 1): {1: -1}, (0, 2): {1: -1, 2: 1}}
     alg = GradedAlgebra(["x", "y", "z"], [0] * 3, table, "integer", 0,
-                        {"kind": "chow", "group": None, "rep": None})
+                        _SYNTHETIC)
     direct = {(i, j, k): alg.mul(alg.table.get((i, j), {}), {k: 1})
               for i, j, k in itertools.product(range(3), repeat=3)}
     direct[(0, 0, 0)] = {1: 10, 2: -1}

@@ -1,18 +1,24 @@
-"""Checks on the library's source text.
+"""Checks on the library's source text, and on the scripts in tools/.
 
 Every invariant must stay checked under `python -O`, which strips assert
 statements, so the library raises TheoremViolation instead: it may hold no
 assert statement and raise no AssertionError.  And every top-level function,
 method and property must be named somewhere else in the package, so a
-helper left behind by a refactor fails the suite.
+helper left behind by a refactor fails the suite.  The tools import the
+package but no test runs them, so each is at least imported here.
 """
 
 import ast
+import importlib.util
 import os
+import sys
 from collections import Counter
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "inertial")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "inertial")
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def _raised_name(node):
@@ -20,11 +26,12 @@ def _raised_name(node):
     return exc.id if isinstance(exc, ast.Name) else None
 
 
-def _modules():
-    """(file name, parsed tree) of every module of the package."""
-    for name in sorted(os.listdir(SRC)):
+def _modules(where=SRC):
+    """(file name, parsed tree) of every module in where, the package by
+    default."""
+    for name in sorted(os.listdir(where)):
         if name.endswith(".py"):
-            path = os.path.join(SRC, name)
+            path = os.path.join(where, name)
             with open(path) as fh:
                 yield name, ast.parse(fh.read(), path)
 
@@ -102,11 +109,26 @@ def test_only_the_process_entry_skips_teardown():
 
 def test_only_rings_reads_a_ring_context():
     # a ring's context holds its build inputs, and group state (the sectors,
-    # the K basis) lives in the group's memo: no other module reads it off
-    # a ring, so that state cannot drift back onto the ring
+    # the K basis) lives in the group's memo: no other module, nor a tool,
+    # reads it off a ring, so that state cannot drift back onto the ring
     readers = sorted({"%s:%d" % (name, node.lineno)
-                      for name, tree in _modules() if name != "rings.py"
+                      for where in (SRC, TOOLS)
+                      for name, tree in _modules(where)
+                      if (where, name) != (SRC, "rings.py")
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)
                       and node.attr == "context"})
     assert readers == [], readers
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in os.listdir(TOOLS) if name.endswith(".py")))
+def test_tools_import_and_define_main(name, monkeypatch):
+    # imported by path, not run: a tool that names a library function the
+    # package no longer has fails here; each puts src/ on sys.path itself
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "tool_" + name[:-3], os.path.join(TOOLS, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, "main", None)), name

@@ -34,10 +34,10 @@ from inertial.groups import catalog_group  # noqa: E402
 from inertial.rings import chow_ring, k_ring, verify  # noqa: E402
 
 RINGS = (
-    ("k symmetric(4)/std", lambda: k_ring(*_pair("symmetric(4)", "std"))),
-    ("k quaternion8/sl2", lambda: k_ring(*_pair("quaternion8", "sl2"))),
-    ("lusztig symmetric(4)", lambda: k_ring(*_pair("symmetric(4)", "zero"))),
-    ("chow symmetric(5)/std", lambda: chow_ring(*_pair("symmetric(5)", "std"))),
+    ("k symmetric(4)/std", k_ring, "symmetric(4)", "std"),
+    ("k quaternion8/sl2", k_ring, "quaternion8", "sl2"),
+    ("lusztig symmetric(4)", k_ring, "symmetric(4)", "zero"),
+    ("chow symmetric(5)/std", chow_ring, "symmetric(5)", "std"),
 )
 CHECKS = ("identity", "commutativity", "associativity", "grading",
           "frobenius", "multiproduct")
@@ -63,10 +63,11 @@ def best_ms(check, expected):
 def main():
     print("%-22s %4s " % ("ring", "dim")
           + " ".join("%13s" % name for name in CHECKS) + "   (ms per check)")
-    for label, build in RINGS:
-        alg = build()
+    for label, build, group, rep in RINGS:
+        G, v = _pair(group, rep)
+        alg = build(G, v)
         times = ["%13.3f" % best_ms(lambda: verify(alg, [name]), {name: True})
-                 if name != "frobenius" or alg.context["rep"].dim() == 0
+                 if name != "frobenius" or v.dim() == 0
                  else "%13s" % "-" for name in CHECKS]
         print("%-22s %4d " % (label, alg.dim) + " ".join(times))
     print()
