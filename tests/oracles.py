@@ -58,7 +58,7 @@ from inertial.chern import mult_twist, support_project
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
     age, fw_check, invariants_char, twisted_pullback, v_identity_check)
-from inertial.rings import _fusion, _restriction, _unit, k_basis
+from inertial.rings import _fusion, _restriction, _unit, k_basis, k_ring
 
 
 def brute_identity(table):
@@ -648,6 +648,28 @@ def reference_push_twist(components, G, v):
         ind = induce_from(tcomp * reference_normal_factor(v, s), Z)
         total = ind if total is None else total + ind
     return total
+
+
+def reference_star_t(G, v):
+    """The transplanted product of every pair of class deltas, through the
+    integral ring: f^! of each delta in K-basis coordinates, their product
+    in k_ring's table, and the forward map of the result, summed from one
+    image per basis element.  Returns {(i, j): delta_i * delta_j}."""
+    K = k_ring(G, v)
+    r = len(G.conjugacy_classes())
+    one = trivial_character(G)
+    shrieks = [expand_components(G, reference_f_shriek(
+        support_project(one, i), G, v)) for i in range(r)]
+    images = [reference_push_twist(basis_components(G, s, t), G, v)
+              for s, t in k_basis(G).pairs]
+    table = {}
+    for i in range(r):
+        for j in range(r):
+            total = zero_character(G)
+            for idx, c in K.mul(shrieks[i], shrieks[j]).items():
+                total = total + images[idx] * c
+            table[(i, j)] = total
+    return table
 
 
 def expand_components(G, components):

@@ -31,7 +31,9 @@ from oracles import (
     expand_components,
     reference_f_shriek,
     reference_push_twist,
+    reference_star_t,
     support_components,
+    toric_character,
 )
 
 
@@ -220,6 +222,32 @@ def test_push_twist_refuses_an_index_outside_the_basis():
     for idx in (-1, 4):
         with pytest.raises(UserError, match="out of range"):
             push_twist({idx: 1}, G, v)
+
+
+# the cases on which star_T is pinned to the route through the integral
+# ring: catalog characters, and two toric ones whose normal factors are not
+# rational
+STAR_T_CASES = (
+    ("cyclic(2)", "sl2"), ("cyclic(2)", "zero"), ("cyclic(4)", "sl2"),
+    ("cyclic(6)", "sl2"), ("quaternion8", "sl2"), ("symmetric(3)", "std"),
+    ("symmetric(3)", "zero"), ("symmetric(4)", "std"),
+    ("symmetric(4)", "regular"), ("dihedral(5)", "regular"),
+    ("alternating(4)", "std"), ("binary_dihedral(3)", "sl2"),
+    ("symmetric(5)", "std"), ("cyclic(5)", (1, 2)), ("cyclic(7)", (1, 2, 4)),
+)
+
+
+def test_star_t_matches_the_integral_ring_route():
+    for spec, rep in STAR_T_CASES:
+        G = catalog_group(spec)
+        v = (toric_character(G, rep) if isinstance(rep, tuple)
+             else catalog_character(G, rep))
+        one = trivial_character(G)
+        deltas = [support_project(one, i)
+                  for i in range(len(G.conjugacy_classes()))]
+        for (i, j), want in reference_star_t(G, v).items():
+            assert star_T(deltas[i], deltas[j], G, v) == want, (
+                f"{spec}/{rep}: delta_{i} * delta_{j}")
 
 
 def test_star_t_z2_point_table():
