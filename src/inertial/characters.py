@@ -26,8 +26,8 @@ class ClassFunction:
     _memo holds what is derived from this class function and costly to
     recompute: eigenvalue multiplicities, fixed-space dimensions, log
     traces, obstruction classes, fixed-space characters and pullback tables
-    (see logtrace), the K ring and K-basis maps of chern, and
-    a passed genuineness check (check_linearization).
+    (see logtrace), the transplanted product table of chern, and a passed
+    genuineness check (check_linearization).
     An entry is stored only after every exact check on its input has
     passed, and it lives and dies with this object.
     """

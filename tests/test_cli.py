@@ -108,6 +108,15 @@ DEEP_JSON = ["group-info", "--group",
              '{"kind": "table", "table": ' + "[" * 100_000]
 
 
+# a faithful linear character of cyclic(3): its normal factors, and so its
+# transplanted constants, are not rational
+STAR_T_IRRATIONAL = [
+    "star-t", "--group", "catalog:cyclic(3)", "--rep",
+    '{"kind":"character","values_by_class":[1,'
+    '{"conductor":3,"coeffs":["0/1","1/1"]},'
+    '{"conductor":3,"coeffs":["-1/1","-1/1"]}]}']
+
+
 def test_user_errors_exit_1():
     cases = [
         ["group-info", "--group", "catalog:sporadic(1)"],
@@ -150,6 +159,7 @@ def test_user_errors_exit_1():
         ["group-info", "--group", "catalog:cyclic(3)", "--max-order", "-1"],
         ["chow-ring", "--group", "catalog:cyclic(3)", "--rep", "zero",
          "--max-order", "0"],
+        STAR_T_IRRATIONAL,
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -160,6 +170,13 @@ def test_user_errors_exit_1():
         assert isinstance(body["error"]["message"], str)
         if "--max-order" in argv:
             assert body["error"]["message"].startswith("--max-order "), argv
+    proc = run_process(STAR_T_IRRATIONAL, "-O")
+    assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+    assert json.loads(proc.stderr)["error"] == {
+        "kind": "UserError",
+        "message": "star-t writes rational constants, and this character's "
+                   "transplanted constants are not rational: the first is "
+                   "(i, j, k) = (1, 1, 2)"}
 
 
 def test_oversized_numbers_exit_1_promptly_under_optimize(tmp_path):
@@ -631,6 +648,44 @@ def test_star_t_computes_each_normal_factor_once(monkeypatch):
     assert code == 0, err
     assert len(calls) == 5, "one normal factor per sector of quaternion8"
     assert len(checks) == 1, "the character's genuineness checked again"
+
+
+def test_star_t_refuses_a_vanished_normal_factor():
+    # the normal factor is divided by, so a zero one is refused, with and
+    # without -O
+    script = """
+import sys
+from inertial import chern
+from inertial.characters import zero_character
+from inertial.cli import main
+chern.lambda_minus_one_dual = lambda v: zero_character(v.group)
+sys.exit(main(["star-t", "--group", "catalog:quaternion8", "--rep", "sl2"]))
+"""
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, env=child_env(), cwd=ROOT)
+        assert (proc.returncode, proc.stdout) == (3, b""), proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "kind": "TheoremViolation",
+            "message": "normal-bundle factor vanished at a sector element"}
+
+
+def test_star_t_builds_no_k_ring(monkeypatch):
+    # the transplanted product is the rescaled Chow table: the same bytes
+    # with the integral ring out of reach
+    def refused(*args):
+        raise RuntimeError("the integral ring was built")
+
+    monkeypatch.setattr(rings, "k_ring", refused)
+    monkeypatch.setattr(rings, "_k_products", refused)
+    with open(os.path.join(ROOT, "perfbench", "refs.json")) as fh:
+        refs = dict(json.load(fh)["commands"], **CHERN)
+    for key in ("star-t --group catalog:quaternion8 --rep sl2",
+                "star-t --group catalog:symmetric(4) --rep std"):
+        code, out, err = run_cli(key.split(" "))
+        assert code == 0, err
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == refs[key]["sha256"]), key
 
 
 def _user_error(argv):

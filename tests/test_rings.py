@@ -9,7 +9,7 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
 
-from inertial import characters, rings
+from inertial import characters, logtrace, rings
 from inertial.characters import (
     ClassFunction,
     catalog_character,
@@ -335,6 +335,32 @@ def test_toric_closed_forms_match_the_rings():
         chow, k = toric_products(G, weights)
         assert chow_ring(G, v).table == chow, (spec, weights)
         assert k_ring(G, v).table == k, (spec, weights)
+
+
+def test_zero_character_builds_no_obstruction_class(monkeypatch):
+    # for V = 0 every obstruction class and pullback column is zero, so the
+    # K product builds neither, in the ring and in the multiproduct check
+    cases = ("symmetric(3)", "quaternion8", "symmetric(4)")
+    before = {}
+    for spec in cases:
+        G = catalog_group(spec)
+        before[spec] = k_ring(G, zero_character(G)).table
+
+    def refused(*args):
+        raise RuntimeError("an obstruction class was built for V = 0")
+
+    monkeypatch.setattr(logtrace, "twisted_pullback", refused)
+    monkeypatch.setattr(logtrace, "pullback_columns", refused)
+    for spec in cases:
+        G = catalog_group(spec)
+        assert k_ring(G, zero_character(G)).table == before[spec], spec
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--group", "catalog:symmetric(3)",
+                     "--multiproduct"])
+    assert code == 0
+    assert json.loads(out.getvalue())["checks"] == {
+        "chow": {"multiproduct": True}, "k": {"multiproduct": True}}
 
 
 def test_k_basis_is_built_once_per_group(monkeypatch):
