@@ -90,7 +90,8 @@ def _spec_label(data):
 
 def load_group(spec, max_order=MAX_TABLE_ORDER):
     """The group a --group spec names, refused above max_order elements."""
-    from .groups import FiniteGroup, catalog_group, group_from_permutations
+    from .groups import (FiniteGroup, catalog_group, check_order,
+                         group_from_permutations)
 
     spec = spec.strip()
     if spec.startswith("catalog:"):
@@ -109,8 +110,8 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
         n = len(table)
         names = _spec_names(data, lambda x: _int_list([x]) and 0 <= x < n,
                             "an element index below %d" % n)
-        return FiniteGroup(table, names=names, label=_spec_label(data),
-                           max_order=max_order)
+        check_order(n, max_order)
+        return FiniteGroup(table, names=names, label=_spec_label(data))
     if kind == "perm":
         gens = data.get("generators")
         if not _int_rows(gens):
@@ -303,14 +304,15 @@ def cmd_obstruction(G, v, args):
 
 def cmd_ring(G, v, args):
     """chow-ring, k-ring and lusztig (the K ring of the zero character):
-    the ring the command names, checked."""
+    the ring the command names, checked; exit 2 when a check fails."""
     from .rings import chow_ring, k_ring, verify
 
     alg = (chow_ring if args.command == "chow-ring" else k_ring)(G, v)
-    verify(alg, ["identity", "commutativity", "associativity", "grading"])
+    checks = verify(alg, ["identity", "commutativity", "associativity",
+                          "grading"])
     out = alg.to_json()
     out["command"] = args.command
-    return out, 0
+    return out, 0 if all(checks.values()) else 2
 
 
 def cmd_eta(G, v, args):

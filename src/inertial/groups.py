@@ -4,12 +4,15 @@ A group of order n is a table T with T[a][b] = index of a*b, identity at
 index 0.  Construction validates the table (identity, Latin square, and
 associativity via Light's test on a generating set), so everything built on
 top may assume it really is a group.
+
+Every entry point that turns outside input into a table refuses a group
+over its cap (check_order) before building it.  No group is kept beyond
+its caller, and what is derived from one lives in its memo.
 """
 
 import re
-from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
 from .errors import MAX_DIGITS, MAX_TABLE_ORDER, UserError
@@ -43,14 +46,10 @@ def _greedy_generators(table):
     return gens
 
 
-def _validate_table(table, max_order):
+def _validate_table(table):
     n = len(table)
     if n == 0:
         raise UserError("empty multiplication table")
-    if max_order is not None and n > max_order:
-        raise UserError(
-            "group order %d exceeds the supported maximum %d" % (n, max_order)
-        )
     full = frozenset(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
@@ -79,23 +78,21 @@ def _validate_table(table, max_order):
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
-    With check, the table is validated and its order capped at max_order
-    (None: no cap).
-
-    _memo keeps what other modules derive from the table alone (README,
-    "Derived state"); __slots__ refuses any other attribute.
+    With check, the table is validated; its size is the caller's to bound
+    (check_order).  The slots hold what the constructor is given or sets
+    once; _memo keeps everything derived from the table alone, here and in
+    other modules (README, "Derived state"), and __slots__ refuses any
+    other attribute.
     """
 
     __slots__ = ("table", "n", "label", "names", "inv", "catalog",
-                 "permutations", "_class_data", "_subgroups", "_orders",
-                 "_memo")
+                 "permutations", "_memo")
 
-    def __init__(self, table, names=None, label=None, check=True,
-                 max_order=MAX_TABLE_ORDER):
+    def __init__(self, table, names=None, label=None, check=True):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
         if check:
-            _validate_table(self.table, max_order)
+            _validate_table(self.table)
         self.label = label if label is not None else "order-%d group" % self.n
         self.names = dict(names) if names else {}
         inv = [0] * self.n
@@ -107,9 +104,6 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.catalog = None  # set by catalog constructors, e.g. ("cyclic", 3)
         self.permutations = None  # set when built from permutations
-        self._class_data = None
-        self._subgroups = {}
-        self._orders = None
         self._memo = {}
 
     # -- basic operations ---------------------------------------------------
@@ -139,7 +133,8 @@ class FiniteGroup:
         return r
 
     def order_of(self, a):
-        if self._orders is None:
+        orders = self._memo.get("orders")
+        if orders is None:
             orders = [1] * self.n
             for x in range(1, self.n):
                 o, y = 1, x
@@ -147,8 +142,8 @@ class FiniteGroup:
                     y = self.table[y][x]
                     o += 1
                 orders[x] = o
-            self._orders = tuple(orders)
-        return self._orders[a]
+            orders = self._memo["orders"] = tuple(orders)
+        return orders[a]
 
     def exponent(self):
         return lcm(*(self.order_of(r) for r in self.class_reps()))
@@ -165,8 +160,9 @@ class FiniteGroup:
         Also records, for every element x, the first conjugator w (smallest
         index) with w * rep * w^-1 = x, where rep is x's class minimum.
         """
-        if self._class_data is not None:
-            return self._class_data
+        cached = self._memo.get("classes")
+        if cached is not None:
+            return cached
         n = self.n
         class_of = [-1] * n
         witness = [0] * n
@@ -187,8 +183,9 @@ class FiniteGroup:
         for idx, members in enumerate(classes):
             for y in members:
                 class_of[y] = idx
-        self._class_data = (classes, tuple(class_of), tuple(witness))
-        return self._class_data
+        cached = self._memo["classes"] = (classes, tuple(class_of),
+                                          tuple(witness))
+        return cached
 
     def conjugacy_classes(self):
         return self._classes()[0]
@@ -209,11 +206,11 @@ class FiniteGroup:
     # -- subgroups --------------------------------------------------------------
 
     def subgroup(self, elements):
-        key = tuple(sorted(set(elements)))
-        sub = self._subgroups.get(key)
+        """The subgroup on elements, kept in the memo by its sorted elements."""
+        key = ("subgroup", tuple(sorted(set(elements))))
+        sub = self._memo.get(key)
         if sub is None:
-            sub = Subgroup(self, key)
-            self._subgroups[key] = sub
+            sub = self._memo[key] = Subgroup(self, key[1])
         return sub
 
     def generated(self, gens):
@@ -377,8 +374,9 @@ def group_from_permutations(gens, names=None, label=None,
     """Close a set of permutations (tuples over 0..m-1) into a FiniteGroup.
 
     Composition is (p*q)(x) = p(q(x)).  Elements are sorted lexicographically,
-    which puts the identity permutation at index 0.  A closure larger than
-    max_order is refused (None: no cap).
+    which puts the identity permutation at index 0.  The closure is refused
+    as soon as it grows past max_order elements, before its full order is
+    known, so generators of a huge group are refused promptly.
     """
     if not gens:
         raise UserError("need at least one permutation")
@@ -396,14 +394,12 @@ def group_from_permutations(gens, names=None, label=None,
                 r = tuple(map(p.__getitem__, q))
                 if r not in seen:
                     seen.add(r)
+                    if len(seen) > max_order:
+                        raise UserError("permutation group order exceeds the "
+                                        "supported maximum %d" % max_order)
                     nxt.append(r)
         frontier = nxt
     elems = sorted(seen)
-    if max_order is not None and len(elems) > max_order:
-        raise UserError(
-            "permutation group has order %d, exceeding the maximum %d"
-            % (len(elems), max_order)
-        )
     index = {p: i for i, p in enumerate(elems)}
     table = _composition_table(elems, index)
     name_map = {}
@@ -414,8 +410,7 @@ def group_from_permutations(gens, names=None, label=None,
                                 % (p,))
             name_map[name] = index[tuple(p)]
     name_map.setdefault("e", 0)
-    g = FiniteGroup(table, names=name_map, label=label or "permutation group",
-                    max_order=max_order)
+    g = FiniteGroup(table, names=name_map, label=label or "permutation group")
     g.permutations = tuple(elems)
     return g
 
@@ -426,8 +421,7 @@ def group_from_permutations(gens, names=None, label=None,
 def _cyclic(n):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = {"e": 0, "g": 1 % n}
-    g = FiniteGroup(table, names=names, label="cyclic(%d)" % n,
-                    max_order=None)
+    g = FiniteGroup(table, names=names, label="cyclic(%d)" % n)
     g.catalog = ("cyclic", n)
     return g
 
@@ -448,8 +442,7 @@ def _dihedral(n):
         return (k - l) % n, (e + f) % 2
 
     names = {"e": 0, "r": 1 % n, "s": n}
-    g = FiniteGroup(_ab_table(n, mul), names=names, label="dihedral(%d)" % n,
-                    max_order=None)
+    g = FiniteGroup(_ab_table(n, mul), names=names, label="dihedral(%d)" % n)
     g.catalog = ("dihedral", n)
     return g
 
@@ -467,7 +460,7 @@ def _binary_dihedral(n, label=None):
 
     names = {"e": 0, "a": 1, "b": m}
     g = FiniteGroup(_ab_table(m, mul), names=names,
-                    label=label or "binary_dihedral(%d)" % n, max_order=None)
+                    label=label or "binary_dihedral(%d)" % n)
     g.catalog = ("binary_dihedral", n)
     return g
 
@@ -490,8 +483,6 @@ def _klein4():
 
 
 def _symmetric(n):
-    if n > 6:
-        raise UserError("symmetric(n) is supported for n <= 6")
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = _composition_table(elems, index)
@@ -507,8 +498,6 @@ def _symmetric(n):
 
 
 def _alternating(n):
-    if n > 6:
-        raise UserError("alternating(n) is supported for n <= 6")
     gens = {}
     for i in range(1, n - 1):
         p = list(range(n))
@@ -518,51 +507,34 @@ def _alternating(n):
         g = FiniteGroup([[0]], names={"e": 0}, label="alternating(%d)" % n)
     else:
         g = group_from_permutations(
-            list(gens.values()), names=gens, label="alternating(%d)" % n,
-            max_order=None,
-        )
+            list(gens.values()), names=gens, label="alternating(%d)" % n)
     g.catalog = ("alternating", n)
     return g
 
 
 _CATALOG_RE = re.compile(r"([a-z_0-9]+?)(?:\((\d+)\))?$")
 
-# kind -> (builder, group order per unit of n for the families whose table
-# grows linearly with n, 0 for the other families, None for a kind that
-# takes no n)
+# kind -> (builder, the group's order: a function of n for the families,
+# None past the n <= 6 that symmetric and alternating are built for, so n!
+# is never computed for an n of thousands of digits; a number for a kind
+# that takes no n)
 _CATALOG = {
-    "cyclic": (_cyclic, 1),
-    "dihedral": (_dihedral, 2),
-    "symmetric": (_symmetric, 0),
-    "alternating": (_alternating, 0),
-    "binary_dihedral": (_binary_dihedral, 4),
-    "quaternion8": (_quaternion8, None),
-    "klein4": (_klein4, None),
+    "cyclic": (_cyclic, lambda n: n),
+    "dihedral": (_dihedral, lambda n: 2 * n),
+    "symmetric": (_symmetric, lambda n: factorial(n) if n <= 6 else None),
+    "alternating": (_alternating,
+                    lambda n: (factorial(n) + 1) // 2 if n <= 6 else None),
+    "binary_dihedral": (_binary_dihedral, lambda n: 4 * n),
+    "quaternion8": (_quaternion8, 8),
+    "klein4": (_klein4, 4),
 }
-
-
-@lru_cache(maxsize=None)
-def _catalog_cached(kind, n):
-    if kind not in _CATALOG:
-        raise UserError(
-            "unknown catalog group %r (available: cyclic(n), dihedral(n), "
-            "symmetric(n<=6), alternating(n<=6), quaternion8, "
-            "binary_dihedral(n), klein4)" % kind
-        )
-    build, per_n = _CATALOG[kind]
-    if per_n is None:
-        if n is not None:
-            raise UserError("%s takes no parameter" % kind)
-        return build()
-    if n is None or n < 1:
-        raise UserError("%s(n) needs n >= 1" % kind)
-    return build(n)
 
 
 def catalog_group(spec, max_order=MAX_TABLE_ORDER):
     """Build a named group: "cyclic(6)", "symmetric(3)", "quaternion8", ...
 
-    A group larger than max_order is refused.
+    A group larger than max_order is refused before its table is built.
+    Every call builds a new group.
     """
     spec = spec.strip().lower()
     if len(spec) > MAX_DIGITS:
@@ -572,18 +544,30 @@ def catalog_group(spec, max_order=MAX_TABLE_ORDER):
     if not m:
         raise UserError("cannot parse catalog group name %r" % spec)
     kind, n = m.group(1), m.group(2)
-    n = int(n) if n is not None else None
-    # refuse an oversized family member before its table is built
-    per_n = _CATALOG.get(kind, (None, None))[1]
-    if per_n and n is not None:
-        _check_order(per_n * n, max_order)
-    g = _catalog_cached(kind, n)
-    # the cap is checked outside the cache, so every call honors its own
-    _check_order(g.n, max_order)
-    return g
+    if kind not in _CATALOG:
+        raise UserError(
+            "unknown catalog group %r (available: cyclic(n), dihedral(n), "
+            "symmetric(n<=6), alternating(n<=6), quaternion8, "
+            "binary_dihedral(n), klein4)" % kind
+        )
+    build, order = _CATALOG[kind]
+    if not callable(order):
+        if n is not None:
+            raise UserError("%s takes no parameter" % kind)
+        check_order(order, max_order)
+        return build()
+    n = int(n or 0)
+    if n < 1:
+        raise UserError("%s(n) needs n >= 1" % kind)
+    size = order(n)
+    if size is None:
+        raise UserError("%s(n) is supported for n <= 6" % kind)
+    check_order(size, max_order)
+    return build(n)
 
 
-def _check_order(order, max_order):
+def check_order(order, max_order):
+    """Refuse a group of more than max_order elements."""
     if order > max_order:
         raise UserError(
             "group order %d exceeds the supported maximum %d"

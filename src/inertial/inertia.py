@@ -126,15 +126,16 @@ def build_double_sectors(group):
     return cached
 
 
-def triple_sectors(group, cap=TRIPLE_TUPLE_CAP):
+def triple_sectors(group):
     """The group's triple classes, enumerated once and kept on the group;
-    cap bounds |G|^3 for this call, whether or not they are built yet."""
-    if group.n ** 3 > cap:
+    TRIPLE_TUPLE_CAP, read at each call, bounds |G|^3 whether or not they
+    are built yet."""
+    if group.n ** 3 > TRIPLE_TUPLE_CAP:
         raise UserError(
             "eager triple-sector enumeration needs |G|^3 <= %d (got %d); "
             "so neither the multiproduct check nor the identity family "
             "(--v-identities) can run on this group"
-            % (cap, group.n ** 3)
+            % (TRIPLE_TUPLE_CAP, group.n ** 3)
         )
     cached = group._memo.get("triples")
     if cached is None:

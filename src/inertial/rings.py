@@ -143,12 +143,14 @@ def algebra_from_json(data):
 def _chow_products(G, v, classes):
     """Structure constants of the rational product summed over diagonal classes.
 
-    A class of tuples m contributes exactly when the obstruction class has
-    rank 0 (the ages of the m_i add up to the age of their product) and the
-    fixed space of <m> fills the fixed space of the product; it then adds
-    the index of its centralizer in the product's centralizer.  Returns
-    {(input sectors): {output sector: Fraction}}, the input sectors read
-    off cls.maps[:-1] and the output sector off cls.maps[-1].
+    The obstruction class of a class of tuples m has rank
+    [sum age(m_i) - age(prod)] + [dim V^<m> - dim V^prod], never negative,
+    and the second bracket is never positive.  The class contributes exactly
+    when both brackets are 0, so once the ages add up the fixed spaces must
+    agree (TheoremViolation otherwise).  It then adds the index of its
+    centralizer in the product's centralizer.
+    Returns {(input sectors): {output sector: Fraction}}, the input sectors
+    read off cls.maps[:-1] and the output sector off cls.maps[-1].
     """
     from .characters import invariant_dimension
     from .logtrace import age
@@ -161,7 +163,8 @@ def _chow_products(G, v, classes):
             continue
         if (invariant_dimension(v, G.generated(ms))
                 != invariant_dimension(v, G.generated((prod,)))):
-            continue
+            raise TheoremViolation("the ages of %r add up but the fixed "
+                                   "spaces differ" % (ms,))
         coeff = Fraction(G.centralizer(prod).order, cls.centralizer.order)
         row = out.setdefault(tuple(s for s, _ in cls.maps[:-1]), {})
         k = cls.maps[-1][0]

@@ -29,7 +29,9 @@ checks one triple per class of simultaneous conjugation.  The restriction
 f^! and the forward map act on one class function per sector (restrict,
 project, untwist; twist, induce), and the transplanted product runs through
 them and the integral ring's table, where the library rescales the Chow
-table by one normal factor per sector.
+table by one normal factor per sector.  The permutation-group Chow ring
+counts factorizations of additive length, where the library reads ages
+and fixed spaces.
 """
 
 import cmath
@@ -280,6 +282,52 @@ def toric_products(G, weights):
             if row:
                 k_table[(n * sector[g] + irr[x], n * sector[h] + irr[y])] = row
     return chow, k_table
+
+
+def _cycle_count(p):
+    """The number of cycles of the permutation p, fixed points included."""
+    seen = [False] * len(p)
+    count = 0
+    for x in range(len(p)):
+        if not seen[x]:
+            count += 1
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+    return count
+
+
+def factorization_products(G, copies):
+    """The Chow table and grading of [V/G] for a permutation group G on m
+    points and V the sum of `copies` copies of its permutation
+    representation C^m, from the rule of Lehn and Sorger
+    (arXiv:math/0009131) and Fantechi and Goettsche (arXiv:math/0104207),
+    with no character, eigenvalue, age or log trace:
+
+        x_A x_B = sum_C #{(a, b) in A x B : ab = c, l(a) + l(b) = l(c)} x_C
+
+    for a fixed c in C, where l(g) = m - #cycles(g).  A k-cycle has age
+    (k - 1) / 2 on C^k, so x_A has grade copies * l(a) / 2.  Reads only
+    G.permutations, the multiplication table and the sector list; c is the
+    sector's representative, and keys and numbering are the library's.
+    """
+    t = G.table
+    inv = [row.index(0) for row in t]
+    reps = [s.rep for s in build_sectors(G).sectors]
+    sector = {}
+    for i, r in enumerate(reps):
+        for w in range(G.n):
+            sector[t[t[w][r]][inv[w]]] = i
+    length = [len(p) - _cycle_count(p) for p in G.permutations]
+    table = {}
+    for k, c in enumerate(reps):
+        for a in range(G.n):
+            b = t[inv[a]][c]  # the one b with ab = c
+            if length[a] + length[b] == length[c]:
+                row = table.setdefault((sector[a], sector[b]), {})
+                row[k] = row.get(k, 0) + 1
+    grading = [Fraction(copies * length[r], 2) for r in reps]
+    return table, grading
 
 
 def reference_k_pairing(G):

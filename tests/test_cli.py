@@ -19,7 +19,7 @@ from inertial.characters import (
     catalog_character,
     lambda_minus_one_dual,
 )
-from inertial.cli import main
+from inertial.cli import load_group, main
 from inertial.cyclotomic import root_of_unity
 from inertial.errors import TheoremViolation, UserError
 from inertial.groups import catalog_group
@@ -445,7 +445,7 @@ def test_max_order_builds_the_index_once(monkeypatch):
         return extend(group, classes)
 
     monkeypatch.setattr(inertia, "_extend", counted)
-    # a permutation group is built anew by every call, so nothing is cached
+    # every load builds its group anew, so nothing is cached across calls
     s4 = '{"kind": "perm", "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}'
     code, _, err = run_cli(["chow-ring", "--group", s4, "--rep", "trivial",
                             "--max-order", "100"])
@@ -454,8 +454,12 @@ def test_max_order_builds_the_index_once(monkeypatch):
 
 
 def test_max_order_applies_to_a_cached_index():
+    # no group is shared: the command loads a new one, with none of the
+    # pair classes already kept on another caller's group
     G = catalog_group("symmetric(4)")
     build_double_sectors(G)
+    loaded = load_group("catalog:symmetric(4)")
+    assert loaded is not G and "doubles" not in loaded._memo
     argv = ["chow-ring", "--group", "catalog:symmetric(4)", "--rep", "std"]
     code, _, err = run_cli(argv + ["--max-order", "20"])
     assert code == 1
@@ -481,13 +485,77 @@ def test_pair_class_cap_refuses_before_the_table_is_built(monkeypatch):
     def refused(n):
         raise RuntimeError("the table of cyclic(%d) was built" % n)
 
-    monkeypatch.setitem(groups._CATALOG, "cyclic", (refused, 1))
+    # the builder replaced, the family's order function kept
+    monkeypatch.setitem(groups._CATALOG, "cyclic",
+                        (refused, groups._CATALOG["cyclic"][1]))
     code, out, err = run_cli(["k-ring", "--group", "catalog:cyclic(201)",
                               "--rep", "zero"])
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == {
         "kind": "UserError",
         "message": "group order 201 exceeds the supported maximum 200"}
+
+
+def test_every_input_kind_is_refused_before_its_table_is_built():
+    # the cap is checked where outside input becomes a table: a catalog
+    # family before its builder runs (symmetric(n) before n! is computed),
+    # table input before the group is built, and a permutation closure as
+    # soon as it passes the cap, here 12 points generating an order of 12!;
+    # with and without -O, within the timeout
+    script = """
+import io, json
+from contextlib import redirect_stderr
+from inertial import groups
+from inertial.cli import main
+def refused(*args, **kwargs):
+    raise RuntimeError("a table was built")
+groups._composition_table = refused
+groups.FiniteGroup = refused
+cases = [
+    ["--group", "catalog:symmetric(6)"],
+    ["--group", "catalog:alternating(6)", "--max-order", "100"],
+    ["--group", "catalog:symmetric(" + "9" * 4000 + ")"],
+    ["--group", '{"kind": "table", "table": [[0, 1, 2], [1, 2, 0], '
+                '[2, 0, 1]]}', "--max-order", "2"],
+    ["--group", json.dumps({"kind": "perm", "generators": [
+        list(range(1, 12)) + [0], [1, 0] + list(range(2, 12))]})],
+]
+results = []
+for argv in cases:
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["group-info"] + argv)
+    results.append([code, json.loads(err.getvalue())["error"]])
+print(json.dumps(results))
+"""
+    messages = [
+        "group order 720 exceeds the supported maximum 512",
+        "group order 360 exceeds the supported maximum 100",
+        "symmetric(n) is supported for n <= 6",
+        "group order 3 exceeds the supported maximum 2",
+        "permutation group order exceeds the supported maximum 512",
+    ]
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, env=child_env(), cwd=ROOT,
+                              timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [1, {"kind": "UserError", "message": m}] for m in messages], flags
+
+
+@pytest.mark.parametrize("command", ["chow-ring", "k-ring", "lusztig",
+                                     "star-t"])
+def test_ring_commands_exit_2_when_a_self_check_fails(command, monkeypatch):
+    # each ring command checks the ring it prints; a failed check still
+    # prints the artifact, with the check false, and exits 2
+    monkeypatch.setitem(rings._CHECKS, "associativity", lambda alg: False)
+    argv = [command, "--group", "catalog:cyclic(2)"]
+    if command != "lusztig":
+        argv += ["--rep", "sl2"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["verified"]["associativity"] is False
 
 
 def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):

@@ -1,3 +1,4 @@
+from inertial import inertia
 from inertial.errors import UserError
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import (
@@ -247,12 +248,16 @@ def test_relabeling_invariance():
         assert len(images) == len(dh)
 
 
-def test_caps_hold_for_cached_indices():
-    # the triple index is kept on the group; a later call's cap still applies
+def test_caps_hold_for_cached_indices(monkeypatch):
+    # the triple index is kept on the group; a cap lowered after it was
+    # built still applies to it
     G = catalog_group("symmetric(3)")
-    assert triple_sectors(G) is triple_sectors(G, cap=216)
+    built = triple_sectors(G)
+    monkeypatch.setattr(inertia, "TRIPLE_TUPLE_CAP", 216)
+    assert triple_sectors(G) is built
+    monkeypatch.setattr(inertia, "TRIPLE_TUPLE_CAP", 215)
     try:
-        triple_sectors(G, cap=215)
+        triple_sectors(G)
         raise AssertionError("triple_sectors ignored cap 215")
     except UserError:
         pass

@@ -19,7 +19,7 @@ from inertial.characters import (
 )
 from inertial.errors import TheoremViolation, UserError
 from inertial.chern import orbifold_chern
-from inertial.cli import main
+from inertial.cli import load_group, main
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
 from inertial.logtrace import age, int_coords, invariants_char, twisted_pullback
@@ -35,6 +35,7 @@ from inertial.rings import (
 
 from oracles import (
     class_sum_constants,
+    factorization_products,
     reference_associativity,
     reference_frobenius,
     reference_k_pairing,
@@ -46,6 +47,13 @@ from oracles import (
 
 ALL_CHECKS = ["identity", "commutativity", "associativity", "grading"]
 TRIPLE_CHECKS = ("associativity", "frobenius", "multiproduct")
+
+# Each catalog_group call builds a new group.  The groups several tests of
+# this module read are built once here, so their tables, sector and triple
+# indices and K basis are derived once, in each group's memo.
+GROUPS = {spec: catalog_group(spec) for spec in (
+    "cyclic(2)", "cyclic(4)", "quaternion8", "symmetric(3)", "symmetric(4)",
+    "dihedral(5)")}
 
 
 def test_graded_algebra_basics():
@@ -66,7 +74,7 @@ def test_graded_algebra_basics():
 
 
 def test_algebra_json_round_trip():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = chow_ring(G, zero_character(G))
     blob = alg.to_json()
     back = algebra_from_json(blob)
@@ -132,7 +140,7 @@ def test_chow_matches_class_sum_oracle():
 
 
 def test_transposition_square_in_s3():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = chow_ring(G, zero_character(G))
     s = G.element_from_string("s1")
     c3 = G.element_from_string("s1*s2")
@@ -161,7 +169,7 @@ def test_point_chow_identity_row():
 
 
 def test_ring_axioms_on_a_linear_pair():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     v = catalog_character(G, "std")
     for alg in (chow_ring(G, v), k_ring(G, v)):
         checks = ALL_CHECKS + ["multiproduct"]
@@ -170,7 +178,7 @@ def test_ring_axioms_on_a_linear_pair():
 
 
 def test_k_ring_s3_fusion_corner():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = k_ring(G, zero_character(G))
     assert alg.dim == 8
     sizes = {}
@@ -188,7 +196,7 @@ def test_k_ring_matches_per_product_reference():
     for spec, rep in (("symmetric(3)", "std"), ("symmetric(3)", "zero"),
                       ("quaternion8", "sl2"), ("cyclic(4)", "sl2"),
                       ("dihedral(5)", "regular"), ("symmetric(4)", "zero")):
-        G = catalog_group(spec)
+        G = GROUPS[spec]
         v = catalog_character(G, rep)
         assert k_ring(G, v).table == reference_k_table(G, v), (
             f"{spec}/{rep}: K table disagrees with the per-product reference"
@@ -208,7 +216,7 @@ def test_k_reference_pairs_exercise_moved_centralizers():
 
 
 def test_k_tables_stay_integral_and_chow_tables_rational():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     v = catalog_character(G, "std")
     alg = k_ring(G, v)
     assert all(type(c) is int
@@ -239,7 +247,7 @@ def test_lusztig_is_the_zero_rep_k_ring():
 
 
 def test_k_identity_is_trivial_character_at_identity_sector():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = k_ring(G, zero_character(G))
     basis = k_basis(G)
     sector, t = basis.pairs[alg.identity_index]
@@ -265,7 +273,7 @@ def test_obstruction_data_symmetry_under_rotation_and_swap():
 
 
 def test_eta_pairing_chow():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = chow_ring(G, zero_character(G))
     eta = eta_pairing(G, "chow")
     assert eta.matrix[0][0] == Fraction(1, 6), "eta(1,1) must be 1/|G|"
@@ -281,7 +289,7 @@ def test_eta_pairing_chow():
 
 
 def test_eta_pairing_k_mode_z2():
-    G = catalog_group("cyclic(2)")
+    G = GROUPS["cyclic(2)"]
     alg = k_ring(G, zero_character(G))
     eta = eta_pairing(G, "k")
     basis = k_basis(G)
@@ -337,6 +345,72 @@ def test_toric_closed_forms_match_the_rings():
         assert k_ring(G, v).table == k, (spec, weights)
 
 
+# the dihedral group of order 8 on the 4 vertices of a square, closed from
+# a rotation and a reflection given as {"kind": "perm"} generators
+SQUARE = '{"kind": "perm", "generators": [[1, 2, 3, 0], [0, 3, 2, 1]]}'
+
+
+def _permutation_character(G):
+    """C^m: each class representative's number of fixed points."""
+    return ClassFunction(G, [
+        sum(p[x] == x for x in range(len(p)))
+        for p in map(G.permutations.__getitem__, G.class_reps())])
+
+
+def test_factorization_rule_matches_the_chow_ring():
+    # the Lehn-Sorger / Fantechi-Goettsche rule reads no character: on
+    # V = C^m and C^m + C^m it gives the Chow table and the age grading of
+    # every permutation group; alternating(4), whose classes are not closed
+    # under inversion, pins the output class
+    groups = ([catalog_group("symmetric(%d)" % n) for n in range(2, 6)]
+              + [catalog_group("alternating(4)"), catalog_group("alternating(5)"),
+                 load_group(SQUARE)])
+    assert [G.n for G in groups] == [2, 6, 24, 120, 12, 60, 8]
+    for G in groups:
+        perm = _permutation_character(G)
+        if G.catalog is not None:
+            assert perm == catalog_character(G, "std") + trivial_character(G)
+        for copies, v in ((1, perm), (2, perm + perm)):
+            alg = chow_ring(G, v)
+            table, grading = factorization_products(G, copies)
+            assert alg.table == table, (G.label, copies)
+            assert alg.grading == grading, (G.label, copies)
+
+
+def test_chow_products_raise_when_the_fixed_spaces_differ():
+    # when the ages of a pair add up, dim V^<m> = dim V^{prod} is a theorem
+    # (the obstruction rank is not negative), so a violation stops the build
+    # instead of dropping the class, also when assert statements are
+    # stripped; on symmetric(3) with V = std, (s1, s2) has ages 1/2 + 1/2 =
+    # age of the 3-cycle, and only the whole group is a non-cyclic <m>
+    script = """
+import sys
+from inertial import characters
+from inertial.characters import catalog_character
+from inertial.errors import TheoremViolation
+from inertial.groups import catalog_group
+from inertial.rings import chow_ring
+real = characters.invariant_dimension
+characters.invariant_dimension = lambda v, H: real(v, H) + (H.order == 6)
+G = catalog_group("symmetric(3)")
+try:
+    chow_ring(G, catalog_character(G, "std"))
+except TheoremViolation as exc:
+    print(exc)
+    sys.exit(3)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, env=env, text=True)
+        assert proc.returncode == 3, (flags, proc.stdout, proc.stderr)
+        assert "fixed spaces" in proc.stdout, flags
+
+
 def test_zero_character_builds_no_obstruction_class(monkeypatch):
     # for V = 0 every obstruction class and pullback column is zero, so the
     # K product builds neither, in the ring and in the multiproduct check
@@ -388,7 +462,7 @@ def test_k_basis_is_built_once_per_group(monkeypatch):
 def test_eta_rejects_linear_reps():
     # the pairing is defined on the complete quotient only, so the Frobenius
     # check refuses a ring with V != 0
-    G = catalog_group("cyclic(2)")
+    G = GROUPS["cyclic(2)"]
     alg = chow_ring(G, catalog_character(G, "sl2"))
     try:
         verify(alg, ["frobenius"])
@@ -400,7 +474,7 @@ def test_eta_rejects_linear_reps():
 
 def test_frobenius_through_verify():
     for spec in ("symmetric(3)", "quaternion8"):
-        G = catalog_group(spec)
+        G = GROUPS[spec]
         for build in (chow_ring, k_ring):
             alg = build(G, zero_character(G))
             assert verify(alg, ["frobenius"]) == {"frobenius": True}, (
@@ -488,7 +562,7 @@ def _corruptions(alg):
 def test_packed_checks_match_the_per_triple_reference():
     for spec, rep in (("symmetric(3)", "zero"), ("symmetric(3)", "std"),
                       ("cyclic(4)", "sl2"), ("quaternion8", "sl2")):
-        G = catalog_group(spec)
+        G = GROUPS[spec]
         v = catalog_character(G, rep)
         for build in (chow_ring, k_ring):
             alg = build(G, v)
@@ -501,7 +575,7 @@ def test_packed_checks_match_the_per_triple_reference():
 
 
 def test_corrupted_table_fails_associativity():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     alg = chow_ring(G, zero_character(G))
     blob = alg.to_json()
     # find a non-identity product entry and corrupt it
@@ -527,7 +601,7 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
     # the checks that share the triple loop with associativity must also see
     # a single wrong structure constant
     for name in ("frobenius", "multiproduct"):
-        G = catalog_group("symmetric(3)")
+        G = GROUPS["symmetric(3)"]
         alg = k_ring(G, zero_character(G))
         assert verify(alg, [name]) == {name: True}
         e = alg.identity_index
@@ -718,7 +792,7 @@ sys.exit(main(["eta", "--group", "catalog:cyclic(2)", "--mode", "k"]))
 
 
 def test_checks_requiring_context_refuse_parsed_tables():
-    G = catalog_group("symmetric(3)")
+    G = GROUPS["symmetric(3)"]
     parsed = algebra_from_json(chow_ring(G, zero_character(G)).to_json())
     for name in ("frobenius", "multiproduct"):
         try:

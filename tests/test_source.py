@@ -4,8 +4,10 @@ Every invariant must stay checked under `python -O`, which strips assert
 statements, so the library raises TheoremViolation instead: it may hold no
 assert statement and raise no AssertionError.  And every top-level function,
 method and property must be named somewhere else in the package, so a
-helper left behind by a refactor fails the suite.  The tools import the
-package but no test runs them, so each is at least imported here.
+helper left behind by a refactor fails the suite.  Derived state has one
+home per object: only the scalar field caches at module level, and a
+group's slots are its inputs and its memo.  The tools import the package
+but no test runs them, so each is at least imported here.
 """
 
 import ast
@@ -120,6 +122,27 @@ def test_only_rings_reads_a_ring_context():
                       if isinstance(node, ast.Attribute)
                       and node.attr == "context"})
     assert readers == [], readers
+
+
+def test_only_the_scalar_field_caches_at_module_level():
+    # per-conductor tables are pure functions of an int; everything derived
+    # from a group or a character lives in that object's memo
+    importers = sorted({name for name, tree in _modules()
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names
+                        if alias.name.split(".")[-1] == "lru_cache"})
+    assert importers == ["cyclotomic.py"], importers
+
+
+def test_group_slots_are_its_inputs_and_memo():
+    # what a group is given or set to once; every derived table goes in
+    # _memo, so no cache can be hung on a group beside it
+    from inertial.groups import FiniteGroup
+
+    assert FiniteGroup.__slots__ == (
+        "table", "n", "label", "names", "inv", "catalog", "permutations",
+        "_memo")
 
 
 @pytest.mark.parametrize("name", sorted(
