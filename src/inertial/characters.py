@@ -562,23 +562,26 @@ def eigen_multiplicities(v, x):
     return mults
 
 
-def lambda_minus_one_dual(v):
-    """The alternating sum of exterior powers of the dual, as a class function.
+def normal_factor(v, x):
+    """lambda_-1 of the dual of V - V^x, evaluated at x: the product over
+    the eigenvalues zeta_o^k != 1 of x on v of (1 - zeta_o^-k), with
+    multiplicities, o the order of x."""
+    o = v.group.order_of(x)
+    prod = ONE
+    for k, m in enumerate(eigen_multiplicities(v, x)):
+        if k and m:
+            prod = prod * (ONE - root_of_unity(o, -k)) ** m
+    return prod
 
-    Value at g with order o: prod over eigenvalues zeta_o^k of g on v of
-    (1 - zeta_o^-k), with multiplicities.
-    """
+
+def lambda_minus_one_dual(v):
+    """The alternating sum of exterior powers of the dual, as a class
+    function: 0 at an element with eigenvalue 1 on v, else its
+    normal_factor."""
     g = v.group
-    vals = []
-    for rep in g.class_reps():
-        o = g.order_of(rep)
-        mults = eigen_multiplicities(v, rep)
-        prod = ONE
-        for k, m in enumerate(mults):
-            if m:
-                prod = prod * (ONE - root_of_unity(o, (-k) % o)) ** m
-        vals.append(prod)
-    return ClassFunction(g, vals)
+    return ClassFunction(g, [ZERO if eigen_multiplicities(v, rep)[0]
+                             else normal_factor(v, rep)
+                             for rep in g.class_reps()])
 
 
 # -- invariants -----------------------------------------------------------------

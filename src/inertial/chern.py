@@ -9,7 +9,9 @@ class functions of G.  In degree 0, orbifold Riemann-Roch gives it in
 closed form: f^! sends the class delta d_i to e_s / n_s, where s is i's
 sector, e_s its identity-supported element and n_s the value at h_s of
 lambda_-1 of the dual of N_s = V - V^{h_s} on Z(h_s); the e_s span an
-ideal that rank maps onto the Chow ring, e_s -> x_s.  So
+ideal that rank maps onto the Chow ring, e_s -> x_s.  As h_s acts on V^{h_s}
+trivially, n_s is read off the eigenvalues of h_s on V alone
+(characters.normal_factor).  So
 
     d_i * d_j = sum_k c_ij^k n_k / (n_i n_j) d_k,
 
@@ -17,18 +19,10 @@ with c the Chow structure constants, and the product needs the Chow table
 and one normal factor per sector, not the integral ring.
 """
 
-from fractions import Fraction
-
-from .cyclotomic import ZERO, cyc
+from .cyclotomic import ZERO
 from .errors import UserError, TheoremViolation
-from .characters import (
-    ClassFunction,
-    check_linearization,
-    restrict_to,
-    lambda_minus_one_dual,
-)
+from .characters import ClassFunction, check_linearization, normal_factor
 from .inertia import build_sectors
-from .logtrace import invariants_char
 from .rings import chow_ring, k_basis
 
 
@@ -45,21 +39,14 @@ def orbifold_chern(G, vec):
     """Per-sector rank vector of an element of the representation-ring basis.
 
     For a point or a linear quotient the degree-0 shadow is exact: each
-    sector contributes the rank of its component.  vec is a sparse dict over
-    G's K basis, which every integral inertial ring of G shares.
+    sector contributes the rank of its component, read off the K basis's
+    integer degree column.  vec is a sparse dict over G's K basis, which
+    every integral inertial ring of G shares.
     """
     basis = k_basis(G)
-    out = [Fraction(0)] * len(basis.tables)
+    out = [0] * len(basis.tables)
     for idx, coeff in vec.items():
-        s, t = basis.pairs[idx]
-        deg = basis.tables[s][t].values[0].to_rational()
-        if deg is None or deg.denominator != 1:
-            raise TheoremViolation("irreducible degree %r is not an integer"
-                                   % deg)
-        q = cyc(coeff).to_rational()
-        if q is None:
-            raise UserError("rank of a non-rational coefficient is undefined")
-        out[s] += q * deg
+        out[basis.pairs[idx][0]] += coeff * basis.degrees[idx]
     return out
 
 
@@ -71,16 +58,10 @@ def _star_table(G, v):
     table = v._memo.get("star_table")
     if table is not None:
         return table
-    factors = []
-    for s in build_sectors(G).sectors:
-        Z = s.centralizer
-        fixed = invariants_char(v, (s.rep,), Z)
-        n = lambda_minus_one_dual(restrict_to(v, Z) - fixed).value(
-            Z.from_parent[s.rep])
-        if n.is_zero():
-            raise TheoremViolation(
-                "normal-bundle factor vanished at a sector element")
-        factors.append(n)
+    factors = [normal_factor(v, s.rep) for s in build_sectors(G).sectors]
+    if any(n.is_zero() for n in factors):
+        raise TheoremViolation(
+            "normal-bundle factor vanished at a sector element")
     inverses = [n.inverse() for n in factors]
     table = v._memo["star_table"] = {
         (i, j): {k: factors[k] * inverses[i] * inverses[j] * c

@@ -12,11 +12,11 @@ import sys
 from math import lcm
 
 from .errors import (
-    MAX_DIGITS,
     MAX_TABLE_ORDER,
     InertialError,
     TheoremViolation,
     UserError,
+    parse_int,
     parse_rational,
 )
 from .inertia import build_double_sectors, build_sectors, triple_sectors
@@ -31,17 +31,6 @@ from .inertia import build_double_sectors, build_sectors, triple_sectors
 PAIR_CLASS_ORDER = 200
 
 
-def _bounded_int(literal):
-    """A JSON integer literal as an int, refused before it is built when it
-    has more than MAX_DIGITS digits, whatever the interpreter's own limit
-    on int(str)."""
-    digits = len(literal.lstrip("-"))
-    if digits > MAX_DIGITS:
-        raise UserError("integer literal of %d digits exceeds the limit of %d"
-                        % (digits, MAX_DIGITS))
-    return int(literal)
-
-
 def _read_json_spec(spec, what):
     """A spec is inline JSON (starts with '{') or a path to a JSON file."""
     if spec.lstrip().startswith("{"):
@@ -53,7 +42,8 @@ def _read_json_spec(spec, what):
         except OSError as exc:
             raise UserError("cannot read %s file %r: %s" % (what, spec, exc))
     try:
-        data = json.loads(text, parse_int=_bounded_int)
+        data = json.loads(
+            text, parse_int=lambda literal: parse_int(literal, "integer literal"))
     except (ValueError, RecursionError) as exc:
         raise UserError("malformed %s JSON: %s" % (what, exc))
     if not isinstance(data, dict):
@@ -325,14 +315,12 @@ def cmd_eta(G, v, args):
 
 
 def cmd_chern(G, v, args):
-    from fractions import Fraction
-
     from .chern import orbifold_chern
     from .rings import k_basis
 
     basis = k_basis(G)
     vectors = [
-        [_frac(c) for c in orbifold_chern(G, {i: Fraction(1)})]
+        [_frac(c) for c in orbifold_chern(G, {i: 1})]
         for i in range(basis.size)
     ]
     return {
@@ -412,8 +400,6 @@ def _verify_rings(G, v, names):
         report["chow"] = verify(chow, ring_checks)
         report["k"] = verify(kr, ring_checks)
     if "rr" in names:
-        from fractions import Fraction
-
         from .chern import orbifold_chern
 
         chern = [{s: c for s, c in enumerate(orbifold_chern(G, {i: 1})) if c}
@@ -423,7 +409,7 @@ def _verify_rings(G, v, names):
             for j in range(kr.dim):
                 lhs = orbifold_chern(G, kr.table.get((i, j), {}))
                 rhs_vec = chow.mul(chern[i], chern[j])
-                rhs = [rhs_vec.get(s, Fraction(0)) for s in range(chow.dim)]
+                rhs = [rhs_vec.get(s, 0) for s in range(chow.dim)]
                 if lhs != rhs:
                     ok = False
         report["rr"] = {"chern_homomorphism": ok}

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the library and the CLI, the bounds on
-outside input, and the bounded parser of outside numbers.
+outside input, and the bounded parsers of outside numbers.
 
 Each class maps to a process exit code so scripted callers can tell bad
 input apart from a failed verification or a broken mathematical invariant.
@@ -34,6 +34,20 @@ class TheoremViolation(InertialError):
     """
 
     exit_code = 3
+
+
+def parse_int(literal, what):
+    """A decimal integer literal from outside input as an int, in bounded
+    time: one of more than MAX_DIGITS digits, or of more than the
+    interpreter's own limit on int(str), is refused with UserError."""
+    digits = len(literal.lstrip("+-"))
+    if digits > MAX_DIGITS:
+        raise UserError("%s of %d digits exceeds the limit of %d"
+                        % (what, digits, MAX_DIGITS))
+    try:
+        return int(literal)
+    except ValueError as exc:
+        raise UserError("%s: %s" % (what, exc))
 
 
 def parse_rational(value):

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial, lcm
 from operator import itemgetter
 
-from .errors import MAX_DIGITS, MAX_TABLE_ORDER, UserError
+from .errors import MAX_DIGITS, MAX_TABLE_ORDER, UserError, parse_int
 
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
@@ -244,7 +244,7 @@ class FiniteGroup:
             raise UserError("element token of %d characters exceeds the "
                             "limit of %d" % (len(token), MAX_DIGITS))
         if re.fullmatch(r"-?\d+", token):
-            idx = int(token)
+            idx = parse_int(token, "element index")
             if not 0 <= idx < self.n:
                 raise UserError("element index %d out of range 0..%d"
                                 % (idx, self.n - 1))
@@ -254,7 +254,8 @@ class FiniteGroup:
             m = _TOKEN_RE.fullmatch(factor.strip())
             if not m:
                 raise UserError("cannot parse element token %r" % token)
-            name, exp = m.group(1), int(m.group(2) or 1)
+            name, exp = m.group(1), parse_int(m.group(2) or "1",
+                                                  "element exponent")
             if name not in self.names:
                 raise UserError(
                     "unknown element name %r for %s (known: %s)"
@@ -556,7 +557,7 @@ def catalog_group(spec, max_order=MAX_TABLE_ORDER):
             raise UserError("%s takes no parameter" % kind)
         check_order(order, max_order)
         return build()
-    n = int(n or 0)
+    n = parse_int(n or "0", "catalog group parameter")
     if n < 1:
         raise UserError("%s(n) needs n >= 1" % kind)
     size = order(n)

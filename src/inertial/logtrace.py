@@ -3,18 +3,19 @@
 For a character V of G and an element g of order o, V splits under g into
 eigenspaces for the o-th roots of unity; each eigenspace is a module over
 the centralizer Z of g.  The logarithmic trace weights the k-th
-eigencharacter by k/o; its rank is the age.  Tuples m with product 1 give
-the logarithmic restriction V(m_1,...,m_l) over the tuple's centralizer Z —
-the obstruction class that twists the inertial products.  Z and H = <m>
-commute, so V pulls back along Z x H -> G, (z, h) -> zh, to one integer
-table (pullback_columns); the class is derived from log traces and from
-that table, and the two must agree exactly on every call that builds one.
+eigencharacter by k/o; its rank is the age.  A tuple m, padded with its
+inverse product, gives the twisted pullback V(m_1,...,m_l) over the
+tuple's centralizer Z — the obstruction class that twists the inertial
+products.  Z and H = <m> commute, so V pulls back along Z x H -> G,
+(z, h) -> zh, to one integer table (pullback_columns); the class is
+derived from log traces and from that table, and the two must agree
+exactly on every call that builds one.
 
 Log traces, obstruction classes, fixed-space characters and pullback
 tables are memoized on the character (ClassFunction._memo), keyed by
-element, by tuple, by ("invariants", H, Z) and by ("pullback", Z, H): each
-distinct input is computed and checked once per character, and only a
-result that passed every check is stored.
+element, by the given tuple, by ("invariants", H, Z) and by ("pullback",
+Z, H): each distinct input is computed and checked once per character,
+and only a result that passed every check is stored.
 """
 
 from fractions import Fraction
@@ -192,35 +193,36 @@ class TwistedClass:
         return all(m == 0 for m in self.mults)
 
 
-def log_restriction(v, ms):
-    """V(m_1,...,m_l) = sum_i L(m_i)(V) + V^m - V, over the tuple centralizer Z.
+def twisted_pullback(v, ms):
+    """V(m_1,...,m_l) over the tuple centralizer Z, for any non-empty tuple.
 
-    Requires the tuple product to be the identity.  Two derivations must
-    meet exactly in integer coordinates over Irr(Z): (a) the pointwise sum
-    above, decomposed, and (b) sum_E r_E col_E over the nontrivial
-    irreducibles E of H = <m>, with r_E = sum_i age_E(m_i) - dim E and
-    col_E the pullback column.  The coordinates and every r_E must be
-    non-negative integers, and the rank must equal the age formula.  The
-    checked result is memoized on v by tuple.
+    The tuple is padded with (m_1...m_l)^-1 to the tuple m' of product 1,
+    which has the same centralizer Z and generates the same H = <m>; then
+    V(m) = sum_i L(m'_i)(V) + V^m - V.  Two derivations must meet exactly
+    in integer coordinates over Irr(Z): (a) the pointwise sum above,
+    decomposed, and (b) sum_E r_E col_E over the nontrivial irreducibles E
+    of H, with r_E = sum_i age_E(m'_i) - dim E and col_E the pullback
+    column.  The coordinates and every r_E must be non-negative integers,
+    and the rank must equal the age formula.  The checked result is
+    memoized on v by the given tuple.
     """
     G = v.group
     ms = tuple(ms)
     if not ms:
         raise UserError("the tuple must be non-empty")
-    if G.prod(ms) != 0:
-        raise UserError("tuple product must be the identity element")
-    key = ("log_restriction", ms)
+    key = ("twisted_pullback", ms)
     cached = v._memo.get(key)
     if cached is not None:
         return cached
+    padded = ms + (G.inv[G.prod(ms)],)
     Z = G.centralizer(*ms)
     H = G.generated(ms)
     total = -restrict_to(v, Z)
-    for m in ms:
+    for m in padded:
         lt = log_trace(v, m)
         total = total + restrict_between(lt.char, lt.sub, Z)
     total = total + invariants_char(v, ms, Z)
-    what = "obstruction class for tuple %s" % (list(ms),)
+    what = "obstruction class for tuple %s" % (list(padded),)
     mults = int_coords(total, what, nonnegative=True)
 
     triv = trivial_character(H.group)
@@ -228,12 +230,12 @@ def log_restriction(v, ms):
     for chi, col in zip(character_table(H.group), pullback_columns(v, Z, H)):
         if chi == triv:
             continue
-        r = (sum((age(chi, H.from_parent[m]) for m in ms), Fraction(0))
+        r = (sum((age(chi, H.from_parent[m]) for m in padded), Fraction(0))
              - dim_int(chi))
         if r.denominator != 1 or r < 0:
             raise TheoremViolation(
                 "isotypic coefficient %s for tuple %s is not a non-negative "
-                "integer" % (r, list(ms))
+                "integer" % (r, list(padded))
             )
         isotypic = [a + int(r) * c for a, c in zip(isotypic, col)]
     if isotypic != mults:
@@ -242,7 +244,7 @@ def log_restriction(v, ms):
 
     rank = dim_int(total)
     expected = (
-        sum((age(v, m) for m in ms), Fraction(0))
+        sum((age(v, m) for m in padded), Fraction(0))
         + invariant_dimension(v, H)
         - dim_int(v)
     )
@@ -251,29 +253,8 @@ def log_restriction(v, ms):
             "rank %s of the obstruction class disagrees with the age formula %s"
             % (rank, expected)
         )
-    tc = TwistedClass(ms, Z, total, tuple(mults), rank)
-    v._memo[key] = tc
+    tc = v._memo[key] = TwistedClass(ms, Z, total, tuple(mults), rank)
     return tc
-
-
-def twisted_pullback(v, ms):
-    """Obstruction class of an arbitrary tuple: pad with the inverse product.
-
-    Equals log_restriction(v, ms + ((m_1...m_l)^-1,)), re-indexed to the
-    original tuple (same centralizer).
-    """
-    G = v.group
-    ms = tuple(ms)
-    if not ms:
-        raise UserError("the tuple must be non-empty")
-    padded = ms + (G.inv[G.prod(ms)],)
-    tc = log_restriction(v, padded)
-    if tc.sub is not G.centralizer(*ms):
-        raise TheoremViolation(
-            "padding tuple %s with its inverse product changed the centralizer"
-            % (list(ms),)
-        )
-    return TwistedClass(ms, tc.sub, tc.char, tc.mults, tc.rank)
 
 
 def fw_check(v, ms):
@@ -321,11 +302,11 @@ def v_identity_check(v, triple):
     def res(tc):
         return restrict_between(tc.char, tc.sub, Z)
 
-    full = log_restriction(v, (m1, m2, m3, m4))
-    pair_12 = res(log_restriction(v, (m1, m2, G.inv[m12])))
-    pair_12_3 = res(log_restriction(v, (m12, m3, m4)))
-    pair_23 = res(log_restriction(v, (m2, m3, G.inv[m23])))
-    pair_1_23 = res(log_restriction(v, (m1, m23, m4)))
+    full = twisted_pullback(v, (m1, m2, m3))
+    pair_12 = res(twisted_pullback(v, (m1, m2)))
+    pair_12_3 = res(twisted_pullback(v, (m12, m3)))
+    pair_23 = res(twisted_pullback(v, (m2, m3)))
+    pair_1_23 = res(twisted_pullback(v, (m1, m23)))
 
     log_sum = zero_character(Z.group)
     for m in (m1, m2, m3, m4):

@@ -23,8 +23,9 @@ from .inertia import build_sectors, build_double_sectors, triple_sectors
 
 class GradedAlgebra:
     """Finite-dimensional algebra with labeled basis, rational grading and
-    sparse structure constants, kept as given (int in the integral rings,
-    Fraction in the rational ones).  context carries the build inputs
+    sparse structure constants, kept as given (int in the K rings and in
+    the Chow ring, whose constants are centralizer indices; Fraction where
+    a constant may be a fraction).  context carries the build inputs
     {"kind", "group", "rep"} and is not serialized; an algebra parsed back
     from JSON has context None and supports only the table-level checks.
     """
@@ -148,8 +149,8 @@ def _chow_products(G, v, classes):
     and the second bracket is never positive.  The class contributes exactly
     when both brackets are 0, so once the ages add up the fixed spaces must
     agree (TheoremViolation otherwise).  It then adds the index of its
-    centralizer in the product's centralizer.
-    Returns {(input sectors): {output sector: Fraction}}, the input sectors
+    centralizer in the product's centralizer, an integer.
+    Returns {(input sectors): {output sector: int}}, the input sectors
     read off cls.maps[:-1] and the output sector off cls.maps[-1].
     """
     from .characters import invariant_dimension
@@ -165,10 +166,13 @@ def _chow_products(G, v, classes):
                 != invariant_dimension(v, G.generated((prod,)))):
             raise TheoremViolation("the ages of %r add up but the fixed "
                                    "spaces differ" % (ms,))
-        coeff = Fraction(G.centralizer(prod).order, cls.centralizer.order)
+        coeff, rest = divmod(G.centralizer(prod).order, cls.centralizer.order)
+        if rest:
+            raise TheoremViolation("the centralizer of %r is not a subgroup "
+                                   "of its product's" % (ms,))
         row = out.setdefault(tuple(s for s, _ in cls.maps[:-1]), {})
         k = cls.maps[-1][0]
-        row[k] = row.get(k, Fraction(0)) + coeff
+        row[k] = row.get(k, 0) + coeff
     return out
 
 
@@ -196,23 +200,27 @@ def chow_ring(G, v):
 
 
 class _KBasis:
-    """Numbering of the (sector, irreducible-of-centralizer) basis."""
+    """Numbering of the (sector, irreducible-of-centralizer) basis, with
+    the degree of each basis irreducible, checked to be an integer."""
 
     def __init__(self, G):
         from .characters import character_table
+        from .logtrace import dim_int
 
         self.offsets = []
         self.tables = []
         self.labels = []
         self.pairs = []
+        self.degrees = []
         off = 0
         for s in build_sectors(G).sectors:
             table = character_table(s.centralizer.group)
             self.offsets.append(off)
             self.tables.append(table)
-            for t in range(len(table)):
+            for t, chi in enumerate(table):
                 self.labels.append("[%s]:%d" % (G.element_label(s.rep), t))
                 self.pairs.append((s.index, t))
+                self.degrees.append(dim_int(chi))
             off += len(table)
         self.size = off
 

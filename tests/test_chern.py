@@ -5,6 +5,7 @@ from inertial.characters import (
     catalog_character,
     character_table,
     decompose,
+    normal_factor,
     regular_character,
     restrict_to,
     trivial_character,
@@ -19,6 +20,7 @@ from inertial.rings import chow_ring, k_basis, k_ring
 from oracles import (
     mult_twist,
     reference_f_shriek,
+    reference_normal_factor,
     reference_push_twist,
     reference_star_t,
     support_components,
@@ -179,6 +181,19 @@ STAR_T_CASES = (
     ("alternating(4)", "std"), ("binary_dihedral(3)", "sl2"),
     ("symmetric(5)", "std"), ("cyclic(5)", (1, 2)), ("cyclic(7)", (1, 2, 4)),
 )
+
+
+def test_normal_factor_is_the_normal_bundle_class_at_the_sector_element():
+    # lambda_-1 of the dual of V - V^h as a class function on Z(h), read at
+    # h, against the eigenvalue product at h alone
+    for spec, rep in STAR_T_CASES:
+        G = catalog_group(spec)
+        v = (toric_character(G, rep) if isinstance(rep, tuple)
+             else catalog_character(G, rep))
+        for s in build_sectors(G).sectors:
+            want = reference_normal_factor(v, s).value(
+                s.centralizer.from_parent[s.rep])
+            assert normal_factor(v, s.rep) == want, f"{spec}/{rep}: {s.rep}"
 
 
 def test_star_t_matches_the_integral_ring_route():

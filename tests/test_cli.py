@@ -17,7 +17,7 @@ from inertial.characters import (
     ClassFunction,
     assert_genuine_character,
     catalog_character,
-    lambda_minus_one_dual,
+    normal_factor,
 )
 from inertial.cli import load_group, main
 from inertial.cyclotomic import root_of_unity
@@ -212,6 +212,25 @@ def test_oversized_numbers_exit_1_promptly_under_optimize(tmp_path):
         error = json.loads(proc.stderr)["error"]
         assert error["kind"] == "UserError"
         assert why in error["message"], error["message"]
+
+
+def test_digit_strings_past_the_interpreter_limit_exit_1():
+    # a lowered int(str) limit makes int() refuse a string the library's
+    # own bound lets through: that is bad input (exit 1), not an internal
+    # error, with and without -O
+    nines = "9" * 1000
+    for argv in (["group-info", "--group", "catalog:cyclic(%s)" % nines],
+                 ["age", "--group", "catalog:cyclic(3)", "--rep", "sl2",
+                  "--element", nines],
+                 ["age", "--group", "catalog:cyclic(3)", "--rep", "sl2",
+                  "--element", "g^" + nines]):
+        for flags in ((), ("-O",)):
+            proc = run_process(argv, *flags, "-X", "int_max_str_digits=640",
+                               timeout=5)
+            assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+            error = json.loads(proc.stderr)["error"]
+            assert error["kind"] == "UserError", error
+            assert "640 digits" in error["message"], error["message"]
 
 
 def test_group_json_inputs():
@@ -701,15 +720,15 @@ def test_star_t_computes_each_normal_factor_once(monkeypatch):
     calls = []
     checks = []
 
-    def counted(v):
-        calls.append(v)
-        return lambda_minus_one_dual(v)
+    def counted(v, x):
+        calls.append(x)
+        return normal_factor(v, x)
 
     def checked(v, what):
         checks.append(v)
         return assert_genuine_character(v, what)
 
-    monkeypatch.setattr(chern, "lambda_minus_one_dual", counted)
+    monkeypatch.setattr(chern, "normal_factor", counted)
     monkeypatch.setattr(characters, "assert_genuine_character", checked)
     code, _, err = run_cli(["star-t", "--group", "catalog:quaternion8",
                             "--rep", "sl2"])
@@ -724,9 +743,9 @@ def test_star_t_refuses_a_vanished_normal_factor():
     script = """
 import sys
 from inertial import chern
-from inertial.characters import zero_character
 from inertial.cli import main
-chern.lambda_minus_one_dual = lambda v: zero_character(v.group)
+from inertial.cyclotomic import ZERO
+chern.normal_factor = lambda v, x: ZERO
 sys.exit(main(["star-t", "--group", "catalog:quaternion8", "--rep", "sl2"]))
 """
     for flags in ((), ("-O",)):

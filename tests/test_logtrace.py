@@ -24,7 +24,6 @@ from inertial.logtrace import (
     dim_int,
     fw_check,
     invariants_char,
-    log_restriction,
     log_trace,
     twisted_pullback,
     v_identity_check,
@@ -171,13 +170,29 @@ def test_obstruction_classes_move_with_conjugation():
     for spec, rep in (("symmetric(3)", "std"), ("quaternion8", "sl2")):
         G, v = load(spec, rep)
         for cls in triple_sectors(G):
-            ms = cls.rep + (G.inv[G.prod(cls.rep)],)
-            base = log_restriction(v, ms)
+            ms = cls.rep
+            base = twisted_pullback(v, ms)
             for g in range(G.n):
-                moved = log_restriction(v, tuple(G.conj(g, m) for m in ms))
+                moved = twisted_pullback(v, tuple(G.conj(g, m) for m in ms))
                 char, sub = transport(moved.char, moved.sub, G.inv[g])
                 assert sub is base.sub and char == base.char, (
                     f"{spec}/{rep}: class of {ms} conjugated by {g}")
+
+
+def test_padding_with_the_identity_changes_nothing():
+    # twisted_pullback pads its tuple with the inverse product itself, so a
+    # tuple already padded (its last entry then pads with the identity)
+    # has the same class
+    for spec, rep in (("symmetric(3)", "std"), ("cyclic(4)", "sl2"),
+                      ("quaternion8", "sl2")):
+        G, v = load(spec, rep)
+        for cls in build_double_sectors(G) + triple_sectors(G):
+            ms = cls.rep
+            short = twisted_pullback(v, ms)
+            padded = twisted_pullback(v, ms + (G.inv[G.prod(ms)],))
+            assert padded.sub is short.sub, f"{spec}/{rep}: {ms}"
+            assert (padded.char, padded.mults, padded.rank) == (
+                short.char, short.mults, short.rank), f"{spec}/{rep}: {ms}"
 
 
 def test_twisted_pullback_closed_forms():
@@ -305,8 +320,8 @@ def test_warm_memo_still_refuses_unseen_bad_input():
         for b in range(G.n):
             twisted_pullback(v, (a, b))
     try:
-        log_restriction(v, (s, s, s))
-        raise AssertionError("a tuple with non-trivial product was accepted")
+        twisted_pullback(v, ())
+        raise AssertionError("the empty tuple was accepted")
     except UserError:
         pass
 
@@ -348,7 +363,8 @@ def test_obstruction_classes_match_the_isotypic_reference():
         G, v = load(spec, rep)
         for cls in build_double_sectors(G) + triple_sectors(G):
             ms = cls.rep + (G.inv[G.prod(cls.rep)],)
-            assert log_restriction(v, ms).mults == reference_obstruction(v, ms), (
+            assert (twisted_pullback(v, cls.rep).mults
+                    == reference_obstruction(v, ms)), (
                 f"{spec}/{rep}: obstruction class of {ms} disagrees with the "
                 "isotypic reference"
             )

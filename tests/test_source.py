@@ -135,6 +135,18 @@ def test_only_the_scalar_field_caches_at_module_level():
     assert importers == ["cyclotomic.py"], importers
 
 
+def test_chern_reads_no_obstruction_classes():
+    # a sector's normal factor is read off the eigenvalues of its element
+    # (characters.normal_factor), so the Chern layer needs nothing from
+    # the log-trace layer
+    tree = dict(_modules())["chern.py"]
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "logtrace" in [getattr(node, "module", None)]
+             + [alias.name.split(".")[-1] for alias in node.names]]
+    assert lines == [], "chern.py imports logtrace at line(s) %s" % lines
+
+
 def test_group_slots_are_its_inputs_and_memo():
     # what a group is given or set to once; every derived table goes in
     # _memo, so no cache can be hung on a group beside it
