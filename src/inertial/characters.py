@@ -621,22 +621,13 @@ def catalog_character(group, name):
         return regular_character(group)
     kind = group.catalog[0] if group.catalog else None
     if name == "sl2":
-        if kind == "cyclic":
-            n = group.catalog[1]
-            vals = []
-            for rep in group.class_reps():
-                vals.append(root_of_unity(n, rep) + root_of_unity(n, -rep))
-            return ClassFunction(group, vals)
-        if kind == "binary_dihedral":
-            n = group.catalog[1]
-            m = 2 * n
-            vals = []
-            for rep in group.class_reps():
-                if rep < m:
-                    vals.append(root_of_unity(m, rep) + root_of_unity(m, -rep))
-                else:
-                    vals.append(ZERO)
-            return ClassFunction(group, vals)
+        # a^k acts by diag(zeta_m^k, zeta_m^-k), index k < m (m = n for
+        # cyclic(n), 2n for binary_dihedral(n)); a^k b has trace 0
+        if kind in ("cyclic", "binary_dihedral"):
+            m = group.catalog[1] * (1 if kind == "cyclic" else 2)
+            return ClassFunction(group, [
+                root_of_unity(m, k) + root_of_unity(m, -k) if k < m else ZERO
+                for k in group.class_reps()])
         raise UserError(
             "catalog representation 'sl2' is defined for cyclic and "
             "binary dihedral (incl. quaternion8) groups, not %s" % group.label

@@ -56,9 +56,13 @@ def parse_rational(value):
     Strings are read as Fraction reads them, but a string longer than
     MAX_DIGITS characters, or with a decimal exponent above MAX_DIGITS, is
     refused with ValueError: Fraction("1e10000000") would build 10**10000000.
+    Ints are taken as they are; anything else (a bool, a float) is refused
+    with ValueError.
     """
     from fractions import Fraction  # not loaded by commands that parse none
 
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError("%.40r is neither a string nor an integer" % (value,))
     if isinstance(value, str):
         if len(value) > MAX_DIGITS:
             raise ValueError("number of %d characters exceeds %d"

@@ -14,11 +14,6 @@ the lex-least of its class, and extending the classes in ascending order
 of t, the orbits in ascending order of their least member, lists the
 longer classes in ascending order of representative, as a lex scan of all
 tuples would.
-
-Each class records, for every entry of its representative and for their
-product, the sector of that element and a conjugator h with h * element *
-h^-1 = the sector's representative; consumers must treat the choice as
-arbitrary and move class functions only through transport.
 """
 
 from .errors import TheoremViolation, UserError
@@ -81,20 +76,14 @@ def build_sectors(group):
 
 
 class DiagClass:
-    """A class of l-tuples under simultaneous conjugation.
+    """A class of l-tuples under simultaneous conjugation: its lex-least
+    representative and that tuple's centralizer."""
 
-    maps holds one (sector index, conjugator h) per entry of rep and then
-    one for the product of rep, with h moving that element onto its
-    sector's representative.
-    """
+    __slots__ = ("rep", "centralizer")
 
-    __slots__ = ("rep", "centralizer", "maps")
-
-    def __init__(self, group, rep, centralizer):
+    def __init__(self, rep, centralizer):
         self.rep = rep
         self.centralizer = centralizer
-        self.maps = tuple((group.class_of(x), group.inv[group.witness(x)])
-                          for x in rep + (group.prod(rep),))
 
 
 def _extend(group, classes):
@@ -112,8 +101,7 @@ def _extend(group, classes):
                 seen[y] = True
                 if y == x:
                     stabilizer.append(z)
-            out.append(DiagClass(group, rep + (x,),
-                                 group.subgroup(stabilizer)))
+            out.append(DiagClass(rep + (x,), group.subgroup(stabilizer)))
     return tuple(out)
 
 

@@ -32,7 +32,7 @@ from .characters import (
     trivial_character,
     zero_character,
 )
-from .cyclotomic import ZERO, root_of_unity
+from .cyclotomic import linear_combination, root_of_unity
 from .errors import TheoremViolation, UserError
 
 
@@ -101,12 +101,14 @@ def log_trace(v, g):
     G = v.group
     Z = G.centralizer(g)
     o = G.order_of(g)
-    scale = Fraction(1, o * o)
-    weights = [sum((root_of_unity(o, -j * k) * k for k in range(1, o)), ZERO)
-               * scale for j in range(o)]
+    ks = range(1, o)
+    weights = [linear_combination(ks, [root_of_unity(o, -j * k) for k in ks],
+                                  den=o * o) for j in range(o)]
     powers = [G.power(g, j) for j in range(o)]
+    ones = [1] * o
     char = ClassFunction(Z.group, [
-        sum((w * v.value(G.op(gj, z)) for w, gj in zip(weights, powers)), ZERO)
+        linear_combination(ones, weights, [v.value(G.op(gj, z))
+                                           for gj in powers])
         for z in map(Z.to_parent, Z.group.class_reps())])
     rank = char.values[0].to_rational()
     if rank is None or rank != age(v, g):
@@ -135,14 +137,10 @@ def invariants_char(v, ms, sub):
         return cached
     for m in ms:
         _check_centralizes(G, sub, m)
-    scale = Fraction(1, H.order)
-    vals = []
-    for rep in sub.group.class_reps():
-        zp = sub.to_parent(rep)
-        total = ZERO
-        for h in H.elements:
-            total = total + v.value(G.op(h, zp))
-        vals.append(total * scale)
+    ones = [1] * H.order
+    vals = [linear_combination(ones, [v.value(G.op(h, sub.to_parent(rep)))
+                                      for h in H.elements], den=H.order)
+            for rep in sub.group.class_reps()]
     fixed = v._memo[key] = ClassFunction(sub.group, vals)
     return fixed
 

@@ -5,8 +5,8 @@ the per-sector fundamental classes (graded by age) and an integral one on
 the per-sector representation rings.  Each has one routine that sums
 contributions over diagonal classes of tuples: the ring is built from the
 double classes, and the multiproduct check applies the same routine to the
-triple classes.  Every evaluation map moves class functions through the
-stored alignment conjugators only.
+triple classes.  Every evaluation map moves class functions onto an
+element's centralizer through the conjugator the group keeps for it.
 
 The table layer (GradedAlgebra, algebra_from_json, the checks, verify and
 PairingMatrix) needs no character theory, so the character and log-trace
@@ -149,13 +149,15 @@ def _chow_products(G, v, classes):
     and the second bracket is never positive.  The class contributes exactly
     when both brackets are 0, so once the ages add up the fixed spaces must
     agree (TheoremViolation otherwise).  It then adds the index of its
-    centralizer in the product's centralizer, an integer.
-    Returns {(input sectors): {output sector: int}}, the input sectors
-    read off cls.maps[:-1] and the output sector off cls.maps[-1].
+    centralizer in the product's centralizer, an integer; the latter is a
+    conjugate of the product's sector centralizer, so of the same order.
+    Returns {(input sectors): {output sector: int}}, each sector that of
+    its element.
     """
     from .characters import invariant_dimension
     from .logtrace import age
 
+    sectors = build_sectors(G).sectors
     out = {}
     for cls in classes:
         ms = cls.rep
@@ -166,12 +168,13 @@ def _chow_products(G, v, classes):
                 != invariant_dimension(v, G.generated((prod,)))):
             raise TheoremViolation("the ages of %r add up but the fixed "
                                    "spaces differ" % (ms,))
-        coeff, rest = divmod(G.centralizer(prod).order, cls.centralizer.order)
+        k = G.class_of(prod)
+        coeff, rest = divmod(sectors[k].centralizer.order,
+                             cls.centralizer.order)
         if rest:
             raise TheoremViolation("the centralizer of %r is not a subgroup "
                                    "of its product's" % (ms,))
-        row = out.setdefault(tuple(s for s, _ in cls.maps[:-1]), {})
-        k = cls.maps[-1][0]
+        row = out.setdefault(tuple(map(G.class_of, ms)), {})
         row[k] = row.get(k, 0) + coeff
     return out
 
@@ -286,19 +289,26 @@ def _fusion(H):
     return fusion
 
 
-def _restriction(G, s, w, Zm):
-    """(w Z_s w^-1, rows), kept in G's memo: row t holds the coordinates over
-    Irr(Z_m) of irreducible t of sector s's centralizer Z_s, moved by w and
-    restricted to Z_m."""
-    key = ("restriction", s, w, Zm)
+def _restriction(G, x, Zm):
+    """Rows, kept in G's memo: row t holds the coordinates over Irr(Z_m) of
+    irreducible t of the centralizer Z_s of x's sector s, moved onto Z(x)
+    by x's witness w and restricted to Z_m.  w must conjugate s's
+    representative to x (TheoremViolation otherwise)."""
+    key = ("restriction", x, Zm)
     cached = G._memo.get(key)
     if cached is None:
         from .characters import character_table, restrict_between, transport
         from .logtrace import int_coords
 
-        Zs = build_sectors(G).sectors[s].centralizer
+        s = build_sectors(G).sectors[G.class_of(x)]
+        w = G.witness(x)
+        if G.conj(w, s.rep) != x:
+            raise TheoremViolation(
+                "the witness %d of %d does not move the representative of "
+                "sector %d onto it" % (w, x, s.index))
+        Zs = s.centralizer
         moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
-        cached = G._memo[key] = moved[0][1], [
+        cached = G._memo[key] = [
             int_coords(restrict_between(chi, sub, Zm)) for chi, sub in moved]
     return cached
 
@@ -321,11 +331,11 @@ def _k_products(G, v, classes):
     """Structure constants of the integral product summed over diagonal classes.
 
     For a class of tuples m with centralizer Z_m: move each input sector's
-    irreducibles to Z_m through the class's alignment conjugator and
-    restrict; multiply them with the class factor, lambda_-1 of the dual of
-    W = V(m) + V^{prod} - V^{<m>} (the obstruction class plus the excess of
-    the fixed-space inclusion, 0 when the two agree); induce to the
-    product's centralizer and move onto the product's sector.  Every step
+    irreducibles onto the entry's centralizer through its witness and
+    restrict to Z_m; multiply them with the class factor, lambda_-1 of the
+    dual of W = V(m) + V^{prod} - V^{<m>} (the obstruction class plus the
+    excess of the fixed-space inclusion, 0 when the two agree); induce to
+    the product's centralizer and move onto the product's sector.  Every step
     is Z-linear, so it all runs in integer coordinates over Irr(Z_m).  With
     H = <m> and col_E the pullback columns of (Z_m, H), the excess is
     sum_E (dim E^{prod} - [E trivial]) col_E, so W has non-negative integer
@@ -335,9 +345,8 @@ def _k_products(G, v, classes):
     every class and column is zero, so the factor is 1.  Products fold
     through the fusion tensor of Z_m, and by Frobenius reciprocity
     induce-and-move is the transpose of move-and-restrict from the
-    product's sector.  One restriction table per (sector, conjugator, Z_m)
-    serves both ends.  Returns
-    {(input basis indices): {output basis index: int}}.
+    product's sector.  One restriction table per (element, Z_m) serves
+    both ends.  Returns {(input basis indices): {output basis index: int}}.
     """
     from .characters import character_table, eigen_multiplicities
     from .logtrace import pullback_columns, twisted_pullback
@@ -349,15 +358,10 @@ def _k_products(G, v, classes):
         prod = G.prod(ms)
         Zm = cls.centralizer
         fusion = _fusion(Zm.group)
-        inputs = cls.maps[:-1]
-        coords = [_restriction(G, s, G.inv[h], Zm)[1] for s, h in inputs]
-        sk, h = cls.maps[-1]
-        moved, image = _restriction(G, sk, G.inv[h], Zm)
-        if moved is not G.centralizer(prod):
-            raise TheoremViolation(
-                "moving the centralizer of sector %d by %d misses the "
-                "centralizer of %d" % (sk, G.inv[h], prod)
-            )
+        inputs = [G.class_of(m) for m in ms]
+        coords = [_restriction(G, m, Zm) for m in ms]
+        sk = G.class_of(prod)
+        image = _restriction(G, prod, Zm)
         factor = [0] * len(fusion)
         factor[_unit(Zm.group)] = 1
         if not v.is_zero():
@@ -377,7 +381,7 @@ def _k_products(G, v, classes):
         for ts, u in _folded(factor, coords, fusion):
             nonzero = [(p, up) for p, up in enumerate(u) if up]
             row = out.setdefault(
-                tuple(basis.index(s, t) for (s, _), t in zip(inputs, ts)), {}
+                tuple(basis.index(s, t) for s, t in zip(inputs, ts)), {}
             )
             for t, r in enumerate(image):
                 n = sum(up * r[p] for p, up in nonzero)
@@ -446,16 +450,9 @@ def eta_pairing(G, kind):
     matrix = [[0] * basis.size for _ in range(basis.size)]
     for si, s in enumerate(sectors.sectors):
         sj = sigma[si]
-        Zi = s.centralizer
-        # move the inverse sector's irreducibles onto Z(ri) through a
-        # conjugator sending its representative to ri^-1
-        w = G.witness(G.inv[s.rep])
-        moved, rows = _restriction(G, sj, w, Zi)
-        if moved is not Zi:
-            raise TheoremViolation(
-                "moving the centralizer of sector %d by %d misses "
-                "the centralizer of sector %d" % (sj, w, si))
-        H, table = Zi.group, basis.tables[si]
+        # the inverse sector's irreducibles, moved onto Z(ri^-1) = Z(ri)
+        rows = _restriction(G, G.inv[s.rep], s.centralizer)
+        H, table = s.centralizer.group, basis.tables[si]
         where = {chi: t for t, chi in enumerate(table)}
         for t1, chi in enumerate(table):
             dual = where[ClassFunction(H, [

@@ -342,7 +342,7 @@ def reference_k_pairing(G):
     for si, s in enumerate(sectors.sectors):
         sj = sectors.sigma[si]
         Z = s.centralizer
-        rows = _restriction(G, sj, G.witness(G.inv[s.rep]), Z)[1]
+        rows = _restriction(G, G.inv[s.rep], Z)
         one = _unit(Z.group)
         for t1, products in enumerate(_fusion(Z.group)):
             for t2, row in enumerate(rows):
@@ -551,15 +551,10 @@ def dual_power_trace(v, x, i):
 
 
 class Orbit(NamedTuple):
-    """One class of tuples under simultaneous conjugation.
-
-    maps holds (sector, h) for each entry of rep and then for their product,
-    h * element * h^-1 being the sector's representative (empty when not
-    asked for)."""
+    """One class of tuples under simultaneous conjugation."""
     rep: tuple
     centralizer: object
     members: list
-    maps: tuple = ()
 
 
 def resolve_diag_class(group, elements):
@@ -603,23 +598,13 @@ def reference_fw(v):
     return {"tuples": count, "holds": ok}
 
 
-def _sector_map(table, inv, classes, x):
-    """(index of x's class, h) with h * x * h^-1 the class's least member,
-    h the inverse of the least w with w * least member * w^-1 = x."""
-    k = next(i for i, cls in enumerate(classes) if x in cls)
-    w = next(w for w in range(len(table))
-             if table[table[w][classes[k][0]]][inv[w]] == x)
-    return k, inv[w]
-
-
 def reference_diag_classes(group, length):
     """Lex scan of all l-tuples: each class of simultaneous conjugation in
-    order of its lex-least member, with its maps.  Every tuple is visited;
-    the first unseen one starts a new class and marks its whole orbit."""
+    order of its lex-least member.  Every tuple is visited; the first unseen
+    one starts a new class and marks its whole orbit."""
     n = group.n
     table = group.table
     inv = brute_inverses(table)
-    classes = brute_classes(table)
     seen = set()
     out = []
     for t in itertools.product(range(n), repeat=length):
@@ -628,11 +613,7 @@ def reference_diag_classes(group, length):
         members = {tuple(table[table[x][m]][inv[x]] for m in t)
                    for x in range(n)}
         seen |= members
-        prod = 0
-        for m in t:
-            prod = table[prod][m]
-        maps = tuple(_sector_map(table, inv, classes, x) for x in t + (prod,))
-        out.append(Orbit(t, group.centralizer(*t), sorted(members), maps))
+        out.append(Orbit(t, group.centralizer(*t), sorted(members)))
     return out
 
 

@@ -590,6 +590,34 @@ def test_bad_algebra_index_is_a_user_error_under_optimize(tmp_path):
     assert json.loads(proc.stderr)["error"]["kind"] == "UserError"
 
 
+def test_booleans_and_floats_are_not_rationals(tmp_path):
+    # the formats write rationals as strings (an int is read as itself); a
+    # JSON true or 1.0 as a ring grade, a ring coefficient or a cyclotomic
+    # coefficient is bad input, with and without -O
+    def ring(grade, c):
+        return {"basis": ["a"], "grading": [grade], "identity": 0,
+                "table": [{"i": 0, "j": 0, "terms": [{"k": 0, "c": c}]}]}
+
+    cases = []
+    for n, bad in enumerate((True, 1.0)):
+        for m, data in enumerate((ring(bad, "1"), ring("0", bad))):
+            path = str(tmp_path / ("ring%d%d.json" % (n, m)))
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            cases.append(["verify", "--algebra", path, "--all"])
+        rep = {"kind": "character",
+               "values_by_class": [{"conductor": 1, "coeffs": [bad]}]}
+        cases.append(["age", "--group", "catalog:cyclic(1)",
+                      "--rep", json.dumps(rep), "--element", "e"])
+    for argv in cases:
+        for flags in ((), ("-O",)):
+            proc = run_process(argv, *flags)
+            assert (proc.returncode, proc.stdout) == (1, b""), (argv,
+                                                                proc.stderr)
+            error = json.loads(proc.stderr)["error"]
+            assert error["kind"] == "UserError", error
+
+
 def test_malformed_group_is_a_user_error_under_optimize():
     proc = run_process(
         ["group-info", "--group", '{"kind": "table", "table": 5}'], "-O"

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 from inertial import inertia
 from inertial.errors import UserError
 from inertial.groups import FiniteGroup, catalog_group
@@ -44,8 +49,10 @@ def _class_of(G, classes, index, t):
     return classes[index[resolve_diag_class(G, t).rep]]
 
 
-def _sectors(cls):
-    return [s for s, _ in cls.maps]
+def _sectors(G, cls):
+    """The sector of each entry of cls's representative, then of their
+    product."""
+    return [G.class_of(x) for x in cls.rep + (G.prod(cls.rep),)]
 
 
 def test_pair_classes_match_the_lex_scan():
@@ -67,7 +74,6 @@ def _assert_matches_lex_scan(spec, classes, reference):
     assert [c.rep for c in classes] == [r.rep for r in reference], spec
     for cls, ref in zip(classes, reference):
         assert cls.centralizer is ref.centralizer, f"{spec}: {cls.rep}"
-        assert cls.maps == ref.maps, f"{spec}: maps of {cls.rep}"
 
 
 def _assert_partition(G, classes, length):
@@ -101,17 +107,32 @@ def test_double_class_centralizers():
 
 
 def test_evaluation_map_alignment():
-    # each stored conjugator moves its entry of the representative, or
-    # their product, onto the representative of the target sector
-    for spec in GROUPS:
-        G = catalog_group(spec)
-        sectors = build_sectors(G)
-        for cls in build_double_sectors(G) + triple_sectors(G):
-            assert len(cls.maps) == len(cls.rep) + 1
-            for x, (target, h) in zip(cls.rep + (G.prod(cls.rep),), cls.maps):
-                assert G.conj(h, x) == sectors.sectors[target].rep, (
-                    f"{spec}: map of {x} misaligned on class {cls.rep}"
-                )
+    # the ring builders move each element's sector onto it by the group's
+    # witness; a witness that misses its element must stop the run (exit 3)
+    # also when assert statements are stripped
+    script = """
+import sys
+from inertial.cli import main
+from inertial.groups import FiniteGroup, catalog_group
+if not sys.flags.optimize:
+    sys.exit(2)
+G = catalog_group("symmetric(3)")
+bad = next(x for x in range(G.n) if x not in G.class_reps())
+real = FiniteGroup.witness
+FiniteGroup.witness = lambda self, x: 0 if x == bad else real(self, x)
+sys.exit(main(["k-ring", "--group", "catalog:symmetric(3)", "--rep", "std"]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "TheoremViolation"
+    assert "witness" in error["message"], error["message"]
 
 
 def test_swap_and_cycle_relations():
@@ -126,11 +147,11 @@ def test_swap_and_cycle_relations():
         sigma = build_sectors(G).sigma
         for cls in doubles:
             a, b = cls.rep
-            e1, e2, mu = _sectors(cls)
+            e1, e2, mu = _sectors(G, cls)
             swapped = _class_of(G, doubles, index, (b, a))
-            assert _sectors(swapped) == [e2, e1, mu], f"{spec}: {cls.rep}"
+            assert _sectors(G, swapped) == [e2, e1, mu], f"{spec}: {cls.rep}"
             rotated = _class_of(G, doubles, index, (b, G.inv[G.op(a, b)]))
-            assert _sectors(rotated) == [e2, sigma[mu], sigma[e1]], (
+            assert _sectors(G, rotated) == [e2, sigma[mu], sigma[e1]], (
                 f"{spec}: {cls.rep}"
             )
 
@@ -142,8 +163,8 @@ def test_abelian_maps_are_componentwise():
     for cls in doubles:
         assert cls.centralizer.order == G.n
         a, b = cls.rep
-        assert cls.maps == ((G.class_of(a), 0), (G.class_of(b), 0),
-                            (G.class_of(G.op(a, b)), 0))
+        # every class is a single element, so each conjugator is trivial
+        assert [G.witness(x) for x in (a, b, G.op(a, b))] == [0, 0, 0]
 
 
 def test_triple_classes_partition_the_cube():
@@ -154,7 +175,7 @@ def test_triple_classes_partition_the_cube():
 
 def test_triple_product_paths_agree():
     # contracting (a, b) first or (b, c) first must land in the sector of
-    # abc: the product maps of the pair classes agree with the triple's
+    # abc: the product sectors of the pair classes agree with the triple's
     for spec in ("symmetric(3)", "quaternion8", "alternating(4)"):
         G = catalog_group(spec)
         doubles = build_double_sectors(G)
@@ -163,7 +184,7 @@ def test_triple_product_paths_agree():
             a, b, c = cls.rep
             for pair in ((G.op(a, b), c), (a, G.op(b, c))):
                 other = _class_of(G, doubles, index, pair)
-                assert other.maps[-1][0] == cls.maps[-1][0], (
+                assert _sectors(G, other)[-1] == _sectors(G, cls)[-1], (
                     f"{spec}: product paths disagree on class {cls.rep}"
                 )
 
@@ -181,7 +202,7 @@ def test_specific_triple_resolution():
     x, y = pair.rep
     assert G.order_of(x) == 3 and G.order_of(y) == 2
     # s1 s2 s1 is the third transposition
-    assert pair.maps[-1][0] == cls.maps[-1][0] == G.class_of(s1)
+    assert _sectors(G, pair)[-1] == _sectors(G, cls)[-1] == G.class_of(s1)
 
 
 def _relabeled_group(G, phi):
@@ -244,7 +265,8 @@ def test_relabeling_invariance():
             other = _class_of(H, dh, index, (phi[a], phi[b]))
             images.add(other.rep)
             assert cls.centralizer.order == other.centralizer.order
-            assert [class_map[s] for s in _sectors(cls)] == _sectors(other)
+            assert ([class_map[s] for s in _sectors(G, cls)]
+                    == _sectors(H, other))
         assert len(images) == len(dh)
 
 

@@ -157,6 +157,14 @@ def test_group_slots_are_its_inputs_and_memo():
         "_memo")
 
 
+def test_tuple_class_slots_are_its_orbit():
+    # a class of tuples is its representative and that tuple's centralizer;
+    # each entry's sector and conjugator are read from the group
+    from inertial.inertia import DiagClass
+
+    assert DiagClass.__slots__ == ("rep", "centralizer")
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name in os.listdir(TOOLS) if name.endswith(".py")))
 def test_tools_import_and_define_main(name, monkeypatch):
