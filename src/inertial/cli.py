@@ -422,8 +422,8 @@ def _verify_tuples(G, v, names):
     fixed space and obstruction class of a tuple onto those of its
     conjugate, so a check holds on a whole class or on none of it.  The
     counts are still of element tuples, the class sizes |G| / |Z(m)|: the
-    age-sum bound's pairs (s, s^-1) and triples (a, b, (ab)^-1), one per
-    sector and one per pair class, must add up to |G| + |G|^2, and the
+    age-sum bound's sectors s and pairs (a, b), which fw_check pads to
+    (s, s^-1) and (a, b, (ab)^-1), must add up to |G| + |G|^2, and the
     identity family's triples to |G|^3."""
     from .logtrace import fw_check, twisted_pullback, v_identity_check
 
@@ -439,10 +439,9 @@ def _verify_tuples(G, v, names):
     if "fw" in names:
         ok = True
         count = 0
-        classes = [((s.rep, G.inv[s.rep]), s.centralizer)
+        classes = [((s.rep,), s.centralizer)
                    for s in build_sectors(G).sectors]
-        classes += [(cls.rep + (G.inv[G.prod(cls.rep)],), cls.centralizer)
-                    for cls in build_double_sectors(G)]
+        classes += [(c.rep, c.centralizer) for c in build_double_sectors(G)]
         for ms, Z in classes:
             rep = fw_check(v, ms)
             count += G.n // Z.order

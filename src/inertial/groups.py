@@ -400,18 +400,21 @@ def group_from_permutations(gens, names=None, label=None,
                                         "supported maximum %d" % max_order)
                     nxt.append(r)
         frontier = nxt
-    elems = sorted(seen)
+    return _permutation_group(sorted(seen), names, label or "permutation group")
+
+
+def _permutation_group(elems, names, label, check=True):
+    """The group on the sorted permutations elems (identity first), with
+    names mapping each name to a permutation of the group."""
     index = {p: i for i, p in enumerate(elems)}
     table = _composition_table(elems, index)
     name_map = {}
-    if names:
-        for name, p in names.items():
-            if tuple(p) not in index:
-                raise UserError("named permutation %r is not in the group"
-                                % (p,))
-            name_map[name] = index[tuple(p)]
+    for name, p in (names or {}).items():
+        if tuple(p) not in index:
+            raise UserError("named permutation %r is not in the group" % (p,))
+        name_map[name] = index[tuple(p)]
     name_map.setdefault("e", 0)
-    g = FiniteGroup(table, names=name_map, label=label or "permutation group")
+    g = FiniteGroup(table, names=name_map, label=label, check=check)
     g.permutations = tuple(elems)
     return g
 
@@ -483,33 +486,24 @@ def _klein4():
     return g
 
 
-def _symmetric(n):
+def _permutation_catalog(kind, n):
+    """symmetric(n) on every permutation of n points, named by s_i =
+    (i-1 i); alternating(n) on the even ones, named by c_i = (i-1 i i+1).
+    Sorted, so the identity is at index 0, and not re-validated."""
+    even = kind == "alternating"
     elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = _composition_table(elems, index)
-    names = {"e": 0}
-    for i in range(1, n):
+    if even:
+        # a permutation is even when its inversions are
+        elems = [p for p in elems if sum(a > b for i, a in enumerate(p)
+                                         for b in p[i + 1:]) % 2 == 0]
+    names = {}
+    for i in range(1, n - even):
+        # the identity with its window i-1 .. i+even rotated left by one
         p = list(range(n))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        names["s%d" % i] = index[tuple(p)]
-    g = FiniteGroup(table, names=names, label="symmetric(%d)" % n, check=False)
-    g.catalog = ("symmetric", n)
-    g.permutations = tuple(elems)
-    return g
-
-
-def _alternating(n):
-    gens = {}
-    for i in range(1, n - 1):
-        p = list(range(n))
-        p[i - 1], p[i], p[i + 1] = p[i], p[i + 1], p[i - 1]
-        gens["c%d" % i] = tuple(p)
-    if not gens:
-        g = FiniteGroup([[0]], names={"e": 0}, label="alternating(%d)" % n)
-    else:
-        g = group_from_permutations(
-            list(gens.values()), names=gens, label="alternating(%d)" % n)
-    g.catalog = ("alternating", n)
+        p[i - 1:i + 1 + even] = p[i:i + 1 + even] + [i - 1]
+        names["%s%d" % ("c" if even else "s", i)] = p
+    g = _permutation_group(elems, names, "%s(%d)" % (kind, n), check=False)
+    g.catalog = (kind, n)
     return g
 
 
@@ -522,8 +516,9 @@ _CATALOG_RE = re.compile(r"([a-z_0-9]+?)(?:\((\d+)\))?$")
 _CATALOG = {
     "cyclic": (_cyclic, lambda n: n),
     "dihedral": (_dihedral, lambda n: 2 * n),
-    "symmetric": (_symmetric, lambda n: factorial(n) if n <= 6 else None),
-    "alternating": (_alternating,
+    "symmetric": (lambda n: _permutation_catalog("symmetric", n),
+                  lambda n: factorial(n) if n <= 6 else None),
+    "alternating": (lambda n: _permutation_catalog("alternating", n),
                     lambda n: (factorial(n) + 1) // 2 if n <= 6 else None),
     "binary_dihedral": (_binary_dihedral, lambda n: 4 * n),
     "quaternion8": (_quaternion8, 8),

@@ -6,7 +6,9 @@ the centralizer Z of g.  The logarithmic trace weights the k-th
 eigencharacter by k/o; its rank is the age.  A tuple m, padded with its
 inverse product, gives the twisted pullback V(m_1,...,m_l) over the
 tuple's centralizer Z — the obstruction class that twists the inertial
-products.  Z and H = <m> commute, so V pulls back along Z x H -> G,
+products.  Every tuple check here (twisted_pullback, fw_check,
+v_identity_check) takes the tuple unpadded and pads it itself, in one
+place (_padded).  Z and H = <m> commute, so V pulls back along Z x H -> G,
 (z, h) -> zh, to one integer table (pullback_columns); the class is
 derived from log traces and from that table, and the two must agree
 exactly on every call that builds one.
@@ -172,6 +174,21 @@ def pullback_columns(v, Z, H):
     return columns
 
 
+def _padded(G, ms):
+    """The tuple ms followed by the inverse of its product, so of product
+    1; the empty tuple gives (e,)."""
+    return ms + (G.inv[G.prod(ms)],)
+
+
+def _log_sum(v, ms, Z):
+    """sum_i L(m_i)(V), each log trace restricted to Z."""
+    total = zero_character(Z.group)
+    for m in ms:
+        lt = log_trace(v, m)
+        total = total + restrict_between(lt.char, lt.sub, Z)
+    return total
+
+
 class TwistedClass:
     """The obstruction class V(m) on the tuple's centralizer.
 
@@ -212,14 +229,11 @@ def twisted_pullback(v, ms):
     cached = v._memo.get(key)
     if cached is not None:
         return cached
-    padded = ms + (G.inv[G.prod(ms)],)
+    padded = _padded(G, ms)
     Z = G.centralizer(*ms)
     H = G.generated(ms)
-    total = -restrict_to(v, Z)
-    for m in padded:
-        lt = log_trace(v, m)
-        total = total + restrict_between(lt.char, lt.sub, Z)
-    total = total + invariants_char(v, ms, Z)
+    total = (_log_sum(v, padded, Z) - restrict_to(v, Z)
+             + invariants_char(v, ms, Z))
     what = "obstruction class for tuple %s" % (list(padded),)
     mults = int_coords(total, what, nonnegative=True)
 
@@ -256,16 +270,16 @@ def twisted_pullback(v, ms):
 
 
 def fw_check(v, ms):
-    """Report on the age-sum inequality for a tuple with product 1.
+    """Report on the age-sum inequality for the tuple ms padded with the
+    inverse of its product.
 
-    lhs = sum of ages, rhs = dim V - dim V^m; the guarantee checked is that
-    lhs is an integer and lhs >= rhs.  Reports, never raises.
+    lhs = sum of the padded tuple's ages, rhs = dim V - dim V^m; the
+    guarantee checked is that lhs is an integer and lhs >= rhs.  Reports,
+    never raises.
     """
     G = v.group
     ms = tuple(ms)
-    if G.prod(ms) != 0:
-        raise UserError("tuple product must be the identity element")
-    lhs = sum((age(v, m) for m in ms), Fraction(0))
+    lhs = sum((age(v, m) for m in _padded(G, ms)), Fraction(0))
     rhs = dim_int(v) - invariant_dimension(v, G.generated(ms))
     integral = lhs.denominator == 1
     return {
@@ -292,43 +306,25 @@ def v_identity_check(v, triple):
     """
     G = v.group
     m1, m2, m3 = triple
-    m12 = G.op(m1, m2)
-    m23 = G.op(m2, m3)
-    m4 = G.inv[G.op(m12, m3)]
-    Z = G.centralizer(m1, m2, m3)
-
-    def res(tc):
-        return restrict_between(tc.char, tc.sub, Z)
-
     full = twisted_pullback(v, (m1, m2, m3))
-    pair_12 = res(twisted_pullback(v, (m1, m2)))
-    pair_12_3 = res(twisted_pullback(v, (m12, m3)))
-    pair_23 = res(twisted_pullback(v, (m2, m3)))
-    pair_1_23 = res(twisted_pullback(v, (m1, m23)))
-
-    log_sum = zero_character(Z.group)
-    for m in (m1, m2, m3, m4):
-        lt = log_trace(v, m)
-        log_sum = log_sum + restrict_between(lt.char, lt.sub, Z)
-
-    inv_12 = invariants_char(v, (m1, m2), Z)
-    inv_12_3 = invariants_char(v, (m12, m3), Z)
-    inv_23 = invariants_char(v, (m2, m3), Z)
-    inv_1_23 = invariants_char(v, (m1, m23), Z)
-    inv_m12 = invariants_char(v, (m12,), Z)
-    inv_m23 = invariants_char(v, (m23,), Z)
+    Z = full.sub
+    log_sum = _log_sum(v, _padded(G, (m1, m2, m3)), Z)
     v_z = restrict_to(v, Z)
     inv_full = invariants_char(v, (m1, m2, m3), Z)
 
-    left_pairing = pair_12 + pair_12_3 == log_sum + inv_12 + inv_12_3 - inv_m12 - v_z
-    right_pairing = pair_23 + pair_1_23 == log_sum + inv_23 + inv_1_23 - inv_m23 - v_z
+    def grouping(p, q):
+        # one grouping's two pair classes, p and q: its pairing identity
+        # and its split, both through fixed = V^p + V^q - V^{prod p}
+        pair_p, pair_q = (twisted_pullback(v, ms) for ms in (p, q))
+        pairs = (restrict_between(pair_p.char, pair_p.sub, Z)
+                 + restrict_between(pair_q.char, pair_q.sub, Z))
+        fixed = (invariants_char(v, p, Z) + invariants_char(v, q, Z)
+                 - invariants_char(v, (G.prod(p),), Z))
+        return (pairs == log_sum + fixed - v_z,
+                full.char == pairs + inv_full - fixed)
 
-    full_res = restrict_between(full.char, full.sub, Z)
-    excess_left = inv_full - inv_12 - inv_12_3 + inv_m12
-    excess_right = inv_full - inv_23 - inv_1_23 + inv_m23
-    left_split = full_res == pair_12 + pair_12_3 + excess_left
-    right_split = full_res == pair_23 + pair_1_23 + excess_right
-
+    left_pairing, left_split = grouping((m1, m2), (G.op(m1, m2), m3))
+    right_pairing, right_split = grouping((m2, m3), (m1, G.op(m2, m3)))
     return {
         "left_pairing": left_pairing,
         "right_pairing": right_pairing,

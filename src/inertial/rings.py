@@ -123,10 +123,16 @@ def algebra_from_json(data):
                              % (len(grading), n))
         table = {}
         for entry in data["table"]:
-            terms = {_json_index(t["k"], n): _json_number(t["c"])
-                     for t in entry["terms"]}
-            table[(_json_index(entry["i"], n),
-                   _json_index(entry["j"], n))] = terms
+            terms = [(_json_index(t["k"], n), _json_number(t["c"]))
+                     for t in entry["terms"]]
+            ij = (_json_index(entry["i"], n), _json_index(entry["j"], n))
+            if ij in table:
+                raise ValueError("table entry %s is repeated" % (ij,))
+            row = table[ij] = {}
+            for k, c in terms:
+                if k in row:
+                    raise ValueError("table term %s is repeated" % ((*ij, k),))
+                row[k] = c
         alg = GradedAlgebra(
             labels, grading, table,
             data.get("scalar", "rational"),

@@ -12,12 +12,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from inertial import characters, chern, cli, groups, inertia, rings
+from inertial import characters, chern, cli, groups, inertia, logtrace, rings
 from inertial.characters import (
     ClassFunction,
     assert_genuine_character,
     catalog_character,
     normal_factor,
+    trivial_character,
 )
 from inertial.cli import load_group, main
 from inertial.cyclotomic import root_of_unity
@@ -260,6 +261,18 @@ def test_obstruction_and_age_examples():
     assert json.loads(out)["age"] == "1/2"
 
 
+def test_std_on_the_smallest_alternating_groups():
+    # alternating(1) and alternating(2) are the trivial group on one and two
+    # points, where std, the permutation representation less the trivial
+    # one, is zero and trivial: the same artifacts as those reps give
+    for n, same in ((1, "zero"), (2, "trivial")):
+        for command in (["k-ring"], ["age", "--element", "0"]):
+            argv = command + ["--group", "catalog:alternating(%d)" % n]
+            code, out, err = run_cli(argv + ["--rep", "std"])
+            assert (code, err) == (0, ""), err
+            assert (code, out, err) == run_cli(argv + ["--rep", same]), argv
+
+
 def test_verify_algebra_round_trip(tmp_path):
     ring_path = str(tmp_path / "ring.json")
     code, _, _ = run_cli(
@@ -319,6 +332,30 @@ def test_verify_algebra_refuses_what_it_cannot_check(tmp_path):
     assert code == 0
     assert sorted(json.loads(out)["checks"]) == [
         "associativity", "commutativity", "grading", "identity"]
+
+
+def test_verify_algebra_refuses_repeated_entries(tmp_path):
+    # a ring file that lists one product, or one term of a product, twice
+    # is ambiguous: it is refused, also under -O, rather than read as the
+    # last of the two
+    term = {"k": 0, "c": "1"}
+    cases = {
+        "table entry (0, 0) is repeated": [
+            {"i": 0, "j": 0, "terms": [term]},
+            {"i": 0, "j": 0, "terms": [term]}],
+        "table term (0, 0, 0) is repeated": [
+            {"i": 0, "j": 0, "terms": [{"k": 0, "c": "2"}, term]}],
+    }
+    for n, (message, table) in enumerate(cases.items()):
+        path = str(tmp_path / ("ring%d.json" % n))
+        with open(path, "w") as fh:
+            json.dump({"basis": ["a"], "grading": ["0"], "table": table}, fh)
+        for flags in ((), ("-O",)):
+            proc = run_process(["verify", "--algebra", path, "--all"], *flags)
+            assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+            error = json.loads(proc.stderr)["error"]
+            assert error == {"kind": "UserError", "message":
+                             "malformed algebra JSON: " + message}, flags
 
 
 def test_catalog_refusals_exit_1_with_their_messages():
@@ -1066,6 +1103,65 @@ def test_fw_per_class_matches_the_element_scan(monkeypatch):
     G = catalog_group("symmetric(3)")
     with pytest.raises(TheoremViolation, match=r"\|G\| \+ \|G\|\^2 = 42"):
         cli._verify_tuples(G, catalog_character(G, "std"), {"fw"})
+
+
+def test_identity_family_fails_where_a_term_is_perturbed(monkeypatch):
+    # every pinned report holds, so each identity is also made to fail:
+    # with the obstruction classes built first, V restricted to Z enters
+    # only the pairings and the triple's fixed space only the splits
+    for spec, rep in (("symmetric(3)", "std"), ("cyclic(4)", "sl2")):
+        G = catalog_group(spec)
+        v = catalog_character(G, rep)
+        want = {"v_identities": {"triples": G.n ** 3, "holds": True}}
+        assert cli._verify_tuples(G, v, {"v_identities"}) == want
+        restrict_to = logtrace.restrict_to
+        invariants_char = logtrace.invariants_char
+
+        def bumped_v_z(v, sub):
+            v_z = restrict_to(v, sub)
+            return v_z + trivial_character(v_z.group)
+
+        def bumped_triple(v, ms, sub):
+            fixed = invariants_char(v, ms, sub)
+            if len(ms) == 3:
+                fixed = fixed + trivial_character(fixed.group)
+            return fixed
+
+        for name, patch, verdicts in (
+                ("restrict_to", bumped_v_z, (False, False, True, True)),
+                ("invariants_char", bumped_triple, (True, True, False, False))):
+            monkeypatch.setattr(logtrace, name, patch)
+            for cls in triple_sectors(G):
+                report = v_identity_check(v, cls.rep)
+                assert (report["left_pairing"], report["right_pairing"],
+                        report["left_split"], report["right_split"],
+                        report["holds"]) == verdicts + (False,), (spec, name)
+            assert cli._verify_tuples(G, v, {"v_identities"}) == {
+                "v_identities": {"triples": G.n ** 3, "holds": False}}
+            monkeypatch.undo()
+
+
+def test_fw_fails_on_a_shifted_age():
+    # an age off by 1/2 at one element makes its sector's age sum, and the
+    # age-sum bound, fail: verify --fw prints the report and exits 2, also
+    # under -O
+    script = """
+import sys
+from fractions import Fraction
+from inertial import logtrace
+from inertial.cli import main
+real = logtrace.age
+logtrace.age = lambda v, g: real(v, g) + (Fraction(1, 2) if g == 1 else 0)
+sys.exit(main(["verify", "--group", "catalog:quaternion8", "--rep", "sl2",
+               "--fw"]))
+"""
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, env=child_env(), cwd=ROOT)
+        assert (proc.returncode, proc.stderr) == (2, b""), proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["checks"] == {"fw": {"holds": False, "tuples": 72}}
+        assert report["holds"] is False
 
 
 def test_triple_cap_refuses_before_any_work():

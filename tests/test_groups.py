@@ -145,6 +145,21 @@ def test_symmetric_table_composes_permutations():
                 assert perms[G.op(a, b)] == tuple(p[x] for x in q), G.label
 
 
+def test_alternating_tables_are_the_closure_of_the_3_cycles():
+    # the catalog lists the even permutations without closing generators;
+    # the closure of c_i = (i-1 i i+1) gives the same table and names
+    for n in range(3, 7):
+        G = catalog_group("alternating(%d)" % n)
+        cycles = {}
+        for i in range(1, n - 1):
+            p = list(range(n))
+            p[i - 1], p[i], p[i + 1] = p[i], p[i + 1], p[i - 1]
+            cycles["c%d" % i] = tuple(p)
+        H = group_from_permutations(list(cycles.values()), names=cycles)
+        assert (G.table, G.permutations) == (H.table, H.permutations), n
+        assert G.names == H.names, n
+
+
 def test_permutation_composition_convention():
     # (p*q)(x) = p(q(x)): with p = (01) and q = (12), p*q sends 1 -> 0
     G = group_from_permutations(

@@ -18,7 +18,7 @@ from inertial.characters import (
 )
 from inertial.errors import UserError
 from inertial.groups import catalog_group
-from inertial.inertia import build_double_sectors, triple_sectors
+from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
 from inertial.logtrace import (
     age,
     dim_int,
@@ -251,11 +251,17 @@ def test_fw_check_reports():
         assert rep["holds"] and rep["integral"]
         assert rep["lhs"] >= rep["rhs"]
     assert fw_check(v, ())["rhs"] == 0, "the empty tuple fixes all of V"
-    try:
-        fw_check(v, (1, 1, 1))
-        raise AssertionError("tuple with non-trivial product accepted")
-    except UserError:
-        pass
+    # fw_check pads a tuple with the inverse of its product itself: each
+    # sector element and each pair-class representative reports what its
+    # padded tuple does
+    for spec, rep in (("quaternion8", "sl2"), ("symmetric(3)", "std"),
+                      ("cyclic(4)", "sl2")):
+        G, v = load(spec, rep)
+        tuples = [(s.rep,) for s in build_sectors(G).sectors]
+        tuples += [cls.rep for cls in build_double_sectors(G)]
+        for ms in tuples:
+            padded = ms + (G.inv[G.prod(ms)],)
+            assert fw_check(v, ms) == fw_check(v, padded), (spec, ms)
 
 
 def test_v_identity_spot_checks():

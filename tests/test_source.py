@@ -165,6 +165,34 @@ def test_tuple_class_slots_are_its_orbit():
     assert DiagClass.__slots__ == ("rep", "centralizer")
 
 
+def test_only_logtrace_pads_a_tuple():
+    # a tuple is padded with the inverse of its product in one place:
+    # no other module indexes an inverse table with a product
+    def named(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    padders = sorted("%s:%d" % (name, node.lineno)
+                     for name, tree in _modules() if name != "logtrace.py"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Subscript)
+                     and named(node.value) == "inv"
+                     and isinstance(node.slice, ast.Call)
+                     and named(node.slice.func) in ("prod", "op"))
+    assert padders == [], padders
+
+
+def test_identity_family_scans_for_no_centralizer():
+    # v_identity_check reads the triple's centralizer off its obstruction
+    # class, which found it once
+    tree = dict(_modules())["logtrace.py"]
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "v_identity_check")
+    scans = [node.lineno for node in ast.walk(check)
+             if isinstance(node, ast.Attribute) and node.attr == "centralizer"]
+    assert scans == [], scans
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name in os.listdir(TOOLS) if name.endswith(".py")))
 def test_tools_import_and_define_main(name, monkeypatch):
