@@ -636,8 +636,9 @@ def catalog_character(group, name):
         perms = group.permutations
         if perms is None:
             raise UserError(
-                "catalog representation 'std' is defined for symmetric and "
-                "alternating groups, not %s" % group.label
+                "catalog representation 'std' needs a group given by "
+                "permutations (a catalog symmetric or alternating group, or "
+                '{"kind": "perm"}), not %s' % group.label
             )
         vals = []
         for rep in group.class_reps():

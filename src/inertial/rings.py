@@ -314,8 +314,22 @@ def _restriction(G, x, Zm):
                 "sector %d onto it" % (w, x, s.index))
         Zs = s.centralizer
         moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
-        cached = G._memo[key] = [
-            int_coords(restrict_between(chi, sub, Zm)) for chi, sub in moved]
+        if moved[0][1] is not Zm:
+            cached = [int_coords(restrict_between(chi, sub, Zm))
+                      for chi, sub in moved]
+        else:
+            # Zm is Z(x) itself, and conjugation permutes the irreducibles:
+            # each row is the unit vector at its moved irreducible's index
+            irr = character_table(Zm.group)
+            where = {chi: t for t, chi in enumerate(irr)}
+            cached = []
+            for chi, _ in moved:
+                if chi not in where:
+                    raise TheoremViolation(
+                        "a conjugate of an irreducible of sector %d's "
+                        "centralizer is not irreducible" % s.index)
+                cached.append([int(t == where[chi]) for t in range(len(irr))])
+        G._memo[key] = cached
     return cached
 
 

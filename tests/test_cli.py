@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib
 import importlib.util
@@ -12,7 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from inertial import characters, chern, cli, groups, inertia, logtrace, rings
+from inertial import (
+    characters, chern, cli, commands, groups, inertia, logtrace, rings)
 from inertial.characters import (
     ClassFunction,
     assert_genuine_character,
@@ -271,6 +271,27 @@ def test_std_on_the_smallest_alternating_groups():
             code, out, err = run_cli(argv + ["--rep", "std"])
             assert (code, err) == (0, ""), err
             assert (code, out, err) == run_cli(argv + ["--rep", same]), argv
+
+
+def test_std_needs_a_group_given_by_permutations():
+    # std is the permutation representation less the trivial one, so it is
+    # defined on any group given by permutations, and the refusal of table
+    # input says so; with and without -O
+    perm = {"kind": "perm", "generators": [[1, 0, 2], [0, 2, 1]]}
+    argv = ["age", "--rep", "std", "--element", "1", "--group"]
+    code, out, err = run_cli(argv + [json.dumps(perm)])
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)["age"] == "1/2"
+    table = {"kind": "table",
+             "table": [list(row) for row in load_group(json.dumps(perm)).table]}
+    for flags in ((), ("-O",)):
+        proc = run_process(argv + [json.dumps(table)], *flags)
+        assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+        assert json.loads(proc.stderr)["error"] == {
+            "kind": "UserError",
+            "message": "catalog representation 'std' needs a group given "
+                       'by permutations (a catalog symmetric or alternating '
+                       'group, or {"kind": "perm"}), not order-6 group'}
 
 
 def test_verify_algebra_round_trip(tmp_path):
@@ -730,7 +751,7 @@ def test_eta_and_chern_build_no_product_table(monkeypatch):
 
     monkeypatch.setattr(rings, "_k_products", refused)
     monkeypatch.setattr(rings, "_chow_products", refused)
-    for module in (inertia, rings, cli):
+    for module in (inertia, rings, commands):
         monkeypatch.setattr(module, "build_double_sectors", refused)
     for key, digest in NO_PRODUCTS.items():
         code, out, err = run_cli(key.split(" "))
@@ -903,63 +924,188 @@ def test_malformed_specs_exit_1_in_every_command(command):
 
 def test_every_option_is_read(monkeypatch):
     # a subcommand may accept only options its path reads: record the
-    # attribute reads on the parsed namespace from the end of parsing on
+    # attribute reads on the parsed options from the end of parsing on
     reads = set()
 
-    class Recording(argparse.Namespace):
-        def __getattribute__(self, name):
+    class Recording:
+        def __init__(self, args):
+            self.args = args
+
+        def __getattr__(self, name):
             reads.add(name)
-            return super().__getattribute__(name)
+            return getattr(self.args, name)
 
     parse = cli._Parser.parse_args
 
     def recorded(self, argv):
-        args = parse(self, argv, Recording())
+        args = Recording(parse(self, argv))
         reads.clear()
         return args
 
     monkeypatch.setattr(cli._Parser, "parse_args", recorded)
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert set(subparsers.choices) == set(NEEDS)
+    assert set(cli.COMMANDS) == set(NEEDS)
     unread = {}
-    for name, parser in subparsers.choices.items():
+    for name in cli.COMMANDS:
         code, _, err = run_cli(_argv(name))
         assert code == 0, f"{name}: {err}"
-        options = {a.dest for a in parser._actions
-                   if a.option_strings and a.dest != "help"}
+        options = {option.replace("-", "_")
+                   for option in cli._Parser().options(name)}
         if options - reads:
             unread[name] = sorted(options - reads)
     assert unread == {}, f"options no path reads: {unread}"
 
 
 def test_commands_import_only_the_layers_they_run(tmp_path):
+    # each command loads the package modules it runs, fractions only where
+    # it does rational arithmetic, and never argparse: the JSON specs
+    # (specs) only for a JSON spec, and the ring and check handlers
+    # (commands) only for those commands
     script = """
 import json, sys
 from inertial.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(json.dumps([code, sorted(
-    name for name in ("characters", "chern", "cyclotomic", "groups",
-                      "logtrace", "rings")
-    if "inertial." + name in sys.modules) + (
-    ["fractions"] if "fractions" in sys.modules else [])]))
+    name[len("inertial."):] for name in sys.modules
+    if name.startswith("inertial.")) + [
+    name for name in ("fractions", "argparse") if name in sys.modules]]))
 """
     artifact = str(tmp_path / "k.json")
     k_ring = ["k-ring", "--group", "catalog:symmetric(3)", "--rep", "std"]
     assert run_cli(k_ring + ["--out", artifact])[0] == 0
+    lookup = ["cli", "errors", "groups"]
+    scalars = ["characters", "cyclotomic"]
+    perm = json.dumps({"kind": "perm", "generators": [[1, 0, 2], [0, 2, 1]]})
     for argv, loaded in (
-        (["group-info", "--group", "catalog:symmetric(3)"], ["groups"]),
+        (["group-info", "--group", "catalog:symmetric(3)"],
+         lookup + ["inertia"]),
+        (["group-info", "--group", perm], lookup + ["inertia", "specs"]),
         (["chartable", "--group", "catalog:symmetric(3)"],
-         ["characters", "cyclotomic", "groups", "fractions"]),
+         sorted(lookup + scalars) + ["fractions"]),
+        (["age", "--group", "catalog:symmetric(3)", "--rep", "std",
+          "--element", "1"],
+         sorted(lookup + scalars + ["logtrace"]) + ["fractions"]),
+        (["age", "--group", "catalog:symmetric(3)", "--rep",
+          '{"kind": "catalog_rep", "name": "std"}', "--element", "1"],
+         sorted(lookup + scalars + ["logtrace", "specs"]) + ["fractions"]),
         # reading a table back needs no group and no scalar field
-        (["verify", "--algebra", artifact, "--all"], ["rings", "fractions"]),
-        (k_ring, ["characters", "cyclotomic", "groups", "logtrace", "rings",
-                  "fractions"]),
+        (["verify", "--algebra", artifact, "--all"],
+         ["cli", "commands", "errors", "inertia", "rings", "fractions"]),
+        (k_ring, sorted(lookup + scalars + ["commands", "inertia", "logtrace",
+                                            "rings"]) + ["fractions"]),
+        (["chern", "--group", "catalog:symmetric(3)"],
+         sorted(lookup + scalars + ["chern", "commands", "inertia",
+                                    "logtrace", "rings"]) + ["fractions"]),
     ):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr) == [0, loaded], argv[0]
+        assert json.loads(proc.stderr) == [0, loaded], argv[:2]
+
+
+def test_lookups_load_at_most_their_line_budget():
+    # the package source a lookup compiles, counted in lines: group-info
+    # loads cli, errors, groups and inertia; age adds the scalar, character
+    # and log-trace layers but neither commands nor specs
+    script = """
+import io, json, sys
+from contextlib import redirect_stdout
+from inertial.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+files = [m.__file__ for n, m in sys.modules.items()
+         if n.startswith("inertial.")]
+print(json.dumps([code, sum(len(open(f).readlines()) for f in files)]))
+"""
+    for argv, budget in (
+            (["group-info", "--group", "catalog:cyclic(1)"], 1100),
+            (["age", "--group", "catalog:symmetric(4)", "--rep", "std",
+              "--element", "7"], 2650)):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, env=child_env())
+        code, lines = json.loads(proc.stdout)
+        assert code == 0, proc.stderr
+        assert lines <= budget, (argv[0], lines)
+
+
+# usage errors in argparse's wording: (argv, message)
+USAGE_ERRORS = (
+    (["group-info", "--group", "catalog:cyclic(2)", "--rep", "std"],
+     "unrecognized arguments: --rep std"),
+    (["group-info", "--group", "catalog:cyclic(2)", "--bogus=1", "x"],
+     "unrecognized arguments: --bogus=1 x"),
+    # prefixes of an option are not the option
+    (["group-info", "--gro", "catalog:cyclic(2)"],
+     "the following arguments are required: --group"),
+    (["chartable", "--group", "catalog:cyclic(2)", "--chartable"],
+     "unrecognized arguments: --chartable"),
+    (["age", "--rep", "std", "--element", "1"],
+     "the following arguments are required: --group"),
+    (["age", "--group", "catalog:cyclic(2)", "--element", "1"],
+     "the following arguments are required: --rep"),
+    (["logtrace", "--group", "catalog:cyclic(2)"],
+     "the following arguments are required: --rep, --element"),
+    (["obstruction", "--group=catalog:cyclic(2)", "--rep=zero"],
+     "the following arguments are required: --tuple"),
+    (["group-info", "--group", "catalog:cyclic(2)", "--max-order", "x"],
+     "argument --max-order: invalid int value: 'x'"),
+    (["group-info", "--group", "catalog:cyclic(2)", "--max-order=1.5"],
+     "argument --max-order: invalid int value: '1.5'"),
+    (["eta", "--group", "catalog:cyclic(2)", "--mode", "z"],
+     "argument --mode: invalid choice: 'z' (choose from 'chow', 'k')"),
+    (["eta", "--group=catalog:cyclic(2)", "--mode=z"],
+     "argument --mode: invalid choice: 'z' (choose from 'chow', 'k')"),
+    (["verify", "--group", "catalog:cyclic(2)", "--all=1"],
+     "argument --all: ignored explicit argument '1'"),
+    (["group-info", "--group"], "argument --group: expected one argument"),
+    (["group-info", "--group", "--out", "x"],
+     "argument --group: expected one argument"),
+    # a negative number is a value, so the refusal is the cap's own
+    (["group-info", "--group", "catalog:cyclic(2)", "--max-order", "-1"],
+     "--max-order must be at least 1 (got -1)"),
+    ([], "the following arguments are required: command"),
+    (["no-such-command"],
+     "argument command: invalid choice: 'no-such-command' (choose from "
+     "'group-info', 'chartable', 'age', 'logtrace', 'obstruction', "
+     "'chow-ring', 'k-ring', 'lusztig', 'eta', 'chern', 'star-t', "
+     "'verify')"),
+)
+
+
+def test_usage_errors_exit_1_with_argparse_wording():
+    for argv, message in USAGE_ERRORS:
+        want = (1, "", {"error": {"kind": "UserError", "message": message}})
+        code, out, err = run_cli(argv)
+        assert (code, out, json.loads(err)) == want, argv
+        proc = run_process(argv, "-O")
+        assert (proc.returncode, proc.stdout.decode(),
+                json.loads(proc.stderr)) == want, argv
+
+
+def test_option_value_forms_are_the_same():
+    # --opt value and --opt=value read the same, in any order; a value
+    # may start with "-" where it is a negative number
+    spaced = ["age", "--group", "catalog:symmetric(3)", "--rep", "std",
+              "--element", "s1"]
+    joined = ["age", "--element=s1", "--rep=std",
+              "--group=catalog:symmetric(3)"]
+    assert run_cli(spaced) == run_cli(joined)
+    assert run_cli(spaced)[0] == 0
+    code, _, err = run_cli(["age", "--group", "catalog:cyclic(2)", "--rep",
+                            "zero", "--element", "-1"])
+    assert (code, json.loads(err)["error"]["message"]) == (
+        1, "element index -1 out of range 0..1")
+
+
+def test_command_help_lists_the_table_options():
+    for name in cli.COMMANDS:
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main([name, "--max-order", "5", "-h"])
+        assert exc.value.code == 0
+        usage = out.getvalue()
+        assert usage.startswith("usage: inertial %s " % name)
+        for option in cli._Parser().options(name):
+            assert "--%s" % option in usage, (name, option)
 
 
 def test_unwritable_out_is_a_user_error(tmp_path):
@@ -1082,7 +1228,7 @@ def test_identity_family_per_class_matches_the_element_scan():
             assert report == rep_report, f"{spec}/{rep}: {triple}"
         if sample is None:
             holds = all(report["holds"] for report in scan.values())
-            assert cli._verify_tuples(G, v, {"v_identities"}) == {
+            assert commands._verify_tuples(G, v, {"v_identities"}) == {
                 "v_identities": {"triples": len(scan), "holds": holds}}
 
 
@@ -1096,13 +1242,14 @@ def test_fw_per_class_matches_the_element_scan(monkeypatch):
         v = catalog_character(G, rep)
         # a fresh character, so the scan shares no memo with the classes
         want = reference_fw(ClassFunction(G, v.values))
-        assert cli._verify_tuples(G, v, {"fw"}) == {"fw": want}, spec
+        assert commands._verify_tuples(G, v, {"fw"}) == {"fw": want}, spec
     # classes that miss some tuples are an internal error, not a count
-    real = cli.build_double_sectors
-    monkeypatch.setattr(cli, "build_double_sectors", lambda G: real(G)[1:])
+    real = commands.build_double_sectors
+    monkeypatch.setattr(commands, "build_double_sectors",
+                        lambda G: real(G)[1:])
     G = catalog_group("symmetric(3)")
     with pytest.raises(TheoremViolation, match=r"\|G\| \+ \|G\|\^2 = 42"):
-        cli._verify_tuples(G, catalog_character(G, "std"), {"fw"})
+        commands._verify_tuples(G, catalog_character(G, "std"), {"fw"})
 
 
 def test_identity_family_fails_where_a_term_is_perturbed(monkeypatch):
@@ -1113,7 +1260,7 @@ def test_identity_family_fails_where_a_term_is_perturbed(monkeypatch):
         G = catalog_group(spec)
         v = catalog_character(G, rep)
         want = {"v_identities": {"triples": G.n ** 3, "holds": True}}
-        assert cli._verify_tuples(G, v, {"v_identities"}) == want
+        assert commands._verify_tuples(G, v, {"v_identities"}) == want
         restrict_to = logtrace.restrict_to
         invariants_char = logtrace.invariants_char
 
@@ -1136,7 +1283,7 @@ def test_identity_family_fails_where_a_term_is_perturbed(monkeypatch):
                 assert (report["left_pairing"], report["right_pairing"],
                         report["left_split"], report["right_split"],
                         report["holds"]) == verdicts + (False,), (spec, name)
-            assert cli._verify_tuples(G, v, {"v_identities"}) == {
+            assert commands._verify_tuples(G, v, {"v_identities"}) == {
                 "v_identities": {"triples": G.n ** 3, "holds": False}}
             monkeypatch.undo()
 
@@ -1235,4 +1382,4 @@ def test_identity_family_beyond_the_triple_cap_is_a_user_error():
     # 130^3 element triples exceed the cap on the triple classes it walks
     G = catalog_group("cyclic(130)")
     with pytest.raises(UserError, match="--v-identities"):
-        cli._verify_tuples(G, catalog_character(G, "zero"), {"v_identities"})
+        commands._verify_tuples(G, catalog_character(G, "zero"), {"v_identities"})

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -213,6 +214,43 @@ def test_k_reference_pairs_exercise_moved_centralizers():
         assert any(cls.centralizer is not G.centralizer(G.prod(cls.rep))
                    for cls in classes), spec
         assert any(G.witness(G.prod(cls.rep)) != 0 for cls in classes), spec
+
+
+def test_restriction_onto_the_whole_centralizer_is_a_permutation(
+        monkeypatch):
+    # where Z_m is Z(x), conjugation permutes the irreducibles: the rows
+    # are the decompositions' unit vectors, read without decomposing
+    for spec in ("symmetric(4)", "quaternion8", "dihedral(5)",
+                 "alternating(4)"):
+        G = catalog_group(spec)
+        for x in range(G.n):
+            Z = G.centralizer(x)
+            s = build_sectors(G).sectors[G.class_of(x)]
+            want = [int_coords(characters.restrict_between(chi, sub, Z))
+                    for chi, sub in (
+                        characters.transport(chi, s.centralizer, G.witness(x))
+                        for chi in character_table(s.centralizer.group))]
+            assert rings._restriction(G, x, Z) == want, (spec, x)
+    # eta on cyclic(24) reads 24 such tables of 24 rows: 576 decompositions
+    # before, none now, and the same pairing (this digest is the earlier
+    # code's)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(logtrace, "int_coords", counted(int_coords))
+    decompose = counted(characters.decompose)
+    monkeypatch.setattr(characters, "decompose", decompose)
+    monkeypatch.setattr(logtrace, "decompose", decompose)
+    out = json.dumps(eta_pairing(catalog_group("cyclic(24)"), "k").to_json(),
+                     sort_keys=True)
+    assert calls == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "04a0b420ddd19d6672e4344d0df16cecdc705ecbecbf2d29c2be8f92f66c7490")
 
 
 def test_k_tables_stay_integral_and_chow_tables_rational():

@@ -54,14 +54,17 @@ def test_library_has_no_assert():
 # Functions the package may define without calling them itself: the
 # benchmark's tracer (perfbench/tracer.py) probes induce_from and
 # induce_between by name for its characters.induce.calls metric, so they stay
-# until the tracer reads a counter registry instead; and argparse calls
-# _Parser.error, the override that turns its usage errors into UserError.
-UNCALLED_ALLOWED = {"characters.induce_from", "characters.induce_between",
-                    "cli._Parser.error"}
+# until the tracer reads a counter registry instead.
+UNCALLED_ALLOWED = {"characters.induce_from", "characters.induce_between"}
+
+# the package's module names, which "module.function" handler strings name
+MODULES = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
 
 
 def _names(tree):
-    """Every name a tree reads: identifiers, attributes and imported names."""
+    """Every name a tree reads: identifiers, attributes and imported names,
+    and the function a "module.function" string of the package names (the
+    handlers in cli.COMMANDS)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -69,6 +72,10 @@ def _names(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, dot, name = node.value.partition(".")
+            if dot and module in MODULES and name.isidentifier():
+                yield name
 
 
 def _definitions(module, tree):

@@ -29,7 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from inertial.characters import catalog_character  # noqa: E402
-from inertial.cli import _verify_tuples  # noqa: E402
+from inertial.commands import _verify_tuples  # noqa: E402
 from inertial.groups import catalog_group  # noqa: E402
 from inertial.rings import chow_ring, k_ring, verify  # noqa: E402
 
