@@ -204,6 +204,9 @@ class _Parser:
         rest, extras = list(argv[1:]), []
         while rest:
             token = rest.pop(0)
+            if token == "--":  # the rest is positional; no command takes any
+                extras += [token] + rest
+                break
             if token in ("-h", "--help"):
                 self.usage(command)
             name, eq, value = token[2:].partition("=")

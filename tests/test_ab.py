@@ -22,16 +22,25 @@ def _ab():
     return module
 
 
-def _main(argv):
+def _compare(ref_tree, commands, runs):
     out = io.StringIO()
     with redirect_stdout(out):
-        code = _ab().main(argv)
-    return code, out.getvalue()
+        mismatched = _ab().compare(ref_tree, ROOT, commands, runs)
+    return mismatched, out.getvalue()
+
+
+def _fake_tree(root):
+    # a tree whose CLI prints other bytes than the working tree's
+    package = root / "src" / "inertial"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("print('not the artifact')\n")
+    return str(root)
 
 
 def test_working_tree_against_itself():
-    code, out = _main([ROOT, "--command", GROUP_INFO, "--runs", "2"])
-    assert code == 0, out
+    mismatched, out = _compare(ROOT, [GROUP_INFO], 2)
+    assert mismatched == [], out
     row = next(line for line in out.splitlines() if line.startswith(GROUP_INFO))
     # min/med/max per side, then the ratio of the medians
     assert len(row[len(GROUP_INFO):].split()) == 3
@@ -39,15 +48,17 @@ def test_working_tree_against_itself():
     assert "MISMATCH" not in out
 
 
-def test_a_stdout_mismatch_exits_2(tmp_path):
-    # a tree whose CLI prints other bytes: the comparison fails
-    package = tmp_path / "src" / "inertial"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "__main__.py").write_text("print('not the artifact')\n")
-    code, out = _main([str(tmp_path), "--command", GROUP_INFO, "--runs", "1"])
-    assert code == 2
+def test_a_stdout_mismatch_exits_2(tmp_path, monkeypatch):
+    fake = _fake_tree(tmp_path)
+    mismatched, out = _compare(fake, [GROUP_INFO], 1)
+    assert mismatched == [GROUP_INFO]
     assert "MISMATCH (exit code or stdout sha256): " + GROUP_INFO in out
+    # and main turns a mismatch into exit code 2
+    ab = _ab()
+    monkeypatch.setattr(ab, "export", lambda ref, into: fake)
+    monkeypatch.setattr(ab, "QUICK", (GROUP_INFO,))
+    with redirect_stdout(io.StringIO()):
+        assert ab.main(["HEAD", "--quick"]) == 2
 
 
 def test_a_git_revision_is_exported(tmp_path):

@@ -1056,6 +1056,13 @@ USAGE_ERRORS = (
      "argument --mode: invalid choice: 'z' (choose from 'chow', 'k')"),
     (["verify", "--group", "catalog:cyclic(2)", "--all=1"],
      "argument --all: ignored explicit argument '1'"),
+    # after "--" nothing is an option
+    (["group-info", "--", "--group", "catalog:cyclic(2)"],
+     "the following arguments are required: --group"),
+    (["group-info", "--group", "catalog:cyclic(2)", "--", "--out", "f"],
+     "unrecognized arguments: -- --out f"),
+    (["group-info", "--group", "catalog:cyclic(2)", "--", "-h"],
+     "unrecognized arguments: -- -h"),
     (["group-info", "--group"], "argument --group: expected one argument"),
     (["group-info", "--group", "--out", "x"],
      "argument --group: expected one argument"),

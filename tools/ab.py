@@ -1,11 +1,10 @@
 """A/B timing of `inertial` commands: a git revision against the working tree.
 
-    python3 tools/ab.py REF [--quick] [--runs N] [--command "ARGV"]...
+    python3 tools/ab.py REF [--quick]
 
-REF is a git revision (its tree is exported with `git archive` into a
-temporary directory) or the path of a directory holding another checkout's
-`src/`.  Every command runs N times per side (default 3, 11 with --quick) as
-a fresh `python3 -m inertial` process with PYTHONPATH at that side's `src/`,
+REF is a git revision; its tree is exported with `git archive` into a
+temporary directory.  Every command runs 3 times per side (11 with --quick)
+as a fresh `python3 -m inertial` process with PYTHONPATH at that side's `src/`,
 PYTHONDONTWRITEBYTECODE=1 (each start compiles the package, as in a fresh
 checkout) and PYTHONHASHSEED=0.  The rounds alternate the sides: each round
 runs every command once on each side, and which side goes first flips from
@@ -20,8 +19,7 @@ The default commands are the long outliers of ROADMAP.md's Baseline and
 `chartable cyclic(60)`: several minutes.  --quick runs start-up-bound
 commands instead, under about a minute: `group-info` on cyclic(1), one
 lookup of each kind (group-info, chartable, age, logtrace, obstruction) and
-two short ring commands.  --command (repeatable) replaces the list; its
-argument is split on spaces.  Run it from anywhere; it uses the standard
+two short ring commands.  Run it from anywhere; it uses the standard
 library only.
 """
 
@@ -65,10 +63,8 @@ QUICK = (
 
 
 def export(ref, into):
-    """The root of REF's tree: a directory as it is, or a git revision of
-    this repository extracted under into."""
-    if os.path.isdir(ref):
-        return os.path.abspath(ref)
+    """The root of REF's tree, a git revision of this repository extracted
+    under into."""
     archive = subprocess.run(["git", "archive", "--format=tar", ref],
                              cwd=ROOT, capture_output=True)
     if archive.returncode != 0:
@@ -130,16 +126,11 @@ def compare(ref_tree, new_tree, commands, runs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ref", help="git revision, or a checkout directory")
+    parser.add_argument("ref", help="git revision")
     parser.add_argument("--quick", action="store_true",
                         help="start-up-bound commands, under about a minute")
-    parser.add_argument("--runs", type=int, default=None,
-                        help="runs per command and side")
-    parser.add_argument("--command", action="append", default=None,
-                        help="a command to time instead of the list")
     args = parser.parse_args(argv)
-    commands = args.command or (QUICK if args.quick else FULL)
-    runs = args.runs or (11 if args.quick else 3)
+    commands, runs = (QUICK, 11) if args.quick else (FULL, 3)
     with tempfile.TemporaryDirectory() as tmp:
         ref_tree = export(args.ref, tmp)
         sys.stdout.write("REF %s against the working tree %s, %d runs per "
