@@ -314,9 +314,6 @@ def character_table(group):
     cached = group._memo.get("char_table")
     if cached is not None:
         return cached
-    if group.n == 1:
-        table = group._memo["char_table"] = (trivial_character(group),)
-        return table
 
     classes = group.conjugacy_classes()
     r = len(classes)
@@ -393,13 +390,17 @@ def character_table(group):
     chars.sort(key=_char_sort_key)
     table = tuple(chars)
 
-    for s_i, a in enumerate(table):
-        for t_i, b in enumerate(table):
-            expected = ONE if s_i == t_i else ZERO
-            if inner_product(a, b) != expected:
-                raise TheoremViolation(
-                    "character table failed exact orthogonality for %s"
-                    % group.label)
+    # the check computes every irreducible's decomposition, a unit vector,
+    # and decompose reads it back once the whole table has passed
+    decompositions = {}
+    for a in table:
+        mults = tuple(inner_product(a, b) for b in table)
+        if mults != tuple(ONE if b is a else ZERO for b in table):
+            raise TheoremViolation(
+                "character table failed exact orthogonality for %s"
+                % group.label)
+        decompositions["decompose", a.values] = mults, True
+    group._memo.update(decompositions)
     group._memo["char_table"] = table
     return table
 
@@ -419,7 +420,8 @@ def decompose(v):
     Returns (mults, genuine): mults are exact cyclotomics in table order;
     genuine is True when every one is a non-negative rational integer.
     Memoized in the group's memo, keyed by the values, so each distinct
-    class function is decomposed once per group.
+    class function is decomposed once per group; character_table records
+    the decomposition of each irreducible there.
     """
     key = ("decompose", v.values)
     memo = v.group._memo
@@ -434,6 +436,28 @@ def decompose(v):
                 genuine = False
         cached = memo[key] = mults, genuine
     return cached
+
+
+def int_coords(vchar, what="virtual character", nonnegative=False):
+    """Coordinates of vchar over its group's irreducibles, demanded to be
+    integers (and, with nonnegative, at least 0)."""
+    out = []
+    for m in decompose(vchar)[0]:
+        q = m.to_rational()
+        if q is None or q.denominator != 1 or (nonnegative and q < 0):
+            raise TheoremViolation(
+                "%s has a coordinate %r that is not a%s integer"
+                % (what, m, " non-negative" if nonnegative else "n")
+            )
+        out.append(int(q))
+    return out
+
+
+def dim_int(v):
+    d = v.values[0].to_rational()
+    if d is None or d.denominator != 1 or d < 0:
+        raise TheoremViolation("character dimension %r is not a non-negative integer" % d)
+    return int(d)
 
 
 def assert_genuine_character(v, what="class function"):
@@ -610,8 +634,12 @@ def invariant_dimension(v, sub):
 # -- catalog representations ------------------------------------------------------
 
 
+CATALOG_REPS = ("trivial", "zero", "regular", "sl2", "std")
+
+
 def catalog_character(group, name):
-    """Built-in characters: trivial, zero, regular, and per-family sl2/std."""
+    """Built-in characters: trivial, zero, regular, and per-family sl2/std
+    (CATALOG_REPS)."""
     name = name.strip().lower()
     if name == "trivial":
         return trivial_character(group)
@@ -645,7 +673,5 @@ def catalog_character(group, name):
             fixed = sum(1 for i, img in enumerate(perms[rep]) if img == i)
             vals.append(cyc(fixed - 1))
         return ClassFunction(group, vals)
-    raise UserError(
-        "unknown catalog representation %r (available: trivial, zero, regular, "
-        "sl2, std)" % name
-    )
+    raise UserError("unknown catalog representation %r (available: %s)"
+                    % (name, ", ".join(CATALOG_REPS)))

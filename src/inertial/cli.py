@@ -112,7 +112,6 @@ def cmd_chartable(G, v, args):
 
     if args.chartable_file:
         from .specs import check_chartable
-
         check_chartable(G, args.chartable_file)
     table = character_table(G)
     reps = G.class_reps()  # the sector representatives
@@ -256,14 +255,14 @@ def load(args):
     G = load_group(args.group, cap)
     if not args.character:
         return G, None
+    from .characters import CATALOG_REPS, catalog_character
     spec = ("zero" if args.character == "zero" or args.rep is None
             else args.rep.strip())
     if spec.startswith("catalog:"):
         spec = spec[len("catalog:"):]
-    elif spec.lower() not in ("trivial", "zero", "regular", "sl2", "std"):
+    elif spec.lower() not in CATALOG_REPS:
         from .specs import rep_from_json
         return G, rep_from_json(spec, G)
-    from .characters import catalog_character
     return G, catalog_character(G, spec)
 
 

@@ -17,7 +17,8 @@ from operator import itemgetter
 
 from .errors import MAX_DIGITS, MAX_TABLE_ORDER, UserError, parse_int
 
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"(%s)(?:\^(-?\d+))?$" % _NAME_RE.pattern)
 
 
 def _closure_under(table, gens):

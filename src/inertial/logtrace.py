@@ -25,9 +25,10 @@ from fractions import Fraction
 from .characters import (
     ClassFunction,
     character_table,
-    decompose,
+    dim_int,
     eigen_multiplicities,
     inner_product,
+    int_coords,
     invariant_dimension,
     restrict_between,
     restrict_to,
@@ -36,28 +37,6 @@ from .characters import (
 )
 from .cyclotomic import linear_combination, root_of_unity
 from .errors import TheoremViolation, UserError
-
-
-def dim_int(v):
-    d = v.values[0].to_rational()
-    if d is None or d.denominator != 1 or d < 0:
-        raise TheoremViolation("character dimension %r is not a non-negative integer" % d)
-    return int(d)
-
-
-def int_coords(vchar, what="virtual character", nonnegative=False):
-    """Coordinates of vchar over its group's irreducibles, demanded to be
-    integers (and, with nonnegative, at least 0)."""
-    out = []
-    for m in decompose(vchar)[0]:
-        q = m.to_rational()
-        if q is None or q.denominator != 1 or (nonnegative and q < 0):
-            raise TheoremViolation(
-                "%s has a coordinate %r that is not a%s integer"
-                % (what, m, " non-negative" if nonnegative else "n")
-            )
-        out.append(int(q))
-    return out
 
 
 def age(v, g):

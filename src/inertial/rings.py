@@ -213,8 +213,7 @@ class _KBasis:
     the degree of each basis irreducible, checked to be an integer."""
 
     def __init__(self, G):
-        from .characters import character_table
-        from .logtrace import dim_int
+        from .characters import character_table, dim_int
 
         self.offsets = []
         self.tables = []
@@ -283,8 +282,7 @@ def _fusion(H):
     n != 0 the multiplicity of irreducible k in the product of p and q."""
     fusion = H._memo.get("fusion")
     if fusion is None:
-        from .characters import character_table
-        from .logtrace import int_coords
+        from .characters import character_table, int_coords
 
         irr = character_table(H)
         fusion = H._memo["fusion"] = [
@@ -299,12 +297,14 @@ def _restriction(G, x, Zm):
     """Rows, kept in G's memo: row t holds the coordinates over Irr(Z_m) of
     irreducible t of the centralizer Z_s of x's sector s, moved onto Z(x)
     by x's witness w and restricted to Z_m.  w must conjugate s's
-    representative to x (TheoremViolation otherwise)."""
+    representative to x, and where Z_m is Z(x) itself conjugation permutes
+    the irreducibles, so every row must be a unit vector: its entries sum
+    to 1 and their squares too (TheoremViolation otherwise)."""
     key = ("restriction", x, Zm)
     cached = G._memo.get(key)
     if cached is None:
-        from .characters import character_table, restrict_between, transport
-        from .logtrace import int_coords
+        from .characters import (
+            character_table, int_coords, restrict_between, transport)
 
         s = build_sectors(G).sectors[G.class_of(x)]
         w = G.witness(x)
@@ -313,22 +313,15 @@ def _restriction(G, x, Zm):
                 "the witness %d of %d does not move the representative of "
                 "sector %d onto it" % (w, x, s.index))
         Zs = s.centralizer
-        moved = [transport(chi, Zs, w) for chi in character_table(Zs.group)]
-        if moved[0][1] is not Zm:
-            cached = [int_coords(restrict_between(chi, sub, Zm))
-                      for chi, sub in moved]
-        else:
-            # Zm is Z(x) itself, and conjugation permutes the irreducibles:
-            # each row is the unit vector at its moved irreducible's index
-            irr = character_table(Zm.group)
-            where = {chi: t for t, chi in enumerate(irr)}
-            cached = []
-            for chi, _ in moved:
-                if chi not in where:
-                    raise TheoremViolation(
-                        "a conjugate of an irreducible of sector %d's "
-                        "centralizer is not irreducible" % s.index)
-                cached.append([int(t == where[chi]) for t in range(len(irr))])
+        cached = []
+        for chi in character_table(Zs.group):
+            moved, sub = transport(chi, Zs, w)
+            row = int_coords(restrict_between(moved, sub, Zm))
+            if sub is Zm and not sum(row) == 1 == sum(n * n for n in row):
+                raise TheoremViolation(
+                    "a conjugate of an irreducible of sector %d's "
+                    "centralizer is not irreducible" % s.index)
+            cached.append(row)
         G._memo[key] = cached
     return cached
 
@@ -339,8 +332,8 @@ def _lambda_dual(H, rho):
     key = ("lambda_dual", rho)
     cached = H._memo.get(key)
     if cached is None:
-        from .characters import character_table, lambda_minus_one_dual
-        from .logtrace import int_coords
+        from .characters import (
+            character_table, int_coords, lambda_minus_one_dual)
 
         cached = H._memo[key] = int_coords(
             lambda_minus_one_dual(character_table(H)[rho]))
@@ -616,29 +609,23 @@ def _check_frobenius(alg):
 
 def _check_multiproduct(alg):
     """(e_i e_j) e_k from the table against the product rule applied
-    directly to the triple classes, both packed.  A coordinate of
-    (e_i e_j) e_k sums products of two constants, so the direct values are
-    scaled by D^2; one that D^2 leaves fractional cannot match and is
-    packed as None."""
+    directly to the triple classes, both packed.  Both builders give integer
+    constants, so a fractional one is refused (TheoremViolation)."""
+    D, table = _scaled_table(alg)
+    if D != 1:
+        raise TheoremViolation("a structure constant of the built ring is "
+                               "not an integer")
     ctx = alg.context
     G, v = ctx["group"], ctx["rep"]
-    triples = triple_sectors(G)
     direct = (_chow_products if ctx["kind"] == "chow"
-              else _k_products)(G, v, triples)
+              else _k_products)(G, v, triple_sectors(G))
     n = alg.dim
-    D, table = _scaled_table(alg)
-    D2 = D * D
-    whole = {key: {t: c.numerator * (D2 // c.denominator)
-                   for t, c in terms.items()}
-             if all(D2 % c.denominator == 0 for c in terms.values()) else None
-             for key, terms in direct.items()}
-    bound = max((max(map(abs, terms.values())) for terms in whole.values()
+    bound = max((max(map(abs, terms.values())) for terms in direct.values()
                  if terms), default=0)
     rows, width = _packed_products(n, table, bound)
     packed = {}
-    for (i, j, k), terms in whole.items():
-        packed.setdefault((i, j), [0] * n)[k] = (
-            None if terms is None else _pack(terms, width))
+    for (i, j, k), terms in direct.items():
+        packed.setdefault((i, j), [0] * n)[k] = _pack(terms, width)
     zero = [0] * n
     return _first_failure(n, table, rows,
                           lambda i, j: packed.get((i, j), zero)) is None

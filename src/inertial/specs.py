@@ -11,6 +11,8 @@ from math import lcm
 
 from .cli import _read_json_spec
 from .errors import UserError, parse_rational
+from .groups import (_NAME_RE, FiniteGroup, catalog_group, check_order,
+                     group_from_permutations)
 
 
 def _int_list(obj):
@@ -24,11 +26,16 @@ def _int_rows(obj):
 
 
 def _spec_names(data, valid, what):
-    """The optional "names" object of a JSON group spec, each value checked."""
+    """The optional "names" object of a JSON group spec, each value checked,
+    and each name one that an element token reads back."""
     names = data.get("names")
     if names is not None and not (
             isinstance(names, dict) and all(map(valid, names.values()))):
         raise UserError('group "names" must map each name to %s' % what)
+    for name in names or ():
+        if not _NAME_RE.fullmatch(name):
+            raise UserError("group name %.40r does not match %s"
+                            % (name, _NAME_RE.pattern))
     return names
 
 
@@ -43,9 +50,6 @@ def _spec_label(data):
 def group_from_json(spec, max_order):
     """The group a JSON --group spec describes, refused above max_order
     elements."""
-    from .groups import (FiniteGroup, catalog_group, check_order,
-                         group_from_permutations)
-
     data = _read_json_spec(spec, "group")
     kind = data.get("kind")
     if kind == "catalog":

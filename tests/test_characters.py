@@ -92,6 +92,29 @@ def test_table_is_deterministic():
     assert [c.values for c in a] == [c.values for c in b]
 
 
+def test_table_records_each_irreducibles_decomposition():
+    # the exact orthogonality check computes every irreducible's
+    # decomposition, a unit vector, and the table keeps it where decompose
+    # reads: on the catalog groups up to order 24 and their centralizers,
+    # each recorded one equals a fresh computation
+    for spec in ("cyclic(1)", "cyclic(24)", "klein4", "dihedral(12)",
+                 "quaternion8", "binary_dihedral(6)", "symmetric(4)",
+                 "alternating(4)"):
+        G = catalog_group(spec)
+        for H in {G.centralizer(x).group for x in range(G.n)} | {G}:
+            table = character_table(H)
+            for chi in table:
+                recorded = H._memo[("decompose", chi.values)]
+                fresh = tuple(inner_product(chi, psi) for psi in table)
+                assert recorded == (fresh, True), spec
+                assert decompose(chi) is recorded, spec
+                assert fresh == tuple(ONE if psi is chi else ZERO
+                                      for psi in table), spec
+    # the trivial group takes Dixon's method like any other
+    G = catalog_group("cyclic(1)")
+    assert character_table(G) == (trivial_character(G),)
+
+
 def test_decompose_and_genuineness():
     G = catalog_group("symmetric(3)")
     chars = character_table(G)

@@ -884,6 +884,12 @@ BAD_GROUPS = (
     '{"kind": "table", "table": 5}',
     '{"kind": "catalog"}',
     '{"kind": "table", "table": [[0, 1], [1, 0]], "names": {"g": 9}}',
+    # names an element token would not read back as the same element
+    '{"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], '
+    '"names": {"a b": 1}}',
+    '{"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], '
+    '"names": {"1": 2, "g": 1}}',
+    '{"kind": "perm", "generators": [[1, 0]], "names": {"s^2": [1, 0]}}',
     '{"kind": "perm", "generators": 5}',
     "catalog:cyclic(%s)" % HUGE,
     DEEP_JSON[-1],
@@ -992,9 +998,14 @@ sys.stderr.write(json.dumps([code, sorted(
          ["cli", "commands", "errors", "inertia", "rings", "fractions"]),
         (k_ring, sorted(lookup + scalars + ["commands", "inertia", "logtrace",
                                             "rings"]) + ["fractions"]),
+        # the K basis and its restriction tables read coordinates from the
+        # character layer alone
         (["chern", "--group", "catalog:symmetric(3)"],
          sorted(lookup + scalars + ["chern", "commands", "inertia",
-                                    "logtrace", "rings"]) + ["fractions"]),
+                                    "rings"]) + ["fractions"]),
+        (["eta", "--group", "catalog:symmetric(3)", "--mode", "k"],
+         sorted(lookup + scalars + ["commands", "inertia", "rings"])
+         + ["fractions"]),
     ):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, env=child_env())

@@ -15,6 +15,7 @@ from inertial.characters import (
     ClassFunction,
     catalog_character,
     character_table,
+    int_coords,
     trivial_character,
     zero_character,
 )
@@ -23,7 +24,7 @@ from inertial.chern import orbifold_chern
 from inertial.cli import load_group, main
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
-from inertial.logtrace import age, int_coords, invariants_char, twisted_pullback
+from inertial.logtrace import age, invariants_char, twisted_pullback
 from inertial.rings import (
     GradedAlgebra,
     algebra_from_json,
@@ -219,7 +220,7 @@ def test_k_reference_pairs_exercise_moved_centralizers():
 def test_restriction_onto_the_whole_centralizer_is_a_permutation(
         monkeypatch):
     # where Z_m is Z(x), conjugation permutes the irreducibles: the rows
-    # are the decompositions' unit vectors, read without decomposing
+    # are the decompositions' unit vectors
     for spec in ("symmetric(4)", "quaternion8", "dihedral(5)",
                  "alternating(4)"):
         G = catalog_group(spec)
@@ -231,26 +232,56 @@ def test_restriction_onto_the_whole_centralizer_is_a_permutation(
                         characters.transport(chi, s.centralizer, G.witness(x))
                         for chi in character_table(s.centralizer.group))]
             assert rings._restriction(G, x, Z) == want, (spec, x)
-    # eta on cyclic(24) reads 24 such tables of 24 rows: 576 decompositions
-    # before, none now, and the same pairing (this digest is the earlier
-    # code's)
+    # eta on cyclic(24) reads 24 such tables of 24 rows; once the
+    # centralizers' tables exist, each row is a decomposition the table
+    # recorded, so no inner product is computed, and the pairing is the
+    # same (this digest is the earlier code's)
+    G = catalog_group("cyclic(24)")
+    for x in range(G.n):
+        character_table(G.centralizer(x).group)
     calls = []
+    real = characters.inner_product
 
-    def counted(fn):
-        def call(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return call
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
 
-    monkeypatch.setattr(logtrace, "int_coords", counted(int_coords))
-    decompose = counted(characters.decompose)
-    monkeypatch.setattr(characters, "decompose", decompose)
-    monkeypatch.setattr(logtrace, "decompose", decompose)
-    out = json.dumps(eta_pairing(catalog_group("cyclic(24)"), "k").to_json(),
-                     sort_keys=True)
+    monkeypatch.setattr(characters, "inner_product", counted)
+    out = json.dumps(eta_pairing(G, "k").to_json(), sort_keys=True)
     assert calls == []
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "04a0b420ddd19d6672e4344d0df16cecdc705ecbecbf2d29c2be8f92f66c7490")
+
+
+def test_a_row_onto_the_whole_centralizer_must_be_a_unit_vector():
+    # eta reads rows onto Z(x) only; a transport that moves an irreducible
+    # to twice an irreducible breaks the permutation invariant, and under
+    # -O too the command exits 3
+    script = """
+import sys
+from inertial import characters
+from inertial.cli import main
+if not sys.flags.optimize:
+    sys.exit(2)
+real = characters.transport
+def doubled(v, sub, h):
+    moved, new_sub = real(v, sub, h)
+    return moved + moved, new_sub
+characters.transport = doubled
+sys.exit(main(["eta", "--group", "catalog:symmetric(3)", "--mode", "k"]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "TheoremViolation"
+    assert "is not irreducible" in error["message"]
 
 
 def test_k_tables_stay_integral_and_chow_tables_rational():
@@ -729,13 +760,6 @@ def _width_cases(seed):
             terms[k] = terms.get(k, 0) + coeff(rnd)
             yield (GradedAlgebra(alg.labels, alg.grading, moved, "rational",
                                  0, alg.context), direct, eta)
-            # a triple product no table with denominator D can reach, D^2
-            # leaving it fractional
-            off = dict(direct)
-            key = (rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
-            off[key] = {**off[key], 0: off[key].get(0, 0)
-                        + Fraction(1, 2**127 - 1)}
-            yield alg, off, eta
             noise = {(i, j): {k: coeff(rnd) for k in range(n)
                               if rnd.random() < 0.5}
                      for i in range(n) for j in range(n)
@@ -762,14 +786,37 @@ def _carry_case():
     return alg, direct
 
 
+def _integral(table):
+    """Whether every coefficient of a table or of triple products is an
+    integer."""
+    return all(c.denominator == 1
+               for terms in table.values() for c in terms.values())
+
+
 def _packing_mismatches():
     """Every disagreement between the packed checks and the reference on the
     seeded width cases and the carry case, and whether the carry case is
     missed one bit narrower; [] when all agree and it is."""
     out = []
     for seed in range(3):
-        for case in _width_cases(seed):
-            out += _mismatches(*case)
+        for alg, direct, eta in _width_cases(seed):
+            # both builders give integer constants and triple products, so
+            # the multi-product check compares only those, and refuses a
+            # fractional table instead of passing it
+            if not _integral(alg.table):
+                try:
+                    rings._check_multiproduct(alg)
+                    out.append("multiproduct: a fractional table passed")
+                except TheoremViolation:
+                    pass
+            elif _integral(direct):
+                out += _mismatches(alg, {key: {t: int(c) for t, c in
+                                               terms.items()}
+                                         for key, terms in direct.items()},
+                                   eta)
+                continue
+            out += _mismatches(alg, direct, eta,
+                               ("associativity", "frobenius"))
     alg, direct = _carry_case()
     out += _mismatches(alg, direct, None)
     width = rings._digit_width

@@ -154,6 +154,22 @@ def test_chern_reads_no_obstruction_classes():
     assert lines == [], "chern.py imports logtrace at line(s) %s" % lines
 
 
+def test_rings_reads_log_traces_only_for_obstruction_data():
+    # coordinates over irreducibles come from the character layer; rings
+    # imports logtrace only where it reads ages or obstruction classes
+    def imports(node):
+        return [inner.lineno for inner in ast.walk(node)
+                if isinstance(inner, ast.ImportFrom)
+                and inner.module == "logtrace"]
+
+    tree = dict(_modules())["rings.py"]
+    allowed = [line for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in (
+                   "_chow_products", "chow_ring", "_k_products")
+               for line in imports(node)]
+    assert imports(tree) == allowed != [], imports(tree)
+
+
 def test_group_slots_are_its_inputs_and_memo():
     # what a group is given or set to once; every derived table goes in
     # _memo, so no cache can be hung on a group beside it

@@ -14,6 +14,11 @@ figures are the check alone, not the first-call set-up.  Each figure is the
 best of REPEAT (5) timeit repeats, each repeat running the check long
 enough to take at least 0.2 s.
 
+The multi-product check compares the table with the product rule applied
+to the triple classes.  Those products are built once per ring, timed in
+rows of their own, and held fixed while the check is timed, so the
+multiproduct column is the comparison itself.
+
 The v_identities row times `verify --v-identities`'s loop, one
 v_identity_check per triple class, on symmetric(3)/std and
 symmetric(4)/std, after an untimed first run has filled the character's
@@ -28,9 +33,11 @@ import timeit
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from inertial import rings  # noqa: E402
 from inertial.characters import catalog_character  # noqa: E402
 from inertial.commands import _verify_tuples  # noqa: E402
 from inertial.groups import catalog_group  # noqa: E402
+from inertial.inertia import triple_sectors  # noqa: E402
 from inertial.rings import chow_ring, k_ring, verify  # noqa: E402
 
 RINGS = (
@@ -63,13 +70,30 @@ def best_ms(check, expected):
 def main():
     print("%-22s %4s " % ("ring", "dim")
           + " ".join("%13s" % name for name in CHECKS) + "   (ms per check)")
+    builds = []
     for label, build, group, rep in RINGS:
         G, v = _pair(group, rep)
         alg = build(G, v)
-        times = ["%13.3f" % best_ms(lambda: verify(alg, [name]), {name: True})
-                 if name != "frobenius" or v.dim() == 0
-                 else "%13s" % "-" for name in CHECKS]
+        products = (rings._chow_products if build is chow_ring
+                    else rings._k_products)
+        direct = products(G, v, triple_sectors(G))
+        builds.append((label, best_ms(
+            lambda: products(G, v, triple_sectors(G)), direct)))
+        saved = rings._chow_products, rings._k_products
+        rings._chow_products = rings._k_products = lambda *args: direct
+        try:
+            times = ["%13.3f" % best_ms(lambda: verify(alg, [name]),
+                                        {name: True})
+                     if name != "frobenius" or v.dim() == 0
+                     else "%13s" % "-" for name in CHECKS]
+        finally:
+            rings._chow_products, rings._k_products = saved
         print("%-22s %4d " % (label, alg.dim) + " ".join(times))
+    print()
+    print("triple-class products" + " " * 17
+          + "(ms per build, held fixed in the multiproduct column)")
+    for label, ms in builds:
+        print("%-22s %13.3f" % (label, ms))
     print()
     print("%-22s " % "identity family"
           + " ".join("%20s" % ("%s/%s" % pair) for pair in IDENTITY_PAIRS)
