@@ -391,15 +391,16 @@ def character_table(group):
     table = tuple(chars)
 
     # the check computes every irreducible's decomposition, a unit vector,
-    # and decompose reads it back once the whole table has passed
+    # which decompose reads back, with its ints, once the whole table passed
     decompositions = {}
     for a in table:
         mults = tuple(inner_product(a, b) for b in table)
-        if mults != tuple(ONE if b is a else ZERO for b in table):
+        unit = tuple(int(b is a) for b in table)
+        if mults != tuple(ONE if n else ZERO for n in unit):
             raise TheoremViolation(
                 "character table failed exact orthogonality for %s"
                 % group.label)
-        decompositions["decompose", a.values] = mults, True
+        decompositions["decompose", a.values] = mults, unit
     group._memo.update(decompositions)
     group._memo["char_table"] = table
     return table
@@ -415,13 +416,13 @@ def _char_sort_key(chi):
 
 
 def decompose(v):
-    """Multiplicities of v against the irreducibles, plus a genuineness flag.
+    """Multiplicities of v against the irreducibles, and their integer values.
 
-    Returns (mults, genuine): mults are exact cyclotomics in table order;
-    genuine is True when every one is a non-negative rational integer.
-    Memoized in the group's memo, keyed by the values, so each distinct
-    class function is decomposed once per group; character_table records
-    the decomposition of each irreducible there.
+    Returns (mults, ints): mults are exact cyclotomics in table order, and
+    ints[i] is mults[i] as an int, or None when it is not a rational
+    integer.  Memoized in the group's memo, keyed by the values, so each
+    distinct class function is decomposed and tested once per group;
+    character_table records the decomposition of each irreducible there.
     """
     key = ("decompose", v.values)
     memo = v.group._memo
@@ -429,28 +430,23 @@ def decompose(v):
     if cached is None:
         mults = tuple(inner_product(v, chi)
                       for chi in character_table(v.group))
-        genuine = True
-        for m in mults:
-            q = m.to_rational()
-            if q is None or q.denominator != 1 or q < 0:
-                genuine = False
-        cached = memo[key] = mults, genuine
+        ints = tuple(int(q) if q is not None and q.denominator == 1 else None
+                     for q in map(Cyclotomic.to_rational, mults))
+        cached = memo[key] = mults, ints
     return cached
 
 
 def int_coords(vchar, what="virtual character", nonnegative=False):
     """Coordinates of vchar over its group's irreducibles, demanded to be
     integers (and, with nonnegative, at least 0)."""
-    out = []
-    for m in decompose(vchar)[0]:
-        q = m.to_rational()
-        if q is None or q.denominator != 1 or (nonnegative and q < 0):
+    mults, ints = decompose(vchar)
+    for m, n in zip(mults, ints):
+        if n is None or nonnegative and n < 0:
             raise TheoremViolation(
                 "%s has a coordinate %r that is not a%s integer"
                 % (what, m, " non-negative" if nonnegative else "n")
             )
-        out.append(int(q))
-    return out
+    return list(ints)
 
 
 def dim_int(v):
@@ -460,9 +456,14 @@ def dim_int(v):
     return int(d)
 
 
+def trivial_index(group):
+    """Index of the trivial character in group's table."""
+    return character_table(group).index(trivial_character(group))
+
+
 def assert_genuine_character(v, what="class function"):
-    mults, genuine = decompose(v)
-    if not genuine:
+    mults, ints = decompose(v)
+    if any(n is None or n < 0 for n in ints):
         raise UserError(
             "%s is not a genuine character: multiplicities %s"
             % (what, [str(m) for m in mults])

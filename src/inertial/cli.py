@@ -83,11 +83,6 @@ def load_group(spec, max_order=MAX_TABLE_ORDER):
     return catalog_group(spec[len("catalog:"):], max_order)
 
 
-def _frac(q):
-    from fractions import Fraction
-    return str(Fraction(q))
-
-
 def _cf_json(v):
     return v.to_json()["values_by_class"]
 
@@ -108,7 +103,7 @@ def cmd_group_info(G, v, args):
 
 
 def cmd_chartable(G, v, args):
-    from .characters import character_table
+    from .characters import character_table, dim_int
 
     if args.chartable_file:
         from .specs import check_chartable
@@ -118,7 +113,7 @@ def cmd_chartable(G, v, args):
     return {"command": "chartable", "order": G.n, "classes": list(reps),
             "class_sizes": [len(c) for c in G.conjugacy_classes()],
             "element_orders": [G.order_of(x) for x in reps],
-            "degrees": [int(chi.values[0].to_rational()) for chi in table],
+            "degrees": [dim_int(chi) for chi in table],
             "table": [_cf_json(chi) for chi in table]}, 0
 
 
@@ -127,7 +122,7 @@ def cmd_age(G, v, args):
 
     x = G.element_from_string(args.element)
     return {"command": "age", "element": x, "class": G.class_of(x),
-            "age": _frac(age(v, x))}, 0
+            "age": str(age(v, x))}, 0
 
 
 def cmd_logtrace(G, v, args):
@@ -136,9 +131,9 @@ def cmd_logtrace(G, v, args):
     x = G.element_from_string(args.element)
     lt = log_trace(v, x)
     return {"command": "logtrace", "element": x, "class": G.class_of(x),
-            "centralizer_order": lt.sub.order, "rank": _frac(lt.rank),
+            "centralizer_order": lt.sub.order, "rank": str(lt.rank),
             "values_by_class": _cf_json(lt.char),
-            "scaled_integral": _frac(G.order_of(x))}, 0
+            "scaled_integral": str(G.order_of(x))}, 0
 
 
 def cmd_obstruction(G, v, args):
@@ -147,15 +142,16 @@ def cmd_obstruction(G, v, args):
     tc = twisted_pullback(v, tuple(G.element_from_string(t)
                                    for t in args.tuple.split(",")))
     return {"command": "obstruction", "elements": list(tc.elements),
-            "centralizer_order": tc.sub.order, "rank": _frac(tc.rank),
-            "multiplicities": [_frac(m) for m in tc.mults],
+            "centralizer_order": tc.sub.order, "rank": str(tc.rank),
+            "multiplicities": [str(m) for m in tc.mults],
             "values_by_class": _cf_json(tc.char), "is_zero": tc.is_zero()}, 0
 
 
 # -- argument parsing ------------------------------------------------------------
 
-# a token argparse read as an option, not a value: not "-", "-1" or "-a b"
-_OPTION = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
+# a token argparse read as an option, not a value: not "-", "-1" or "-a b",
+# but "-h..." always, and "--opt=a b" where --opt is an option string
+_OPTION = re.compile(r"(?s)-h.*|-(?!\d+$|\d*\.\d+$)[^ ]+")
 
 
 class _Parser:
@@ -200,6 +196,7 @@ class _Parser:
         values = {name: False if kind == FLAG else kind[0]
                   if isinstance(kind, tuple) else None
                   for name, kind in options.items()}
+        strings = {"--" + name for name in options} | {"--help"}
         rest, extras = list(argv[1:]), []
         while rest:
             token = rest.pop(0)
@@ -217,7 +214,8 @@ class _Parser:
             if kind == FLAG and eq:
                 raise UserError(error + "ignored explicit argument %r" % value)
             if kind != FLAG and not eq:
-                if not rest or _OPTION.fullmatch(rest[0]):
+                if not rest or _OPTION.fullmatch(rest[0]) or (
+                        rest[0].partition("=")[0] in strings):
                     raise UserError(error + "expected one argument")
                 value = rest.pop(0)
             if kind == INT:

@@ -7,7 +7,7 @@ compiles it.  Every handler takes (G, v, args) as cli.main passes them;
 verify without a group runs verify_algebra, which reads a ring file.
 """
 
-from .cli import _VERIFY_FLAGS, _cf_json, _frac, _read_json_spec
+from .cli import _VERIFY_FLAGS, _cf_json, _read_json_spec
 from .errors import TheoremViolation, UserError
 from .inertia import build_double_sectors, build_sectors, triple_sectors
 
@@ -40,7 +40,7 @@ def cmd_chern(G, v, args):
 
     basis = k_basis(G)
     vectors = [
-        [_frac(c) for c in orbifold_chern(G, {i: 1})]
+        [str(c) for c in orbifold_chern(G, {i: 1})]
         for i in range(basis.size)
     ]
     return {

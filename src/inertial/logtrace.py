@@ -32,7 +32,7 @@ from .characters import (
     invariant_dimension,
     restrict_between,
     restrict_to,
-    trivial_character,
+    trivial_index,
     zero_character,
 )
 from .cyclotomic import linear_combination, root_of_unity
@@ -216,10 +216,11 @@ def twisted_pullback(v, ms):
     what = "obstruction class for tuple %s" % (list(padded),)
     mults = int_coords(total, what, nonnegative=True)
 
-    triv = trivial_character(H.group)
+    one = trivial_index(H.group)
     isotypic = [0] * len(mults)
-    for chi, col in zip(character_table(H.group), pullback_columns(v, Z, H)):
-        if chi == triv:
+    for e, (chi, col) in enumerate(zip(character_table(H.group),
+                                       pullback_columns(v, Z, H))):
+        if e == one:
             continue
         r = (sum((age(chi, H.from_parent[m]) for m in padded), Fraction(0))
              - dim_int(chi))

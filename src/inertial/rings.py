@@ -244,13 +244,6 @@ def k_basis(G):
     return basis
 
 
-def _unit(H):
-    """Index of the trivial character in H's table."""
-    from .characters import character_table, trivial_character
-
-    return character_table(H).index(trivial_character(H))
-
-
 def _fold(u, w, fusion):
     """Coordinates of the product of two virtual characters, both given in
     coordinates, pushed through the fusion tensor."""
@@ -361,7 +354,8 @@ def _k_products(G, v, classes):
     product's sector.  One restriction table per (element, Z_m) serves
     both ends.  Returns {(input basis indices): {output basis index: int}}.
     """
-    from .characters import character_table, eigen_multiplicities
+    from .characters import (
+        character_table, eigen_multiplicities, trivial_index)
     from .logtrace import pullback_columns, twisted_pullback
 
     basis = k_basis(G)
@@ -376,10 +370,11 @@ def _k_products(G, v, classes):
         sk = G.class_of(prod)
         image = _restriction(G, prod, Zm)
         factor = [0] * len(fusion)
-        factor[_unit(Zm.group)] = 1
+        factor[trivial_index(Zm.group)] = 1
         if not v.is_zero():
             H = G.generated(ms)
-            w, one = list(twisted_pullback(v, ms).mults), _unit(H.group)
+            w = list(twisted_pullback(v, ms).mults)
+            one = trivial_index(H.group)
             for e, (chi, col) in enumerate(zip(character_table(H.group),
                                                pullback_columns(v, Zm, H))):
                 if any(col):
@@ -408,14 +403,14 @@ def k_ring(G, v):
     """The inertial product on the sum of centralizer representation rings,
     built from the double classes by _k_products.  The table is integral;
     this is checked."""
-    from .characters import check_linearization
+    from .characters import check_linearization, trivial_index
 
     check_linearization(G, v)
     basis = k_basis(G)
     table = _k_products(G, v, build_double_sectors(G))
     return GradedAlgebra(
         basis.labels, [Fraction(0)] * basis.size, table, "integer",
-        basis.index(0, _unit(G)), {"kind": "k", "group": G, "rep": v},
+        basis.index(0, trivial_index(G)), {"kind": "k", "group": G, "rep": v},
     )
 
 

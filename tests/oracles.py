@@ -52,6 +52,7 @@ from inertial.characters import (
     restrict_to,
     transport,
     trivial_character,
+    trivial_index,
     zero_character,
 )
 from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
@@ -60,7 +61,7 @@ from inertial.chern import support_project
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
     age, fw_check, invariants_char, twisted_pullback, v_identity_check)
-from inertial.rings import _fusion, _restriction, _unit, k_basis, k_ring
+from inertial.rings import _fusion, _restriction, k_basis, k_ring
 
 
 def brute_identity(table):
@@ -343,7 +344,7 @@ def reference_k_pairing(G):
         sj = sectors.sigma[si]
         Z = s.centralizer
         rows = _restriction(G, G.inv[s.rep], Z)
-        one = _unit(Z.group)
+        one = trivial_index(Z.group)
         for t1, products in enumerate(_fusion(Z.group)):
             for t2, row in enumerate(rows):
                 matrix[basis.index(si, t1)][basis.index(sj, t2)] = sum(

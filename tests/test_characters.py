@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from inertial.characters import (
     ClassFunction,
+    assert_genuine_character,
     catalog_character,
     character_table,
     decompose,
@@ -13,6 +14,7 @@ from inertial.characters import (
     induce_between,
     induce_from,
     inner_product,
+    int_coords,
     invariant_dimension,
     lambda_minus_one_dual,
     regular_character,
@@ -20,11 +22,13 @@ from inertial.characters import (
     restrict_to,
     transport,
     trivial_character,
+    trivial_index,
     zero_character,
 )
-from inertial.cyclotomic import ONE, ZERO, cyc
+from inertial.cyclotomic import ONE, ZERO, Cyclotomic, cyc
 from inertial.errors import UserError
 from inertial.groups import FiniteGroup, catalog_group
+from inertial.inertia import build_double_sectors
 from oracles import (
     adams,
     closed_form_table,
@@ -92,24 +96,33 @@ def test_table_is_deterministic():
     assert [c.values for c in a] == [c.values for c in b]
 
 
+# the catalog groups up to order 24 on which the recorded decompositions
+# and the trivial index are checked, with their centralizers
+RECORDED_GROUPS = ("cyclic(1)", "cyclic(24)", "klein4", "dihedral(12)",
+                   "quaternion8", "binary_dihedral(6)", "symmetric(4)",
+                   "alternating(4)")
+
+
 def test_table_records_each_irreducibles_decomposition():
     # the exact orthogonality check computes every irreducible's
-    # decomposition, a unit vector, and the table keeps it where decompose
-    # reads: on the catalog groups up to order 24 and their centralizers,
-    # each recorded one equals a fresh computation
-    for spec in ("cyclic(1)", "cyclic(24)", "klein4", "dihedral(12)",
-                 "quaternion8", "binary_dihedral(6)", "symmetric(4)",
-                 "alternating(4)"):
+    # decomposition, a unit vector, and the table keeps it, with its
+    # integer coordinates, where decompose reads: each recorded one is
+    # (unit vector, unit ints) and equals a fresh computation
+    for spec in RECORDED_GROUPS:
         G = catalog_group(spec)
         for H in {G.centralizer(x).group for x in range(G.n)} | {G}:
             table = character_table(H)
             for chi in table:
-                recorded = H._memo[("decompose", chi.values)]
-                fresh = tuple(inner_product(chi, psi) for psi in table)
-                assert recorded == (fresh, True), spec
+                key = ("decompose", chi.values)
+                recorded = H._memo[key]
+                unit = tuple(int(psi is chi) for psi in table)
+                assert recorded == (tuple(map(cyc, unit)), unit), spec
+                assert all(type(n) is int for n in recorded[1]), spec
                 assert decompose(chi) is recorded, spec
-                assert fresh == tuple(ONE if psi is chi else ZERO
-                                      for psi in table), spec
+                fresh = tuple(inner_product(chi, psi) for psi in table)
+                assert recorded[0] == fresh, spec
+                del H._memo[key]
+                assert decompose(chi) == recorded, spec
     # the trivial group takes Dixon's method like any other
     G = catalog_group("cyclic(1)")
     assert character_table(G) == (trivial_character(G),)
@@ -119,13 +132,24 @@ def test_decompose_and_genuineness():
     G = catalog_group("symmetric(3)")
     chars = character_table(G)
     reg = regular_character(G)
-    mults, genuine = decompose(reg)
-    assert genuine
-    assert [m.to_rational() for m in mults] == [
-        c.dim().to_rational() for c in chars
-    ], "regular character must contain every irreducible deg-many times"
+    mults, ints = decompose(reg)
+    assert ints == tuple(c.dim().to_rational() for c in chars), (
+        "regular character must contain every irreducible deg-many times")
+    assert [m.to_rational() for m in mults] == list(ints)
+    assert assert_genuine_character(reg) == mults
+    # ints holds None where a coordinate is not an integer, and a negative
+    # integer as it is; neither is a genuine character
     bogus = ClassFunction(G, [3, 1, -2])
-    assert not decompose(bogus)[1]
+    assert None in decompose(bogus)[1]
+    negative = -trivial_character(G)
+    assert decompose(negative)[1] == tuple(-int(c == trivial_character(G))
+                                           for c in chars)
+    for v in (bogus, negative):
+        try:
+            assert_genuine_character(v)
+            raise AssertionError("%r was taken as genuine" % (v,))
+        except UserError as exc:
+            assert "is not a genuine character" in str(exc)
 
 
 def test_decompose_matches_the_per_term_reference():
@@ -140,8 +164,10 @@ def test_decompose_matches_the_per_term_reference():
         for i, a in enumerate(table):
             for b in table[i:]:
                 prod = a * b
-                mults, genuine = decompose(prod)
-                assert genuine, f"{spec}: {prod} is a character"
+                mults, ints = decompose(prod)
+                assert None not in ints and min(ints) >= 0, (
+                    f"{spec}: {prod} is a character")
+                assert ints == tuple(int(m.to_rational()) for m in mults)
                 if G.n == 24:
                     want = [ZERO] * G.n
                     want[table.index(prod)] = ONE
@@ -150,11 +176,78 @@ def test_decompose_matches_the_per_term_reference():
                             for chi in table]
                 assert mults == tuple(want), spec
         key = ("decompose", prod.values)
-        assert G._memo[key] == (mults, genuine)
+        assert G._memo[key] == (mults, ints)
         again = ClassFunction(G, list(prod.values))
         assert decompose(again) is G._memo[key], "a memo hit"
         del G._memo[key]
-        assert decompose(again) == (mults, genuine), "a fresh run"
+        assert decompose(again) == (mults, ints), "a fresh run"
+
+
+def test_int_coords_reads_integers_decided_once(monkeypatch):
+    # decompose tests each coordinate for integrality once; int_coords on a
+    # memo hit, such as an irreducible that character_table recorded,
+    # converts no coordinate again
+    G = catalog_group("cyclic(24)")
+    table = character_table(G)
+    prod = table[1] * table[5]
+    first = int_coords(prod)
+    calls = []
+    real = Cyclotomic.to_rational
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyclotomic, "to_rational", counted)
+    for chi in table:
+        assert int_coords(chi) == [int(psi is chi) for psi in table]
+    assert int_coords(prod, nonnegative=True) == first
+    assert calls == [], f"{len(calls)} coordinates converted on memo hits"
+
+
+def test_bad_coordinates_raise_with_and_without_optimize():
+    # a coordinate that is not an integer, or a negative one where
+    # non-negative ones are demanded, raises TheoremViolation with the
+    # message naming the coordinate, also under -O
+    script = """
+import json
+from inertial.characters import ClassFunction, int_coords, trivial_character
+from inertial.errors import TheoremViolation
+from inertial.groups import catalog_group
+G = catalog_group("symmetric(3)")
+messages = []
+for v, nonnegative in ((ClassFunction(G, [3, 1, -2]), False),
+                       (-trivial_character(G), True)):
+    for attempt in range(2):  # a miss, then a memo hit
+        try:
+            int_coords(v, "the class", nonnegative)
+            messages.append(None)
+        except TheoremViolation as exc:
+            messages.append(str(exc))
+print(json.dumps(messages))
+"""
+    want = ["the class has a coordinate cyc(11/6) that is not an integer"] * 2
+    want += ["the class has a coordinate cyc(-1) that is not a non-negative "
+             "integer"] * 2
+    for flags in ((), ("-O",)):
+        proc = _run_script(script, *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want, flags
+
+
+def test_trivial_index_is_the_all_ones_row():
+    # on each group, its centralizers and H = <m> for each of its pair
+    # classes m, the trivial index is the one row of the table with every
+    # value 1
+    for spec in RECORDED_GROUPS:
+        G = catalog_group(spec)
+        groups = {G.centralizer(x).group for x in range(G.n)} | {G}
+        groups |= {G.generated(cls.rep).group
+                   for cls in build_double_sectors(G)}
+        for H in groups:
+            ones = [t for t, chi in enumerate(character_table(H))
+                    if all(x == ONE for x in chi.values)]
+            assert ones == [trivial_index(H)], spec
 
 
 def test_class_function_sums_match_the_per_term_reference():
@@ -261,7 +354,8 @@ def test_dual_involution():
         G = catalog_group(spec)
         for chi in character_table(G):
             assert dual(dual(chi)) == chi
-            assert decompose(dual(chi))[1]
+            assert decompose(dual(chi))[1] == tuple(
+                int(psi == dual(chi)) for psi in character_table(G))
 
 
 def test_lambda_dual_multiplicative():
@@ -327,7 +421,8 @@ def test_catalog_characters():
     assert catalog_character(G, "regular") == regular_character(G)
     std = catalog_character(G, "std")
     assert std.dim().to_rational() == 2
-    assert decompose(std)[1]
+    assert decompose(std)[1] == tuple(int(chi == std)
+                                      for chi in character_table(G))
     try:
         catalog_character(G, "sl2")
         raise AssertionError("sl2 is only for the SL2 catalog groups")

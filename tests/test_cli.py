@@ -1099,6 +1099,32 @@ def test_usage_errors_exit_1_with_argparse_wording():
                 json.loads(proc.stderr)) == want, argv
 
 
+# a value whose text before "=" is one of the command's option strings, -h
+# or --help, or that starts with -h, is an option, as argparse reads it,
+# though it holds a space
+OPTION_SHAPED = ("--group=a b", "--help=x y", "--out=a b", "--max-order=a b",
+                 "-h=x y", "-hx y")
+
+
+def test_option_shaped_values_are_usage_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["group-info", "--group", "catalog:cyclic(2)", "--out"]
+    want = (1, "", {"error": {"kind": "UserError", "message":
+                              "argument --out: expected one argument"}})
+    for value in OPTION_SHAPED:
+        code, out, err = run_cli(argv + [value])
+        assert (code, out, json.loads(err)) == want, value
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "inertial", *argv, value],
+            capture_output=True, env=child_env(), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout.decode(),
+                json.loads(proc.stderr)) == want, value
+    assert os.listdir(tmp_path) == [], "a refused command wrote its --out"
+    # an option name the command does not take leaves a value
+    assert run_cli(argv + ["--nope=a b"]) == (0, "", "")
+    assert os.listdir(tmp_path) == ["--nope=a b"]
+
+
 def test_option_value_forms_are_the_same():
     # --opt value and --opt=value read the same, in any order; a value
     # may start with "-" where it is a negative number

@@ -14,6 +14,7 @@ from inertial.characters import (
     restrict_between,
     restrict_to,
     transport,
+    trivial_character,
     zero_character,
 )
 from inertial.errors import UserError
@@ -96,11 +97,9 @@ def test_order_times_log_trace_is_integral():
         for g in range(G.n):
             lt = log_trace(v, g)
             o = G.order_of(g)
-            mults, genuine = decompose(lt.char * o)
-            assert genuine or all(
-                (m.to_rational() is not None and m.to_rational().denominator == 1)
-                for m in mults
-            ), f"{spec}: ord(g) * L(g) is not integral for {g}"
+            ints = decompose(lt.char * o)[1]
+            assert None not in ints, (
+                f"{spec}: ord(g) * L(g) is not integral for {g}")
 
 
 def test_log_trace_rank_is_age():
@@ -272,6 +271,45 @@ def test_v_identity_spot_checks():
         rep = v_identity_check(v, triple)
         assert rep["holds"], f"identity family fails at {triple}: {rep}"
         assert rep["left_pairing"] == rep["right_pairing"]
+
+
+def test_an_age_sum_below_the_bound_fails_fw(monkeypatch):
+    # the padded pair (g, g^-1) has ages summing to exactly dim V - dim V^g;
+    # with g's age lowered by 1 the sum stays integral but falls 1 below
+    # the bound, which fw_check must report
+    G, v = load("symmetric(3)", "std")
+    g = G.element_from_string("s1*s2")
+    assert G.inv[g] != g
+    rep = fw_check(v, (g,))
+    assert rep["integral"] and rep["holds"] and rep["lhs"] == rep["rhs"]
+    real = logtrace.age
+    monkeypatch.setattr(logtrace, "age", lambda v, x: real(v, x) - (x == g))
+    rep = fw_check(v, (g,))
+    assert rep["lhs"] == rep["rhs"] - 1
+    assert rep["integral"] and not rep["holds"], rep
+
+
+def test_a_broken_right_grouping_fails_its_pairing(monkeypatch):
+    # only the pair (m2, m3), which the (1,23) grouping alone reads, gets a
+    # wrong obstruction class: the left verdicts hold, the right pairing
+    # does not
+    G, v = load("symmetric(3)", "std")
+    m1, m2, m3 = (G.element_from_string(t) for t in ("s1", "s2", "s1*s2"))
+    assert v_identity_check(v, (m1, m2, m3))["holds"]
+    real = logtrace.twisted_pullback
+
+    def corrupted(v, ms):
+        tc = real(v, ms)
+        if ms != (m2, m3):
+            return tc
+        return logtrace.TwistedClass(
+            ms, tc.sub, tc.char + trivial_character(tc.sub.group), tc.mults,
+            tc.rank)
+
+    monkeypatch.setattr(logtrace, "twisted_pullback", corrupted)
+    rep = v_identity_check(v, (m1, m2, m3))
+    assert rep["left_pairing"] and rep["left_split"], rep
+    assert not rep["right_pairing"] and not rep["holds"], rep
 
 
 def test_memoized_results_equal_fresh_computations():

@@ -696,6 +696,39 @@ def test_corrupted_table_fails_frobenius_and_multiproduct():
                 build.__name__)
 
 
+def test_an_asymmetric_entry_off_the_diagonal_fails_commutativity():
+    # a built ring whose table differs at (i, j) and (j, i), j >= i + 2,
+    # is not commutative
+    G = GROUPS["symmetric(3)"]
+    alg = k_ring(G, catalog_character(G, "std"))
+    assert verify(alg, ["commutativity"]) == {"commutativity": True}
+    i, j = next((i, j) for i, j in sorted(alg.table) if j >= i + 2)
+    table = {key: dict(terms) for key, terms in alg.table.items()}
+    table[(i, j)][min(table[(i, j)])] += 1
+    bad = GradedAlgebra(alg.labels, alg.grading, table, alg.scalar,
+                        alg.identity_index, alg.context)
+    assert verify(bad, ["commutativity"]) == {"commutativity": False}, (i, j)
+
+
+def test_a_constant_moved_into_the_identity_sector_fails_grading():
+    # output index 0, the identity sector, has grade 0: a Chow constant
+    # moved there from a pair whose grades do not sum to 0 breaks the
+    # grading
+    G = GROUPS["symmetric(3)"]
+    alg = chow_ring(G, catalog_character(G, "std"))
+    assert alg.grading[0] == 0
+    assert verify(alg, ["grading"]) == {"grading": True}
+    key, terms = next(
+        (key, terms) for key, terms in sorted(alg.table.items())
+        if alg.grading[key[0]] + alg.grading[key[1]] != 0 and 0 not in terms)
+    table = dict(alg.table)
+    table[key] = dict(terms)
+    table[key][0] = table[key].pop(min(terms))
+    bad = GradedAlgebra(alg.labels, alg.grading, table, alg.scalar,
+                        alg.identity_index, alg.context)
+    assert verify(bad, ["grading"]) == {"grading": False}, key
+
+
 # Seeded tables for the packing width: each kind of coefficient once.  The
 # build context of every synthetic table is the complete quotient of the
 # trivial group, so the Frobenius check takes it; _mismatches fixes the
