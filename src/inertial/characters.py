@@ -24,10 +24,10 @@ class ClassFunction:
     first, then by ascending class size and smallest member).
 
     _memo holds what is derived from this class function and costly to
-    recompute: eigenvalue multiplicities, fixed-space dimensions, log
-    traces, obstruction classes, fixed-space characters and pullback tables
-    (see logtrace), the transplanted product table of chern, and a passed
-    genuineness check (check_linearization).
+    recompute: eigenvalue multiplicities, log traces, obstruction classes,
+    fixed-space characters and pullback tables (see logtrace), the
+    transplanted product table of chern, and a passed genuineness check
+    (check_linearization).
     An entry is stored only after every exact check on its input has
     passed, and it lives and dies with this object.
     """
@@ -607,29 +607,6 @@ def lambda_minus_one_dual(v):
     return ClassFunction(g, [ZERO if eigen_multiplicities(v, rep)[0]
                              else normal_factor(v, rep)
                              for rep in g.class_reps()])
-
-
-# -- invariants -----------------------------------------------------------------
-
-
-def invariant_dimension(v, sub):
-    """dim of the sub-fixed subspace: (1/|H|) sum_{h in H} v(h).  Memoized
-    on v per subgroup, once the value is an integer."""
-    key = ("invariant_dimension", sub)
-    cached = v._memo.get(key)
-    if cached is not None:
-        return cached
-    class_of = v.group._classes()[1]
-    counts = [0] * len(v.values)
-    for h in sub.elements:
-        counts[class_of[h]] += 1
-    q = linear_combination(counts, v.values, den=sub.order).to_rational()
-    if q is None or q.denominator != 1:
-        raise TheoremViolation(
-            "fixed-space dimension came out as %r, not an integer" % q
-        )
-    dim = v._memo[key] = int(q)
-    return dim
 
 
 # -- catalog representations ------------------------------------------------------

@@ -415,9 +415,6 @@ class Cyclotomic:
                     out[i] += c * r
         return Cyclotomic(n, tuple(out), self.den)
 
-    def conjugate(self):
-        return self.galois(-1)
-
     # -- comparisons / hashing ------------------------------------------------
 
     def __eq__(self, other):

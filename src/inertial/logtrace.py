@@ -29,7 +29,6 @@ from .characters import (
     eigen_multiplicities,
     inner_product,
     int_coords,
-    invariant_dimension,
     restrict_between,
     restrict_to,
     trivial_index,
@@ -58,8 +57,7 @@ def _check_centralizes(group, sub, g):
 class LogTraceClass:
     """The rational combination sum_k (k/o) V_k on Z, and its rank (the age)."""
 
-    def __init__(self, element, sub, char, rank):
-        self.element = element
+    def __init__(self, sub, char, rank):
         self.sub = sub
         self.char = char
         self.rank = rank
@@ -97,7 +95,7 @@ def log_trace(v, g):
             "rank %r of the log trace of element %d disagrees with its age"
             % (rank, g)
         )
-    lt = v._memo[key] = LogTraceClass(g, Z, char, rank)
+    lt = v._memo[key] = LogTraceClass(Z, char, rank)
     return lt
 
 
@@ -124,6 +122,13 @@ def invariants_char(v, ms, sub):
             for rep in sub.group.class_reps()]
     fixed = v._memo[key] = ClassFunction(sub.group, vals)
     return fixed
+
+
+def fixed_dimension(v, ms):
+    """dim V^H, H = <ms>: the fixed-space character of H on the trivial
+    subgroup, memoized by invariants_char, read at the identity and
+    checked to be a non-negative integer."""
+    return dim_int(invariants_char(v, ms, v.group.subgroup((0,))))
 
 
 def pullback_columns(v, Z, H):
@@ -237,7 +242,7 @@ def twisted_pullback(v, ms):
     rank = dim_int(total)
     expected = (
         sum((age(v, m) for m in padded), Fraction(0))
-        + invariant_dimension(v, H)
+        + fixed_dimension(v, ms)
         - dim_int(v)
     )
     if rank != expected:
@@ -260,7 +265,7 @@ def fw_check(v, ms):
     G = v.group
     ms = tuple(ms)
     lhs = sum((age(v, m) for m in _padded(G, ms)), Fraction(0))
-    rhs = dim_int(v) - invariant_dimension(v, G.generated(ms))
+    rhs = dim_int(v) - fixed_dimension(v, ms)
     integral = lhs.denominator == 1
     return {
         "lhs": lhs,

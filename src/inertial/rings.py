@@ -160,8 +160,7 @@ def _chow_products(G, v, classes):
     Returns {(input sectors): {output sector: int}}, each sector that of
     its element.
     """
-    from .characters import invariant_dimension
-    from .logtrace import age
+    from .logtrace import age, fixed_dimension
 
     sectors = build_sectors(G).sectors
     out = {}
@@ -170,8 +169,7 @@ def _chow_products(G, v, classes):
         prod = G.prod(ms)
         if sum(age(v, m) for m in ms) != age(v, prod):
             continue
-        if (invariant_dimension(v, G.generated(ms))
-                != invariant_dimension(v, G.generated((prod,)))):
+        if fixed_dimension(v, ms) != fixed_dimension(v, (prod,)):
             raise TheoremViolation("the ages of %r add up but the fixed "
                                    "spaces differ" % (ms,))
         k = G.class_of(prod)

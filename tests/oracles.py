@@ -31,9 +31,14 @@ project, untwist; twist, induce), and the transplanted product runs through
 them and the integral ring's table, where the library rescales the Chow
 table by one normal factor per sector.  The permutation-group Chow ring
 counts factorizations of additive length, where the library reads ages
-and fixed spaces.
+and fixed spaces.  A fixed-space dimension is counted class by class on a
+subgroup closed from the raw table, where the library reads it off the
+fixed-space character at the identity.  The command-line reference is the
+argparse parser that the hand parser replaced, built from the same option
+table.
 """
 
+import argparse
 import cmath
 import itertools
 from fractions import Fraction
@@ -58,6 +63,7 @@ from inertial.characters import (
 from inertial.cyclotomic import ONE, ZERO, cyclotomic_polynomial, root_of_unity
 from inertial.errors import TheoremViolation, UserError
 from inertial.chern import support_project
+from inertial.cli import COMMANDS, FLAG, INT, REQUIRED, _Parser
 from inertial.inertia import build_double_sectors, build_sectors
 from inertial.logtrace import (
     age, fw_check, invariants_char, twisted_pullback, v_identity_check)
@@ -400,7 +406,7 @@ def reference_linear_combination(coeffs, xs, ys=None, den=1,
     total = ZERO
     for i, (c, x) in enumerate(zip(coeffs, xs)):
         if ys is not None:
-            x = x * (ys[i].conjugate() if conjugate else ys[i])
+            x = x * (ys[i].galois(-1) if conjugate else ys[i])
         total = total + c * x
     return total * Fraction(1, den)
 
@@ -410,7 +416,7 @@ def reference_inner_product(a, b):
     g = a.group
     total = ZERO
     for members, av, bv in zip(g.conjugacy_classes(), a.values, b.values):
-        total = total + len(members) * av * bv.conjugate()
+        total = total + len(members) * av * bv.galois(-1)
     return total * Fraction(1, g.n)
 
 
@@ -494,10 +500,36 @@ def reference_obstruction(v, ms):
             zp = Z.to_parent(rep)
             acc = ZERO
             for local, h in enumerate(H.elements):
-                acc = acc + chi.value(local).conjugate() * v.value(G.op(h, zp))
+                acc = acc + chi.value(local).galois(-1) * v.value(G.op(h, zp))
             vals.append(acc * Fraction(1, H.order))
         total = total + ClassFunction(Z.group, vals) * r
     return tuple(m.to_rational() for m in decompose(total)[0])
+
+
+def reference_fixed_dimension(v, ms):
+    """dim V^H, H = <ms>, counted class by class: (1/|H|) sum_C |H n C|
+    v(C), with H closed from ms on the raw table and the sum added one
+    term at a time; it must be an integer."""
+    G = v.group
+    H, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for m in ms:
+            y = G.table[x][m]
+            if y not in H:
+                H.add(y)
+                frontier.append(y)
+    counts = [0] * len(v.values)
+    for h in H:
+        counts[G.class_of(h)] += 1
+    total = ZERO
+    for count, value in zip(counts, v.values):
+        total = total + count * value
+    q = (total * Fraction(1, len(H))).to_rational()
+    if q is None or q.denominator != 1:
+        raise TheoremViolation("fixed-space dimension came out as %r, not an "
+                               "integer" % q)
+    return int(q)
 
 
 def lambda_minus_one_dual_newton(v):
@@ -548,7 +580,7 @@ def dual(v):
 
 def dual_power_trace(v, x, i):
     """Trace of x^i on the dual of v, i.e. conj(v(x^i))."""
-    return v.value(v.group.power(x, i)).conjugate()
+    return v.value(v.group.power(x, i)).galois(-1)
 
 
 class Orbit(NamedTuple):
@@ -864,3 +896,35 @@ def reference_galois(a, j):
     n, coeffs = a
     return reference_canonical(n, _combine(n, [(j * k % n, c)
                                                for k, c in enumerate(coeffs)]))
+
+
+class _ArgparseReference(argparse.ArgumentParser):
+    """argparse with each usage error raised as UserError, and no help
+    text: the front end's help is its own, so only the exit through help
+    is compared, and formatting argparse's would be wasted."""
+
+    def error(self, message):
+        raise UserError(message)
+
+    def print_help(self, file=None):
+        pass
+
+
+def reference_parser():
+    """The front end as argparse reads it: one subparser per command of
+    cli.COMMANDS, each with the options _Parser().options(command) lists,
+    without abbreviations; a usage error raises UserError with argparse's
+    message, and -h or --help raises SystemExit(0)."""
+    parser = _ArgparseReference(prog="inertial", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        sub = commands.add_parser(command, allow_abbrev=False)
+        for name, kind in _Parser().options(command).items():
+            if kind == FLAG:
+                sub.add_argument("--" + name, action="store_true")
+            elif isinstance(kind, tuple):
+                sub.add_argument("--" + name, choices=kind, default=kind[0])
+            else:
+                sub.add_argument("--" + name, required=kind == REQUIRED,
+                                 type=int if kind == INT else None)
+    return parser

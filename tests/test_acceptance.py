@@ -71,7 +71,7 @@ def test_criterion_01():
                 for c in range(r):
                     total = total + (
                         table[i].values[c]
-                        * table[j].values[c].conjugate()
+                        * table[j].values[c].galois(-1)
                         * cyc(sizes[c])
                     )
                 want = cyc(G.n if i == j else 0)
@@ -80,7 +80,7 @@ def test_criterion_01():
             for d in range(r):
                 total = cyc(0)
                 for i in range(r):
-                    total = total + table[i].values[c] * table[i].values[d].conjugate()
+                    total = total + table[i].values[c] * table[i].values[d].galois(-1)
                 want = cyc(G.n // sizes[c] if c == d else 0)
                 assert total == want, f"{spec}: column orthogonality fails at {(c, d)}"
         degrees = []

@@ -10,7 +10,7 @@ from inertial.characters import (
     catalog_character,
     character_table,
     decompose,
-    invariant_dimension,
+    regular_character,
     restrict_between,
     restrict_to,
     transport,
@@ -23,6 +23,7 @@ from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
 from inertial.logtrace import (
     age,
     dim_int,
+    fixed_dimension,
     fw_check,
     invariants_char,
     log_trace,
@@ -145,6 +146,16 @@ def test_eigen_characters_sum_and_invariants():
             assert dec.parts[0] == inv, (
                 f"{spec}: eigenvalue-1 part of {g} is not the invariants"
             )
+
+
+def test_fixed_dimension():
+    G = catalog_group("symmetric(3)")
+    whole = tuple(range(G.n))
+    assert fixed_dimension(regular_character(G), whole) == 1
+    assert fixed_dimension(trivial_character(G), whole) == 1
+    assert fixed_dimension(catalog_character(G, "std"), whole) == 0
+    assert fixed_dimension(catalog_character(G, "std"),
+                           (G.element_from_string("s1"),)) == 1
 
 
 def test_invariants_char_needs_centralizing_subgroup():
@@ -343,9 +354,9 @@ def test_identity_family_splits_each_element_once(monkeypatch):
     calls = []
     real = logtrace.LogTraceClass
 
-    def counted(g, sub, char, rank):
-        calls.append(g)
-        return real(g, sub, char, rank)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(logtrace, "LogTraceClass", counted)
     for a in range(G.n):

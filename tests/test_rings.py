@@ -457,13 +457,14 @@ def test_chow_products_raise_when_the_fixed_spaces_differ():
     # age of the 3-cycle, and only the whole group is a non-cyclic <m>
     script = """
 import sys
-from inertial import characters
+from inertial import logtrace
 from inertial.characters import catalog_character
 from inertial.errors import TheoremViolation
 from inertial.groups import catalog_group
 from inertial.rings import chow_ring
-real = characters.invariant_dimension
-characters.invariant_dimension = lambda v, H: real(v, H) + (H.order == 6)
+real = logtrace.fixed_dimension
+logtrace.fixed_dimension = lambda v, ms: (
+    real(v, ms) + (v.group.generated(ms).order == 6))
 G = catalog_group("symmetric(3)")
 try:
     chow_ring(G, catalog_character(G, "std"))

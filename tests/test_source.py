@@ -7,12 +7,15 @@ method and property must be named somewhere else in the package, so a
 helper left behind by a refactor fails the suite.  Derived state has one
 home per object: only the scalar field caches at module level, and a
 group's slots are its inputs and its memo.  The tools import the package
-but no test runs them, so each is at least imported here.
+but no test runs them, so each is at least imported here; and the README's
+library quick start runs as printed.
 """
 
 import ast
 import importlib.util
 import os
+import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -61,16 +64,18 @@ UNCALLED_ALLOWED = {"characters.induce_from", "characters.induce_between"}
 MODULES = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
 
 
-def _names(tree):
+def _names(tree, methods=False):
     """Every name a tree reads: identifiers, attributes and imported names,
     and the function a "module.function" string of the package names (the
-    handlers in cli.COMMANDS)."""
+    handlers in cli.COMMANDS).  With methods, only the attributes and the
+    strings: a method is called through an object, so a bare name that
+    matches its name (a parameter, a local) is no reference to it."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not methods:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not methods:
             yield node.name
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             module, dot, name = node.value.partition(".")
@@ -79,29 +84,32 @@ def _names(tree):
 
 
 def _definitions(module, tree):
-    """(dotted name, node) of every top-level function and of every
-    non-dunder method or property of a top-level class."""
+    """(dotted name, node, whether a method) of every top-level function and
+    of every non-dunder method or property of a top-level class."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield "%s.%s" % (module, node.name), node
+            yield "%s.%s" % (module, node.name), node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield "%s.%s.%s" % (module, node.name, item.name), item
+                    yield ("%s.%s.%s" % (module, node.name, item.name),
+                           item, True)
 
 
 def test_every_top_level_function_is_referenced():
     # a function or method no other code of the package names is dead
     # code; its own body (a recursive call) does not count as a reference
     trees = {name[:-3]: tree for name, tree in _modules()}
-    uses = Counter(n for tree in trees.values() for n in _names(tree))
+    uses = {method: Counter(n for tree in trees.values()
+                            for n in _names(tree, method))
+            for method in (False, True)}
     unreferenced = []
     for module, tree in trees.items():
-        for dotted, node in _definitions(module, tree):
-            own = Counter(n for n in _names(node) if n == node.name)
-            if uses[node.name] - own[node.name] == 0:
+        for dotted, node, method in _definitions(module, tree):
+            own = Counter(n for n in _names(node, method) if n == node.name)
+            if uses[method][node.name] - own[node.name] == 0:
                 unreferenced.append(dotted)
     assert sorted(set(unreferenced) - UNCALLED_ALLOWED) == [], unreferenced
 
@@ -227,3 +235,19 @@ def test_tools_import_and_define_main(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(getattr(module, "main", None)), name
+
+
+def test_readme_quick_start_runs():
+    # the fenced python block under "Library quick start", in a fresh
+    # interpreter that finds the package through PYTHONPATH=src
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    checks = ("identity", "commutativity", "associativity", "grading")
+    assert proc.stdout.splitlines() == [
+        "1/2", "(0, 0)", str(dict.fromkeys(checks, True)), "1"]

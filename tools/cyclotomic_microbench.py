@@ -4,7 +4,8 @@
 
 Run it from the repository root (it puts src/ on the path itself); it uses
 the standard library only.  For each conductor n in 1, 3, 4, 5, 8, 12 and 24
-it times a + b, a * b and a.conjugate() on two fixed elements of Q(zeta_n),
+it times a + b, a * b and the complex conjugate a.galois(-1) (the
+"conjugate" column) on two fixed elements of Q(zeta_n),
 
     a = sum_k (k + 2) zeta_n^k,    b = sum_k (-1)^k (2k + 1)/6 zeta_n^k,
 
@@ -72,7 +73,7 @@ def main():
             raise SystemExit("fused and per-term sums differ at conductor %d"
                              % n)
         times = [per_op_us(fn)
-                 for fn in (lambda: a + b, lambda: a * b, a.conjugate,
+                 for fn in (lambda: a + b, lambda: a * b, lambda: a.galois(-1),
                             lambda: linear_combination(coeffs, xs, ys),
                             lambda: per_term(coeffs, xs, ys))]
         print("%9d %9.1f %9.1f %9.1f %11.1f %11.1f" % (n, *times))
