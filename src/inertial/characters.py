@@ -25,9 +25,8 @@ class ClassFunction:
 
     _memo holds what is derived from this class function and costly to
     recompute: eigenvalue multiplicities, log traces, obstruction classes,
-    fixed-space characters and pullback tables (see logtrace), the
-    transplanted product table of chern, and a passed genuineness check
-    (check_linearization).
+    fixed-space characters and pullback tables (see logtrace), and the
+    transplanted product table of chern.
     An entry is stored only after every exact check on its input has
     passed, and it lives and dies with this object.
     """
@@ -473,13 +472,11 @@ def assert_genuine_character(v, what="class function"):
 
 def check_linearization(G, v):
     """Refuse v as the linearization of [V/G] unless it is a genuine
-    character of G itself; a passed genuineness check is kept in v's memo."""
+    character of G itself (decompose memoizes the check's work)."""
     if v.group is not G:
         raise UserError("the linearization character lives on %s, not on %s"
                         % (v.group.label, G.label))
-    if "genuine" not in v._memo:
-        assert_genuine_character(v, "the linearization character")
-        v._memo["genuine"] = True
+    assert_genuine_character(v, "the linearization character")
 
 
 # -- restriction / induction / transport ---------------------------------------

@@ -256,9 +256,7 @@ def load(args):
     from .characters import CATALOG_REPS, catalog_character
     spec = ("zero" if args.character == "zero" or args.rep is None
             else args.rep.strip())
-    if spec.startswith("catalog:"):
-        spec = spec[len("catalog:"):]
-    elif spec.lower() not in CATALOG_REPS:
+    if spec.lower() not in CATALOG_REPS:
         from .specs import rep_from_json
         return G, rep_from_json(spec, G)
     return G, catalog_character(G, spec)

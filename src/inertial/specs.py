@@ -1,6 +1,8 @@
-"""JSON input specs: groups given as tables, permutations or catalog objects,
-characters given by their values, and the character tables that
-`chartable --chartable-file` checks.
+"""JSON input specs: groups given as tables or permutations, characters
+given by their values, and the character tables that
+`chartable --chartable-file` checks.  JSON carries data only: a catalog
+group is written `catalog:NAME` and a catalog character by its name, both
+read in cli, so a JSON object of any other kind exits 1.
 
 The command line imports this module only when a --group or --rep spec is
 JSON (inline, or a path to a file) or a --chartable-file is given, so a
@@ -11,8 +13,7 @@ from math import lcm
 
 from .cli import _read_json_spec
 from .errors import UserError, parse_rational
-from .groups import (_NAME_RE, FiniteGroup, catalog_group, check_order,
-                     group_from_permutations)
+from .groups import _NAME_RE, FiniteGroup, check_order, group_from_permutations
 
 
 def _int_list(obj):
@@ -52,10 +53,6 @@ def group_from_json(spec, max_order):
     elements."""
     data = _read_json_spec(spec, "group")
     kind = data.get("kind")
-    if kind == "catalog":
-        if not isinstance(data.get("name"), str):
-            raise UserError('group kind "catalog" needs a "name" string')
-        return catalog_group(data["name"], max_order)
     if kind == "table":
         table = data.get("table")
         if not _int_rows(table):
@@ -76,9 +73,8 @@ def group_from_json(spec, max_order):
             [tuple(p) for p in gens], names=names, label=_spec_label(data),
             max_order=max_order,
         )
-    raise UserError(
-        'group spec must be "catalog:NAME" or JSON with kind table/perm/catalog'
-    )
+    raise UserError('group spec must be "catalog:NAME" or JSON with kind '
+                    "table/perm")
 
 
 def _parse_value(obj, group):
@@ -112,14 +108,10 @@ def rep_from_json(spec, group):
     """The character of group a JSON --rep spec describes, checked to be
     genuine."""
     from .characters import (
-        ClassFunction, assert_genuine_character, catalog_character)
+        CATALOG_REPS, ClassFunction, assert_genuine_character)
 
     data = _read_json_spec(spec, "representation")
     kind = data.get("kind")
-    if kind == "catalog_rep":
-        if not isinstance(data.get("name"), str):
-            raise UserError('rep kind "catalog_rep" needs a "name" string')
-        return catalog_character(group, data["name"])
     if kind == "character":
         values = data.get("values_by_class")
         if not isinstance(values, list):
@@ -133,10 +125,8 @@ def rep_from_json(spec, group):
         v = ClassFunction(group, [_parse_value(x, group) for x in values])
         assert_genuine_character(v, "the supplied character")
         return v
-    raise UserError(
-        'rep spec must be "zero", "catalog:NAME", or JSON with kind '
-        "character/catalog_rep"
-    )
+    raise UserError('rep spec must be a catalog name (%s) or JSON with kind '
+                    '"character"' % ", ".join(CATALOG_REPS))
 
 
 def check_chartable(group, path):

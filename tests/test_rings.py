@@ -20,7 +20,7 @@ from inertial.characters import (
     zero_character,
 )
 from inertial.errors import TheoremViolation, UserError
-from inertial.chern import orbifold_chern
+from inertial.chern import orbifold_chern, star_T, support_project
 from inertial.cli import load_group, main
 from inertial.groups import FiniteGroup, catalog_group
 from inertial.inertia import build_double_sectors, build_sectors, triple_sectors
@@ -447,6 +447,32 @@ def test_factorization_rule_matches_the_chow_ring():
             table, grading = factorization_products(G, copies)
             assert alg.table == table, (G.label, copies)
             assert alg.grading == grading, (G.label, copies)
+
+
+# [V + C / G] = [V/G] x A^1, so a trivial summand changes no product
+TRIVIAL_SUMMAND_CASES = (
+    ("catalog:cyclic(4)", "sl2"), ("catalog:quaternion8", "sl2"),
+    ("catalog:symmetric(3)", "std"), ("catalog:dihedral(5)", "regular"),
+    ("catalog:alternating(4)", "std"), ("catalog:klein4", "regular"),
+    ('{"kind": "perm", "generators": [[1, 0, 2], [0, 2, 1]]}', "std"),
+)
+
+
+def test_a_trivial_summand_changes_no_product():
+    # the Chow and K tables and the transplanted product of every pair of
+    # class deltas are those of v for w = v + the trivial character; the
+    # K tables see the excess term's trivial part, dim E^prod - [E trivial]
+    for spec, rep in TRIVIAL_SUMMAND_CASES:
+        G = load_group(spec)
+        v = catalog_character(G, rep)
+        w = v + trivial_character(G)
+        assert w.dim() == v.dim() + 1
+        for build in (chow_ring, k_ring):
+            assert build(G, w).table == build(G, v).table, (spec, build)
+        deltas = [support_project(trivial_character(G), i)
+                  for i in range(len(G.conjugacy_classes()))]
+        for a, b in itertools.product(deltas, repeat=2):
+            assert star_T(a, b, G, w) == star_T(a, b, G, v), spec
 
 
 def test_chow_products_raise_when_the_fixed_spaces_differ():

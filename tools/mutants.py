@@ -79,6 +79,48 @@ MUTANTS = (
          "if False:"),),
         "the Chow product stops comparing V^<m> with V^prod once the ages "
         "add up"),
+    Mutant("excess-drops-trivial", "src/inertial/rings.py", (
+        ("n = (eigen_multiplicities(chi, H.from_parent[prod])[0]\n"
+         "                         - (e == one))",
+         "n = eigen_multiplicities(chi, H.from_parent[prod])[0]"),),
+        "the K class factor's excess term keeps [E trivial], so a trivial "
+        "summand of V changes the K products"),
+    Mutant("chow-coefficient-1", "src/inertial/rings.py", (
+        ("row[k] = row.get(k, 0) + coeff", "row[k] = row.get(k, 0) + 1"),),
+        "each contributing class adds 1 to the Chow constant, not its "
+        "centralizer index"),
+    Mutant("assoc-half-pairs", "src/inertial/rings.py", (
+        ("lambda i, j: _combine(n, rows[i], by_jm[j]))",
+         "lambda i, j: _combine(n, rows[i], by_jm[j]) if j >= i else\n"
+         "                          _combine(n, table.get((i, j), {}).items(),"
+         " rows))"),),
+        "the associator (associativity and Frobenius checks) compares only "
+        "the pairs (i, j) with j >= i"),
+    Mutant("pack-width-no-sign-bit", "src/inertial/rings.py", (
+        ("return bound.bit_length() + 1", "return bound.bit_length()"),),
+        "a packed digit has no room for the sign, so a negative coordinate "
+        "can carry into its neighbour"),
+    Mutant("eta-reads-t1", "src/inertial/rings.py", (
+        ("[basis.index(sj, t2)] = row[dual]",
+         "[basis.index(sj, t2)] = row[t1]"),),
+        "the K pairing reads the coordinate of chi_t1, not of its dual"),
+    Mutant("multiproduct-skips-last-k", "src/inertial/rings.py", (
+        ("rows, width = _packed_products(n, table, bound)\n",
+         "rows, width = _packed_products(n, table, bound)\n"
+         "    rows = [[(k, x) for k, x in row if k != n - 1] "
+         "for row in rows]\n"),
+        ("        packed.setdefault((i, j), [0] * n)[k] = _pack(terms, "
+         "width)\n",
+         "        if k != n - 1:\n"
+         "            packed.setdefault((i, j), [0] * n)[k] = "
+         "_pack(terms, width)\n")),
+        "the multi-product check compares no triple (i, j, n - 1)"),
+    Mutant("restriction-wrong-conjugator", "src/inertial/rings.py", (
+        ("moved, sub = transport(chi, Zs, w)",
+         "moved, sub = transport(chi, Zs, "
+         "G.op(w, G.witness(G.inv[s.rep])))"),),
+        "restriction rows move a sector's irreducibles by w n, n the witness "
+        "of s^-1, which maps s onto x^-1 where s is real, not onto x"),
 )
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
